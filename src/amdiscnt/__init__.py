@@ -41,13 +41,10 @@ from .protocols import (
     BS_ID,
     DistanceCache,
     ProtocolKind,
-    Role,
-    TransmissionPlan,
     build_plan,
     elect_chs_amdiscnt,
     elect_chs_deec,
     elect_chs_leach,
-    select_relay,
 )
 from .stats import (
     MilestoneSummary,
@@ -78,10 +75,8 @@ __all__ = [
     "ProtocolKind",
     "RadioParams",
     "RegionId",
-    "Role",
     "RoundMetrics",
     "SimulationResult",
-    "TransmissionPlan",
     "aggregation_cost",
     "aggregate_runs",
     "build_plan",
@@ -100,7 +95,6 @@ __all__ = [
     "run_round",
     "run_simulation",
     "rx_cost",
-    "select_relay",
     "theoretical_total_energy",
     "tx_cost",
     "validate_config",

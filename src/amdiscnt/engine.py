@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from random import Random
 
 from .deployment import deploy
-from .energy import aggregation_cost, rx_cost, tx_cost
+from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
 from .model import ConfigurationError, NetworkConfig, Node, validate_config
 from .protocols import (
     BS_ID,
     DistanceCache,
     ProtocolKind,
-    Role,
     TransmissionPlan,
     build_plan,
     elect_chs_amdiscnt,
@@ -93,23 +92,22 @@ def _charge(node: Node, amount: float, ledger: list[float]) -> bool:
 
 
 def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
-              rng: Random, distances: DistanceCache | None = None) -> RoundMetrics:
-    """Execute one transmission round, mutating node energies in place."""
+              rng: Random, links: DistanceCache) -> RoundMetrics:
+    """Execute one transmission round, mutating node energies in place.
+
+    ``nodes`` is indexed by id and ``links`` is its table for ``config.radio``.
+    """
     radio = config.radio
     bits = radio.packet_bits
+    rx = rx_cost(bits, radio)
+    crossover = crossover_distance(radio)
+    e_elec, e_fs, e_mp = radio.e_elec, radio.e_fs, radio.e_mp
     drop_p = config.link_drop_probability
-    delay = config.delay
-    by_id = {node.id: node for node in nodes}
-
-    def dist(a: int, b: int) -> float:
-        if distances is not None:
-            return distances.link(a, b)
-        if b == BS_ID:
-            return by_id[a].position.radius()
-        return by_id[a].position.distance_to(by_id[b].position)
-
-    def link_up() -> bool:
-        return drop_p <= 0.0 or rng.random() >= drop_p
+    lossy = drop_p > 0.0  # a loss-free run never draws from the RNG
+    link_delay = config.delay.link_delay
+    rows = links.rows
+    to_bs = links.to_bs
+    tx_to_bs = links.tx_to_bs
 
     ledger: list[float] = []
     delivered_delays: list[float] = []
@@ -119,27 +117,28 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
     member_delay: dict[int, float] = {}
 
     # phase 1: members transmit to their cluster heads
-    for member_id in sorted(plan.member_ch):
-        member = by_id[member_id]
+    for member_id, ch_id in plan.members:
+        member = nodes[member_id]
         if not member.alive:
             continue
-        ch_id = plan.member_ch[member_id]
-        d = dist(member_id, ch_id)
-        if not _charge(member, tx_cost(bits, d, radio), ledger):
+        d = rows[member_id][ch_id]
+        # tx_cost's expression with the radio constants hoisted out of the loop
+        cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
+        if not _charge(member, cost, ledger):
             continue
-        if not link_up():
+        if lossy and rng.random() < drop_p:
             continue
-        ch = by_id[ch_id]
+        ch = nodes[ch_id]
         if not ch.alive:
             continue
-        if not _charge(ch, rx_cost(bits, radio), ledger):
+        if not _charge(ch, rx, ledger):
             continue
         arrivals[ch_id] = arrivals.get(ch_id, 0) + 1
-        member_delay[ch_id] = max(member_delay.get(ch_id, 0.0), delay.link_delay(d))
+        member_delay[ch_id] = max(member_delay.get(ch_id, 0.0), link_delay(d))
 
     # phase 2: cluster heads aggregate and forward along their routes
-    for ch_id in sorted(plan.routes):
-        ch = by_id[ch_id]
+    for ch_id, route in plan.routes:
+        ch = nodes[ch_id]
         if not ch.alive:
             continue
         signals = arrivals.get(ch_id, 0) + 1  # members plus the head's own reading
@@ -147,42 +146,42 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
             continue
         packet_delay = member_delay.get(ch_id, 0.0)
         sender = ch
-        for hop in plan.routes[ch_id]:
+        for hop in route:
             if not sender.alive:
                 break
-            d = dist(sender.id, hop)
+            if hop == BS_ID:
+                d = to_bs[sender.id]
+                if not _charge(sender, tx_to_bs[sender.id], ledger):
+                    break
+                sent += 1
+                if not lossy or rng.random() >= drop_p:
+                    received += 1
+                    delivered_delays.append(packet_delay + link_delay(d))
+                break
+            d = rows[sender.id][hop]
             if not _charge(sender, tx_cost(bits, d, radio), ledger):
                 break
-            if hop == BS_ID:
-                sent += 1
-                if link_up():
-                    received += 1
-                    delivered_delays.append(packet_delay + delay.link_delay(d))
+            if lossy and rng.random() < drop_p:
                 break
-            if not link_up():
-                break
-            relay = by_id[hop]
+            relay = nodes[hop]
             if not relay.alive:
                 break
-            if not _charge(relay, rx_cost(bits, radio), ledger):
+            if not _charge(relay, rx, ledger):
                 break
-            packet_delay += delay.link_delay(d)
+            packet_delay += link_delay(d)
             sender = relay
 
     # phase 3: direct senders transmit their own readings
-    for node_id in sorted(plan.roles):
-        if plan.roles[node_id] is not Role.DIRECT_TO_BS:
-            continue
-        node = by_id[node_id]
+    for node_id in plan.direct:
+        node = nodes[node_id]
         if not node.alive:
             continue
-        d = dist(node_id, BS_ID)
-        if not _charge(node, tx_cost(bits, d, radio), ledger):
+        if not _charge(node, tx_to_bs[node_id], ledger):
             continue
         sent += 1
-        if link_up():
+        if not lossy or rng.random() >= drop_p:
             received += 1
-            delivered_delays.append(delay.link_delay(d))
+            delivered_delays.append(link_delay(to_bs[node_id]))
 
     alive = sum(1 for node in nodes if node.alive)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
@@ -216,7 +215,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
     rng = Random(config.seed)
     placement = deploy(config, rng)
     nodes = list(placement.nodes)
-    distances = DistanceCache(nodes)
+    links = DistanceCache(nodes, config.radio)
     history: dict[int, int] = {}
     n = len(nodes)
 
@@ -226,8 +225,8 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
         if not any(node.alive for node in nodes):
             break
         ch_set = _elect(nodes, kind, round_index, rng, history)
-        plan = build_plan(nodes, ch_set, kind, config.radio, round_index, distances)
-        metrics = run_round(nodes, plan, config, rng, distances)
+        plan = build_plan(nodes, ch_set, kind, links, round_index)
+        metrics = run_round(nodes, plan, config, rng, links)
         per_round.append(metrics)
         completed = round_index + 1
         if fnd is None and metrics.dead >= 1:

@@ -189,14 +189,19 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
                           confidence=confidence)
 
 
-def parse_config(path: str) -> ExperimentSpec:
-    """Read and validate one experiment configuration file."""
+def _read_config_file(path: str) -> dict[str, str]:
+    """Read one configuration file into flat ``section.key`` settings."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return build_spec(read_settings(text, source=path))
+    return read_settings(text, source=path)
+
+
+def parse_config(path: str) -> ExperimentSpec:
+    """Read and validate one experiment configuration file."""
+    return build_spec(_read_config_file(path))
 
 
 def _fmt(value) -> str:
@@ -418,12 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.preset:
             settings.update(PRESETS[args.preset])
         if args.config:
-            try:
-                with open(args.config, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
-            settings.update(read_settings(text, source=args.config))
+            settings.update(_read_config_file(args.config))
         if args.protocols is not None:
             settings["experiment.protocols"] = args.protocols
         if args.seeds is not None:

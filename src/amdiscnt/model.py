@@ -197,16 +197,16 @@ def validate_config(config: NetworkConfig) -> list[str]:
 
     if het.mode not in HETEROGENEITY_MODES:
         problems.append(f"unknown heterogeneity mode {het.mode!r}")
-    if not het.e0 > 0:
-        problems.append(f"heterogeneity.e0 must be positive, got {het.e0}")
+    if not (math.isfinite(het.e0) and het.e0 > 0):
+        problems.append(f"heterogeneity.e0 must be finite and positive, got {het.e0}")
     for name in ("m", "m0"):
         value = getattr(het, name)
         if not 0 <= value <= 1:
             problems.append(f"heterogeneity.{name} must lie in [0, 1], got {value}")
     for name in ("alpha", "beta", "alpha_max"):
         value = getattr(het, name)
-        if value < 0:
-            problems.append(f"heterogeneity.{name} must be non-negative, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            problems.append(f"heterogeneity.{name} must be finite and non-negative, got {value}")
 
     if config.max_rounds < 0:
         problems.append(f"max_rounds must be non-negative, got {config.max_rounds}")
@@ -222,9 +222,10 @@ def validate_config(config: NetworkConfig) -> list[str]:
     if config.delay.mode not in DELAY_MODES:
         problems.append(f"unknown delay mode {config.delay.mode!r}")
     elif config.delay.mode == "distance":
-        if not config.delay.speed > 0:
-            problems.append(f"delay.speed must be positive, got {config.delay.speed}")
-        if config.delay.per_hop < 0:
-            problems.append(f"delay.per_hop must be non-negative, got {config.delay.per_hop}")
+        speed, per_hop = config.delay.speed, config.delay.per_hop
+        if not (math.isfinite(speed) and speed > 0):
+            problems.append(f"delay.speed must be finite and positive, got {speed}")
+        if not (math.isfinite(per_hop) and per_hop >= 0):
+            problems.append(f"delay.per_hop must be finite and non-negative, got {per_hop}")
 
     return problems

@@ -12,22 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
 
 from .energy import tx_cost
 from .model import Node, RadioParams
 
 BS_ID = -1  # sentinel terminating every route
+DIRECT_ROUTE = (BS_ID,)
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
-
-
-class Role(Enum):
-    CLUSTER_HEAD = "cluster_head"
-    MEMBER = "member"
-    DIRECT_TO_BS = "direct_to_bs"
-    IDLE = "idle"
 
 
 @dataclass(frozen=True)
@@ -44,50 +37,69 @@ class ProtocolKind:
 
 @dataclass(frozen=True)
 class TransmissionPlan:
-    """One round's roles and routes.
+    """One round's transmissions, in the order the engine makes them.
 
-    ``routes`` maps each cluster head to the hops its aggregate takes
-    after leaving it, always ending with :data:`BS_ID`. Inner nodes that
-    appear as intermediate hops keep their DIRECT_TO_BS role for their own
-    packet and additionally act as relays.
+    ``members`` pairs each member with its cluster head, in member id
+    order. ``routes`` pairs each cluster head, in id order, with the hops
+    its aggregate takes after leaving it, always ending with
+    :data:`BS_ID`. ``direct`` lists, in id order, the nodes that send
+    their own reading straight to the base station; an inner node that
+    relays an aggregate also sends its own packet there. Alive nodes in
+    none of the lists idle for the round.
     """
 
-    roles: dict[int, Role]
-    member_ch: dict[int, int]
-    routes: dict[int, tuple[int, ...]]
+    members: list[tuple[int, int]]
+    routes: list[tuple[int, tuple[int, ...]]]
+    direct: list[int]
     round_index: int = 0
 
     @property
     def ch_count(self) -> int:
         return len(self.routes)
 
-    @property
-    def relay_ids(self) -> frozenset[int]:
-        return frozenset(hop for route in self.routes.values() for hop in route if hop != BS_ID)
-
 
 class DistanceCache:
-    """Pairwise and to-base-station distances for a fixed placement.
+    """Link table of one fixed placement.
 
-    Node ids must be 0..n-1 (deployment order). ``link(a, b)`` accepts
-    :data:`BS_ID` as the target.
+    Holds the pairwise distances (``rows[a][b]``), each node's distance
+    and transmit cost to the base station, and each cluster head's relay
+    order: the inner nodes whose two-leg cost to the base station is
+    strictly below the head's direct cost, sorted by (cost, id). A relay
+    order is built the first time its node heads a cluster. ``nodes``
+    must be listed by id, 0..n-1 (deployment order).
     """
 
-    def __init__(self, nodes: list[Node]):
-        positions = sorted((n.id, n.position) for n in nodes)
-        if [i for i, _ in positions] != list(range(len(nodes))):
-            raise ValueError("node ids must be contiguous from 0")
-        pts = [p for _, p in positions]
-        self.to_bs = [p.radius() for p in pts]
-        self._matrix = [[math.hypot(a.x - b.x, a.y - b.y) for b in pts] for a in pts]
+    def __init__(self, nodes: list[Node], radio: RadioParams):
+        if [node.id for node in nodes] != list(range(len(nodes))):
+            raise ValueError("node ids must be 0..n-1 in list order")
+        self.radio = radio
+        xs = [node.position.x for node in nodes]
+        ys = [node.position.y for node in nodes]
+        self.to_bs = list(map(math.hypot, xs, ys))
+        self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
+        self.inner = [node.id for node in nodes if node.region.is_inner]
+        # hypot(-u, -v) == hypot(u, v) exactly, so each distance is computed once
+        rows: list[list[float]] = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            row = [other[i] for other in rows]
+            row.append(0.0)
+            row += map(math.hypot, [x - xj for xj in xs[i + 1:]], [y - yj for yj in ys[i + 1:]])
+            rows.append(row)
+        self.rows = rows
+        self._relay_orders: list[list[int] | None] = [None] * len(nodes)
 
-    def between(self, a: int, b: int) -> float:
-        return self._matrix[a][b]
-
-    def link(self, a: int, b: int) -> float:
-        if b == BS_ID:
-            return self.to_bs[a]
-        return self._matrix[a][b]
+    def relay_order(self, ch_id: int) -> list[int]:
+        """Inner nodes cheaper than going direct, by (two-leg cost, id)."""
+        order = self._relay_orders[ch_id]
+        if order is None:
+            bits = self.radio.packet_bits
+            row = self.rows[ch_id]
+            direct = self.tx_to_bs[ch_id]
+            costs = sorted((tx_cost(bits, row[i], self.radio) + self.tx_to_bs[i], i)
+                           for i in self.inner)
+            order = [i for cost, i in costs if cost < direct]
+            self._relay_orders[ch_id] = order
+        return order
 
 
 def elect_chs_amdiscnt(nodes: list[Node]) -> set[int]:
@@ -176,93 +188,55 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
     return elected
 
 
-def select_relay(ch: Node, nodes: list[Node], radio: RadioParams,
-                 distances: DistanceCache | None = None) -> tuple[int, ...]:
+def select_relay(ch_id: int, nodes: list[Node], links: DistanceCache) -> tuple[int, ...]:
     """Route a cluster head's aggregate toward the base station.
 
-    Candidate relays are the alive inner nodes; the one minimising the
-    two-leg radio cost wins (lowest id on a cost tie). Direct transmission
-    is kept whenever it costs no more than the best relayed path, and when
-    no inner node is alive.
+    The relay is the alive inner node with the lowest two-leg radio cost
+    (lowest id on a cost tie). Direct transmission is kept whenever it
+    costs no more than that, and when no inner node is alive.
     """
-    bits = radio.packet_bits
-    if distances is None:
-        direct = tx_cost(bits, ch.position.radius(), radio)
-    else:
-        direct = tx_cost(bits, distances.to_bs[ch.id], radio)
-    best_id = None
-    best_cost = math.inf
-    for node in nodes:
-        if not node.alive or not node.region.is_inner or node.id == ch.id:
-            continue
-        if distances is None:
-            d_ch = ch.position.distance_to(node.position)
-            d_bs = node.position.radius()
-        else:
-            d_ch = distances.between(ch.id, node.id)
-            d_bs = distances.to_bs[node.id]
-        cost = tx_cost(bits, d_ch, radio) + tx_cost(bits, d_bs, radio)
-        if cost < best_cost:
-            best_cost = cost
-            best_id = node.id
-    if best_id is None or direct <= best_cost:
-        return (BS_ID,)
-    return (best_id, BS_ID)
+    for relay in links.relay_order(ch_id):
+        if nodes[relay].alive:
+            return (relay, BS_ID)
+    return DIRECT_ROUTE
 
 
 def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
-               radio: RadioParams, round_index: int = 0,
-               distances: DistanceCache | None = None) -> TransmissionPlan:
-    """Assign every node a role for the round and route the cluster heads.
+               links: DistanceCache, round_index: int = 0) -> TransmissionPlan:
+    """Assign every alive node its transmissions for the round.
 
     ``amdiscnt``: inner alive nodes send directly; outer alive non-heads
     join their own wedge's head and idle when the wedge has none this
     round; heads route via :func:`select_relay`. Baselines: every alive
     non-head joins the nearest head (lower id on a distance tie) and heads
     go single-hop to the base station; with no heads at all, everyone
-    falls back to direct transmission.
+    falls back to direct transmission. ``nodes`` is indexed by id.
     """
-    roles: dict[int, Role] = {}
-    member_ch: dict[int, int] = {}
-    routes: dict[int, tuple[int, ...]] = {}
-    by_id = {node.id: node for node in nodes}
+    members: list[tuple[int, int]] = []
+    direct: list[int] = []
+    heads = sorted(ch_set)
 
     if kind.name == "amdiscnt":
-        sector_ch = {by_id[ch_id].region.sector: ch_id for ch_id in ch_set}
+        sector_ch = {nodes[ch_id].region.sector: ch_id for ch_id in ch_set}
         for node in nodes:
-            if not node.alive:
-                roles[node.id] = Role.IDLE
-            elif node.id in ch_set:
-                roles[node.id] = Role.CLUSTER_HEAD
-            elif node.region.is_inner:
-                roles[node.id] = Role.DIRECT_TO_BS
-            else:
-                ch_id = sector_ch.get(node.region.sector)
-                if ch_id is None:
-                    roles[node.id] = Role.IDLE
-                else:
-                    roles[node.id] = Role.MEMBER
-                    member_ch[node.id] = ch_id
-        for ch_id in sorted(ch_set):
-            routes[ch_id] = select_relay(by_id[ch_id], nodes, radio, distances)
-        return TransmissionPlan(roles, member_ch, routes, round_index)
+            if not node.alive or node.id in ch_set:
+                continue
+            sector = node.region.sector
+            if sector is None:
+                direct.append(node.id)
+            elif sector in sector_ch:
+                members.append((node.id, sector_ch[sector]))
+        routes = [(ch_id, select_relay(ch_id, nodes, links)) for ch_id in heads]
+        return TransmissionPlan(members, routes, direct, round_index)
 
-    heads = sorted(ch_set)
+    rows = links.rows
     for node in nodes:
-        if not node.alive:
-            roles[node.id] = Role.IDLE
-        elif node.id in ch_set:
-            roles[node.id] = Role.CLUSTER_HEAD
-        elif not heads:
-            roles[node.id] = Role.DIRECT_TO_BS
+        if not node.alive or node.id in ch_set:
+            continue
+        if heads:
+            # min keeps the first of equal distances, and heads ascend by id
+            members.append((node.id, min(heads, key=rows[node.id].__getitem__)))
         else:
-            if distances is None:
-                nearest = min(heads,
-                              key=lambda h: (node.position.distance_to(by_id[h].position), h))
-            else:
-                nearest = min(heads, key=lambda h: (distances.between(node.id, h), h))
-            roles[node.id] = Role.MEMBER
-            member_ch[node.id] = nearest
-    for ch_id in heads:
-        routes[ch_id] = (BS_ID,)
-    return TransmissionPlan(roles, member_ch, routes, round_index)
+            direct.append(node.id)
+    return TransmissionPlan(members, [(ch_id, DIRECT_ROUTE) for ch_id in heads], direct,
+                            round_index)

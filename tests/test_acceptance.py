@@ -94,7 +94,7 @@ def test_c02_head_count_tracks_populated_sectors():
         config = dataclasses.replace(NetworkConfig(), seed=seed)
         rng = Random(config.seed)
         nodes = list(deploy(config, rng).nodes)
-        distances = DistanceCache(nodes)
+        links = DistanceCache(nodes, config.radio)
         outer = [n for n in nodes if not n.region.is_inner]
         first_outer_death_seen = False
         for round_index in range(config.max_rounds):
@@ -104,9 +104,8 @@ def test_c02_head_count_tracks_populated_sectors():
             if not first_outer_death_seen and any(not n.alive for n in outer):
                 first_outer_death_seen = True
             chs = elect_chs_amdiscnt(nodes)
-            plan = build_plan(nodes, chs, ProtocolKind("amdiscnt"), config.radio,
-                              round_index, distances)
-            metrics = run_round(nodes, plan, config, rng, distances)
+            plan = build_plan(nodes, chs, ProtocolKind("amdiscnt"), links, round_index)
+            metrics = run_round(nodes, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):
                 ok = False

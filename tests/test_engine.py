@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from amdiscnt.energy import tx_cost
+from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
 from amdiscnt.engine import run_round, run_simulation
 from amdiscnt.model import (
     ConfigurationError,
@@ -14,7 +14,7 @@ from amdiscnt.model import (
     Position,
     RegionId,
 )
-from amdiscnt.protocols import ProtocolKind, build_plan
+from amdiscnt.protocols import BS_ID, DistanceCache, ProtocolKind, build_plan
 
 AMDISCNT = ProtocolKind("amdiscnt")
 
@@ -115,12 +115,16 @@ def test_baselines_run_to_completion():
         assert res.per_round[-1].alive == 0
 
 
+def _one_round(nodes, ch_set, config):
+    links = DistanceCache(nodes, config.radio)
+    plan = build_plan(nodes, ch_set, AMDISCNT, links)
+    return plan, run_round(nodes, plan, config, Random(0), links)
+
+
 def _direct_sender(residual):
     node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(),
                 initial_energy=residual, residual_energy=residual)
-    config = NetworkConfig()
-    plan = build_plan([node], set(), AMDISCNT, config.radio)
-    metrics = run_round([node], plan, config, Random(0))
+    _, metrics = _one_round([node], set(), NetworkConfig())
     return node, metrics
 
 
@@ -146,9 +150,7 @@ def test_insufficient_budget_loses_packet_and_drains_node():
 def test_all_idle_round_spends_nothing():
     node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(),
                 initial_energy=0.5, residual_energy=0.0, alive=False)
-    config = NetworkConfig()
-    plan = build_plan([node], set(), AMDISCNT, config.radio)
-    metrics = run_round([node], plan, config, Random(0))
+    plan, metrics = _one_round([node], set(), NetworkConfig())
     assert metrics.energy_spent == 0.0
     assert metrics.packets_sent_to_bs == 0
     assert metrics.alive == 0
@@ -161,10 +163,26 @@ def test_dead_cluster_head_loses_member_traffic():
               initial_energy=0.5, residual_energy=0.0, alive=False)
     member = Node(id=1, position=Position(25.0, 0.0), region=RegionId(0),
                   initial_energy=0.5, residual_energy=0.5)
-    config = NetworkConfig()
-    plan = build_plan([ch, member], {0}, AMDISCNT, config.radio)
-    metrics = run_round([ch, member], plan, config, Random(0))
-    assert plan.member_ch == {1: 0}
+    plan, metrics = _one_round([ch, member], {0}, NetworkConfig())
+    assert plan.members == [(1, 0)]
     assert metrics.packets_sent_to_bs == 0
     assert member.residual_energy < 0.5
     assert ch.residual_energy == 0.0
+
+
+def test_relayed_aggregate_pays_both_legs():
+    # past the crossover the head's aggregate goes through the inner node,
+    # which also sends its own reading
+    relay = Node(id=0, position=Position(20.0, 0.0), region=RegionId(),
+                 initial_energy=0.5, residual_energy=0.5)
+    ch = Node(id=1, position=Position(100.0, 0.0), region=RegionId(0),
+              initial_energy=0.5, residual_energy=0.5)
+    radio = NetworkConfig().radio
+    plan, metrics = _one_round([relay, ch], {1}, NetworkConfig())
+    assert plan.routes == [(1, (0, BS_ID))]
+    assert plan.direct == [0]
+    assert metrics.packets_sent_to_bs == metrics.packets_received_by_bs == 2
+    assert metrics.mean_delay == 1.5
+    assert ch.residual_energy == 0.5 - aggregation_cost(4000, 1, radio) - tx_cost(4000, 80.0, radio)
+    assert relay.residual_energy == 0.5 - rx_cost(4000, radio) - tx_cost(4000, 20.0, radio) \
+        - tx_cost(4000, 20.0, radio)

@@ -92,3 +92,23 @@ def test_invalid_config_still_constructible_and_all_problems_reported():
 def test_nan_radius_rejected():
     problems = validate_config(NetworkConfig(geometry=Geometry(r_inner=math.nan)))
     assert any("finite" in p for p in problems)
+
+
+@pytest.mark.parametrize("field, config", [
+    ("heterogeneity.e0",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(math.inf, 0.2, 1.0))),
+    ("heterogeneity.alpha",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, math.nan))),
+    ("heterogeneity.alpha",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, math.inf))),
+    ("heterogeneity.beta",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 1.0, math.nan))),
+    ("heterogeneity.alpha_max",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(0.5, math.nan))),
+    ("delay.per_hop", NetworkConfig(delay=DelayModel(mode="distance", per_hop=math.nan))),
+    ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed=math.inf))),
+])
+def test_non_finite_value_rejected_by_name(field, config):
+    problems = validate_config(config)
+    assert len(problems) == 1
+    assert problems[0].startswith(field + " ")

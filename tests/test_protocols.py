@@ -3,13 +3,12 @@ from random import Random
 
 import pytest
 
+from amdiscnt.energy import tx_cost
 from amdiscnt.model import Node, Position, RadioParams, RegionId
 from amdiscnt.protocols import (
     BS_ID,
     DistanceCache,
     ProtocolKind,
-    Role,
-    TransmissionPlan,
     build_plan,
     deec_probability,
     elect_chs_amdiscnt,
@@ -131,24 +130,63 @@ class TestEnergyAwareElection:
         assert elect_chs_deec(nodes, 0, 0.1, Random(1), {}) == set()
 
 
+def relay_of(nodes, ch_id=0):
+    return select_relay(ch_id, nodes, DistanceCache(nodes, RADIO))
+
+
+def plan_of(nodes, ch_set, name):
+    return build_plan(nodes, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
+
+
+def random_field(seed, n=40, r_inner=40.0, r_outer=150.0):
+    """Nodes scattered over a field wide enough that some heads relay,
+    with about a quarter of them dead."""
+    rng = Random(seed)
+    nodes = []
+    for i in range(n):
+        radius = rng.uniform(0.0, r_outer)
+        theta = rng.uniform(0.0, 2 * math.pi)
+        sector = None if radius < r_inner else int(theta // (math.pi / 4))
+        nodes.append(make_node(i, radius * math.cos(theta), radius * math.sin(theta),
+                               sector=sector, alive=rng.random() >= 0.25))
+    return nodes
+
+
+def brute_force_relay(ch, nodes):
+    """Strict-< scan of the alive inner nodes in id order, as routing was
+    defined before the link table: direct unless a relay is strictly cheaper."""
+    bits = RADIO.packet_bits
+    best_id, best_cost = None, math.inf
+    for node in nodes:
+        if not node.alive or not node.region.is_inner or node.id == ch.id:
+            continue
+        cost = (tx_cost(bits, ch.position.distance_to(node.position), RADIO)
+                + tx_cost(bits, node.position.radius(), RADIO))
+        if cost < best_cost:
+            best_id, best_cost = node.id, cost
+    if best_id is None or tx_cost(bits, ch.position.radius(), RADIO) <= best_cost:
+        return (BS_ID,)
+    return (best_id, BS_ID)
+
+
 class TestRelaySelection:
     def test_no_alive_inner_node_means_direct(self):
         ch = make_node(0, 30.0, 0.0, sector=0)
         dead_inner = make_node(1, 5.0, 0.0, alive=False)
-        assert select_relay(ch, [ch, dead_inner], RADIO) == (BS_ID,)
+        assert relay_of([ch, dead_inner]) == (BS_ID,)
 
     def test_short_haul_relay_loses_to_direct(self):
         # below the crossover the second electronics charge outweighs the
         # amplifier saving: tx(30) = 2.36e-4 < tx(25) + tx(5) = 4.26e-4
         ch = make_node(0, 30.0, 0.0, sector=0)
         inner = make_node(1, 5.0, 0.0)
-        assert select_relay(ch, [ch, inner], RADIO) == (BS_ID,)
+        assert relay_of([ch, inner]) == (BS_ID,)
 
     def test_long_haul_relay_wins_past_crossover(self):
         # tx(100) = 7.2e-4 (multipath) > tx(80) + tx(20) = 6.72e-4
         ch = make_node(0, 100.0, 0.0, sector=0)
         inner = make_node(1, 20.0, 0.0)
-        assert select_relay(ch, [ch, inner], RADIO) == (1, BS_ID)
+        assert relay_of([ch, inner]) == (1, BS_ID)
 
     def test_equal_cost_relays_pick_lower_id(self):
         # mirror images of each other, so the two relayed costs are
@@ -156,17 +194,37 @@ class TestRelaySelection:
         ch = make_node(0, 100.0, 0.0, sector=0)
         a = make_node(1, 20.0, 1.0)
         b = make_node(2, 20.0, -1.0)
-        route = select_relay(ch, [ch, a, b], RADIO)
-        assert route == (1, BS_ID)
+        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == (1, BS_ID)
+        a.alive = False
+        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == (2, BS_ID)
 
     def test_distance_cache_agrees_with_brute_force(self):
-        nodes = [make_node(0, 100.0, 0.0, sector=0)]
-        rng = Random(3)
-        for i in range(1, 12):
-            nodes.append(make_node(i, rng.uniform(-15, 15), rng.uniform(-15, 15)))
-        cache = DistanceCache(nodes)
-        assert select_relay(nodes[0], nodes, RADIO) == \
-            select_relay(nodes[0], nodes, RADIO, cache)
+        relayed = 0
+        for seed in range(30):
+            nodes = random_field(seed)
+            links = DistanceCache(nodes, RADIO)
+            rng = Random(seed)
+            # relay orders are built once and must stay right as nodes die
+            for _ in range(3):
+                for ch in nodes:
+                    if ch.region.is_inner:
+                        continue
+                    route = select_relay(ch.id, nodes, links)
+                    assert route == brute_force_relay(ch, nodes)
+                    relayed += len(route) == 2
+                for node in nodes:
+                    if rng.random() < 0.2:
+                        node.alive = False
+        assert relayed > 0
+
+    def test_table_distances_match_positions_bitwise(self):
+        nodes = random_field(5)
+        links = DistanceCache(nodes, RADIO)
+        for a in nodes:
+            assert links.to_bs[a.id] == a.position.radius()
+            assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
+            for b in nodes:
+                assert links.rows[a.id][b.id] == a.position.distance_to(b.position)
 
 
 class TestPlans:
@@ -183,18 +241,19 @@ class TestPlans:
         nodes = self.network()
         chs = elect_chs_amdiscnt(nodes)
         assert chs == {2, 3}
-        plan = build_plan(nodes, chs, ProtocolKind("amdiscnt"), RADIO)
-        assert plan.roles == {0: Role.DIRECT_TO_BS, 1: Role.MEMBER, 2: Role.CLUSTER_HEAD,
-                              3: Role.CLUSTER_HEAD, 4: Role.IDLE}
-        assert plan.member_ch == {1: 2}
-        assert set(plan.routes) == {2, 3}
-        assert all(route[-1] == BS_ID for route in plan.routes.values())
+        plan = plan_of(nodes, chs, "amdiscnt")
+        assert plan.members == [(1, 2)]
+        assert [ch_id for ch_id, _ in plan.routes] == [2, 3]
+        assert all(route[-1] == BS_ID for _, route in plan.routes)
+        assert plan.direct == [0]
         assert plan.ch_count == 2
 
     def test_sector_without_head_idles_members(self):
         nodes = self.network()
-        plan = build_plan(nodes, {2}, ProtocolKind("amdiscnt"), RADIO)
-        assert plan.roles[3] == Role.IDLE
+        plan = plan_of(nodes, {2}, "amdiscnt")
+        assert plan.members == [(1, 2)]
+        assert [ch_id for ch_id, _ in plan.routes] == [2]
+        assert plan.direct == [0]
 
     def test_baseline_members_join_nearest_head(self):
         nodes = [
@@ -202,9 +261,10 @@ class TestPlans:
             make_node(1, -30.0, 0.0, sector=3),
             make_node(2, 28.0, 5.0, sector=0),
         ]
-        plan = build_plan(nodes, {0, 1}, ProtocolKind("leach"), RADIO)
-        assert plan.member_ch == {2: 0}
-        assert plan.routes == {0: (BS_ID,), 1: (BS_ID,)}
+        plan = plan_of(nodes, {0, 1}, "leach")
+        assert plan.members == [(2, 0)]
+        assert plan.routes == [(0, (BS_ID,)), (1, (BS_ID,))]
+        assert plan.direct == []
 
     def test_baseline_tied_distance_prefers_lower_id(self):
         nodes = [
@@ -212,21 +272,31 @@ class TestPlans:
             make_node(1, -30.0, 0.0, sector=3),
             make_node(2, 0.0, 30.0, sector=2),
         ]
-        plan = build_plan(nodes, {0, 1}, ProtocolKind("leach"), RADIO)
-        assert plan.member_ch == {2: 0}
+        plan = plan_of(nodes, {0, 1}, "leach")
+        assert plan.members == [(2, 0)]
+
+    def test_baseline_nearest_head_agrees_with_brute_force(self):
+        for seed in range(30):
+            nodes = random_field(seed)
+            rng = Random(seed)
+            heads = {node.id for node in nodes if node.alive and rng.random() < 0.2}
+            assert heads
+            plan = plan_of(nodes, heads, "deec")
+            expected = []
+            for node in nodes:
+                if node.alive and node.id not in heads:
+                    key = lambda h: (node.position.distance_to(nodes[h].position), h)
+                    expected.append((node.id, min(heads, key=key)))
+            assert plan.members == expected
+            assert plan.routes == [(h, (BS_ID,)) for h in sorted(heads)]
+            assert plan.direct == []
 
     def test_baseline_no_heads_falls_back_to_direct(self):
         nodes = self.network()
-        plan = build_plan(nodes, set(), ProtocolKind("deec"), RADIO)
-        for node in nodes:
-            expected = Role.DIRECT_TO_BS if node.alive else Role.IDLE
-            assert plan.roles[node.id] == expected
-        assert plan.routes == {}
-
-    def test_relay_ids_property(self):
-        plan = TransmissionPlan(roles={}, member_ch={},
-                                routes={1: (5, BS_ID), 2: (BS_ID,)})
-        assert plan.relay_ids == frozenset({5})
+        plan = plan_of(nodes, set(), "deec")
+        assert plan.direct == [node.id for node in nodes if node.alive]
+        assert plan.members == []
+        assert plan.routes == []
 
 
 class TestProtocolKind:
@@ -241,4 +311,4 @@ class TestProtocolKind:
     def test_distance_cache_rejects_gapped_ids(self):
         nodes = [make_node(0, 1.0, 0.0), make_node(2, 2.0, 0.0)]
         with pytest.raises(ValueError):
-            DistanceCache(nodes)
+            DistanceCache(nodes, RADIO)
