@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
 
 from .deployment import deploy
@@ -113,8 +114,8 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
     delivered_delays: list[float] = []
     sent = 0
     received = 0
-    arrivals: dict[int, int] = {}
-    member_delay: dict[int, float] = {}
+    arrivals = [0] * len(nodes)
+    longest = [0.0] * len(nodes)  # each head's longest delivered member link
 
     # phase 1: members transmit to their cluster heads
     for member_id, ch_id in plan.members:
@@ -133,18 +134,20 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
             continue
         if not _charge(ch, rx, ledger):
             continue
-        arrivals[ch_id] = arrivals.get(ch_id, 0) + 1
-        member_delay[ch_id] = max(member_delay.get(ch_id, 0.0), link_delay(d))
+        arrivals[ch_id] += 1
+        if d > longest[ch_id]:
+            longest[ch_id] = d
 
     # phase 2: cluster heads aggregate and forward along their routes
     for ch_id, route in plan.routes:
         ch = nodes[ch_id]
         if not ch.alive:
             continue
-        signals = arrivals.get(ch_id, 0) + 1  # members plus the head's own reading
+        signals = arrivals[ch_id] + 1  # members plus the head's own reading
         if not _charge(ch, aggregation_cost(bits, signals, radio), ledger):
             continue
-        packet_delay = member_delay.get(ch_id, 0.0)
+        # link_delay never decreases with distance, so the longest link gives the max
+        packet_delay = link_delay(longest[ch_id]) if signals > 1 else 0.0
         sender = ch
         for hop in route:
             if not sender.alive:
@@ -183,7 +186,7 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
             received += 1
             delivered_delays.append(link_delay(to_bs[node_id]))
 
-    alive = sum(1 for node in nodes if node.alive)
+    alive = sum(map(attrgetter("alive"), nodes))
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
     return RoundMetrics(
         round_index=plan.round_index,
@@ -193,7 +196,7 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
         packets_received_by_bs=received,
         ch_count=plan.ch_count,
         mean_delay=mean_delay,
-        total_residual_energy=math.fsum(node.residual_energy for node in nodes),
+        total_residual_energy=math.fsum(map(attrgetter("residual_energy"), nodes)),
         energy_spent=math.fsum(ledger),
     )
 
@@ -222,8 +225,6 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
     per_round: list[RoundMetrics] = []
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        if not any(node.alive for node in nodes):
-            break
         ch_set = _elect(nodes, kind, round_index, rng, history)
         plan = build_plan(nodes, ch_set, kind, links, round_index)
         metrics = run_round(nodes, plan, config, rng, links)
@@ -233,8 +234,9 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
             fnd = completed
         if hnd is None and 2 * metrics.dead >= n:
             hnd = completed
-        if lnd is None and metrics.dead == n:
+        if metrics.dead == n:  # every node is dead, so no later round can act
             lnd = completed
+            break
     return SimulationResult(
         config=config,
         protocol=kind.name,

@@ -11,6 +11,7 @@ the baselines join the nearest head anywhere on the field.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from random import Random
 
@@ -65,8 +66,12 @@ class DistanceCache:
     and transmit cost to the base station, and each cluster head's relay
     order: the inner nodes whose two-leg cost to the base station is
     strictly below the head's direct cost, sorted by (cost, id). A relay
-    order is built the first time its node heads a cluster. ``nodes``
-    must be listed by id, 0..n-1 (deployment order).
+    order is built the first time its node heads a cluster. The
+    neighbour orders list, for each node, every node id sorted by
+    (distance from it, id), as compact ``array`` rows; they are built
+    all at once, the first time a baseline plan asks for them, so runs
+    that never join members to the nearest head never pay for them.
+    ``nodes`` must be listed by id, 0..n-1 (deployment order).
     """
 
     def __init__(self, nodes: list[Node], radio: RadioParams):
@@ -87,6 +92,7 @@ class DistanceCache:
             rows.append(row)
         self.rows = rows
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
+        self._neighbour_orders: list[array] | None = None
 
     def relay_order(self, ch_id: int) -> list[int]:
         """Inner nodes cheaper than going direct, by (two-leg cost, id)."""
@@ -100,6 +106,16 @@ class DistanceCache:
             order = [i for cost, i in costs if cost < direct]
             self._relay_orders[ch_id] = order
         return order
+
+    def neighbour_orders(self) -> list[array]:
+        """Every node id by (distance, id), one row per node."""
+        orders = self._neighbour_orders
+        if orders is None:
+            ids = range(len(self.rows))
+            # sorted is stable, so equal distances keep ascending id
+            orders = [array("H", sorted(ids, key=row.__getitem__)) for row in self.rows]
+            self._neighbour_orders = orders
+        return orders
 
 
 def elect_chs_amdiscnt(nodes: list[Node]) -> set[int]:
@@ -229,14 +245,16 @@ def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
         routes = [(ch_id, select_relay(ch_id, nodes, links)) for ch_id in heads]
         return TransmissionPlan(members, routes, direct, round_index)
 
-    rows = links.rows
-    for node in nodes:
-        if not node.alive or node.id in ch_set:
-            continue
-        if heads:
-            # min keeps the first of equal distances, and heads ascend by id
-            members.append((node.id, min(heads, key=rows[node.id].__getitem__)))
-        else:
-            direct.append(node.id)
+    if not heads:
+        direct = [node.id for node in nodes if node.alive]
+    else:
+        orders = links.neighbour_orders()
+        mask = bytearray(len(nodes))
+        for ch_id in heads:
+            mask[ch_id] = 1
+        is_head = mask.__getitem__
+        # each member takes the first head in its own (distance, id) order
+        members = [(node.id, next(filter(is_head, orders[node.id])))
+                   for node in nodes if node.alive and not mask[node.id]]
     return TransmissionPlan(members, [(ch_id, DIRECT_ROUTE) for ch_id in heads], direct,
                             round_index)

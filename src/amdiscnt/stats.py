@@ -11,30 +11,26 @@ per-round traffic, head counts and delay pad as zero.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from statistics import NormalDist
 
-from .engine import RoundMetrics, SimulationResult
+from .engine import SimulationResult
 
-METRIC_NAMES = ("alive", "dead", "sent", "received", "ch", "delay", "energy")
-
-
-def _metric_value(m: RoundMetrics, name: str) -> float:
-    if name == "alive":
-        return float(m.alive)
-    if name == "dead":
-        return float(m.dead)
-    if name == "sent":
-        return float(m.packets_sent_to_bs)
-    if name == "received":
-        return float(m.packets_received_by_bs)
-    if name == "ch":
-        return float(m.ch_count)
-    if name == "delay":
-        return m.mean_delay
-    if name == "energy":
-        return m.total_residual_energy
-    raise ValueError(f"unknown metric {name!r}")
+# RoundMetrics field behind each metric, and whether it freezes at its last
+# value (True) or pads as zero (False) past the end of a shorter run
+_COLUMNS = {
+    "alive": ("alive", True),
+    "dead": ("dead", True),
+    "sent": ("packets_sent_to_bs", False),
+    "received": ("packets_received_by_bs", False),
+    "ch": ("ch_count", False),
+    "delay": ("mean_delay", False),
+    "energy": ("total_residual_energy", True),
+}
+METRIC_NAMES = tuple(_COLUMNS)
 
 
 def population_stddev(values: list[float]) -> float:
@@ -49,14 +45,21 @@ def population_stddev(values: list[float]) -> float:
 
 def confidence_interval(values: list[float], confidence: float = 0.95) -> tuple[float, float]:
     """Two-sided normal interval around the sample mean."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    z = _normal_quantile(confidence)
     if not values:
         raise ValueError("confidence_interval needs at least one value")
-    n = len(values)
-    mean = math.fsum(values) / n
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    half = z * population_stddev(values) / math.sqrt(n)
+    return _interval(values, z, math.sqrt(len(values)))
+
+
+def _normal_quantile(confidence: float) -> float:
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
+def _interval(values, z: float, root_n: float) -> tuple[float, float]:
+    mean = math.fsum(values) / len(values)
+    half = z * population_stddev(values) / root_n
     return (mean - half, mean + half)
 
 
@@ -85,13 +88,18 @@ class MultiRunStats:
     milestones: MilestoneSummary
 
 
-def _padded_value(run: SimulationResult, round_index: int, name: str) -> float:
-    if round_index < run.rounds:
-        return _metric_value(run.per_round[round_index], name)
-    last = run.per_round[-1]
-    if name in ("alive", "dead", "energy"):
-        return _metric_value(last, name)
-    return 0.0
+def _column(run: SimulationResult, field: str, freezes: bool, rounds: int) -> Iterable[float]:
+    """One metric of one run, round by round, padded to ``rounds``.
+
+    Counts stay ints: every sum and difference taken on them is exact, as
+    it would be on their float values.
+    """
+    values = map(attrgetter(field), run.per_round)
+    missing = rounds - run.rounds
+    if not missing:
+        return values
+    pad = getattr(run.per_round[-1], field) if freezes else 0.0
+    return chain(values, repeat(pad, missing))
 
 
 def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
@@ -111,19 +119,19 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
     if rounds > 0 and any(r.rounds == 0 for r in results):
         raise ValueError("cannot pad a zero-round run to a longer horizon")
 
+    n = len(results)
+    z = _normal_quantile(confidence)
+    root_n = math.sqrt(n)
     per_round_mean: dict[str, tuple[float, ...]] = {}
     per_round_ci: dict[str, tuple[tuple[float, float], ...]] = {}
-    for name in METRIC_NAMES:
+    for name, (field, freezes) in _COLUMNS.items():
         means = []
         cis = []
-        for round_index in range(rounds):
-            values = [_padded_value(run, round_index, name) for run in results]
-            means.append(math.fsum(values) / len(values))
-            cis.append(confidence_interval(values, confidence))
+        for values in zip(*[_column(run, field, freezes, rounds) for run in results]):
+            means.append(math.fsum(values) / n)
+            cis.append(_interval(values, z, root_n))
         per_round_mean[name] = tuple(means)
         per_round_ci[name] = tuple(cis)
-
-    n = len(results)
 
     def milestone_mean(pick) -> float:
         return math.fsum(float(pick(r) if pick(r) is not None else rounds) for r in results) / n

@@ -8,6 +8,7 @@ from amdiscnt.model import (
     HeterogeneitySpec,
     NetworkConfig,
     Position,
+    RadioParams,
     RegionId,
     validate_config,
 )
@@ -112,3 +113,17 @@ def test_non_finite_value_rejected_by_name(field, config):
     problems = validate_config(config)
     assert len(problems) == 1
     assert problems[0].startswith(field + " ")
+
+
+@pytest.mark.parametrize("field, config", [
+    ("n_nodes", NetworkConfig(n_nodes=100.5)),
+    ("n_nodes", NetworkConfig(n_nodes=True)),
+    ("max_rounds", NetworkConfig(max_rounds=2.5)),
+    ("max_rounds", NetworkConfig(max_rounds="10")),
+    ("seed", NetworkConfig(seed=1.5)),
+    ("radio.packet_bits", NetworkConfig(radio=RadioParams(packet_bits=4000.5))),
+])
+def test_non_integer_value_rejected_by_name(field, config):
+    problems = validate_config(config)
+    assert len(problems) == 1
+    assert problems[0].startswith(field + " must be an integer")

@@ -4,7 +4,8 @@ from random import Random
 import pytest
 
 from amdiscnt.energy import tx_cost
-from amdiscnt.model import Node, Position, RadioParams, RegionId
+from amdiscnt.engine import run_simulation
+from amdiscnt.model import NetworkConfig, Node, Position, RadioParams, RegionId
 from amdiscnt.protocols import (
     BS_ID,
     DistanceCache,
@@ -278,18 +279,56 @@ class TestPlans:
     def test_baseline_nearest_head_agrees_with_brute_force(self):
         for seed in range(30):
             nodes = random_field(seed)
+            links = DistanceCache(nodes, RADIO)
             rng = Random(seed)
-            heads = {node.id for node in nodes if node.alive and rng.random() < 0.2}
-            assert heads
-            plan = plan_of(nodes, heads, "deec")
-            expected = []
-            for node in nodes:
-                if node.alive and node.id not in heads:
-                    key = lambda h: (node.position.distance_to(nodes[h].position), h)
-                    expected.append((node.id, min(heads, key=key)))
-            assert plan.members == expected
-            assert plan.routes == [(h, (BS_ID,)) for h in sorted(heads)]
-            assert plan.direct == []
+            # one table serves every round: fresh heads each round, nodes dying between
+            for _ in range(4):
+                alive = [node.id for node in nodes if node.alive]
+                heads = set(rng.sample(alive, 1 + len(alive) // 5))
+                plan = build_plan(nodes, heads, ProtocolKind("deec"), links)
+                expected = []
+                for node in nodes:
+                    if node.alive and node.id not in heads:
+                        key = lambda h: (node.position.distance_to(nodes[h].position), h)
+                        expected.append((node.id, min(heads, key=key)))
+                assert plan.members == expected
+                assert plan.routes == [(h, (BS_ID,)) for h in sorted(heads)]
+                assert plan.direct == []
+                for node in nodes:
+                    if rng.random() < 0.15:
+                        node.alive = False
+
+    def test_neighbour_orders_sort_by_distance_then_id(self):
+        # ids 1 and 2 are mirror images about the x axis, so every node on
+        # that axis sees them at bitwise-equal distances
+        nodes = [make_node(0, 100.0, 0.0, sector=0), make_node(1, 20.0, 1.0),
+                 make_node(2, 20.0, -1.0)] + random_field(3)[3:]
+        links = DistanceCache(nodes, RADIO)
+        orders = links.neighbour_orders()
+        assert links.rows[0][1] == links.rows[0][2]
+        first = orders[0].index(1)
+        assert orders[0][first + 1] == 2
+        for i, order in enumerate(orders):
+            row = links.rows[i]
+            assert list(order) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
+        assert links.neighbour_orders() is orders
+
+    def test_mirror_tie_goes_to_lower_head_id(self):
+        nodes = [make_node(0, 100.0, 0.0, sector=0), make_node(1, 20.0, 1.0),
+                 make_node(2, 20.0, -1.0)]
+        assert plan_of(nodes, {1, 2}, "leach").members == [(0, 1)]
+        assert plan_of(nodes, {2}, "leach").members == [(0, 2), (1, 2)]
+
+    def test_amdiscnt_never_builds_neighbour_orders(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("neighbour orders built")
+
+        monkeypatch.setattr(DistanceCache, "neighbour_orders", refuse)
+        config = NetworkConfig(n_nodes=30, max_rounds=50)
+        assert run_simulation(config, ProtocolKind("amdiscnt")).rounds == 50
+        assert run_simulation(NetworkConfig(max_rounds=0), ProtocolKind("leach")).rounds == 0
+        with pytest.raises(AssertionError, match="neighbour orders"):
+            run_simulation(config, ProtocolKind("leach"))
 
     def test_baseline_no_heads_falls_back_to_direct(self):
         nodes = self.network()
