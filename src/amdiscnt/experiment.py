@@ -19,27 +19,53 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .engine import run_simulation
-from .model import (
-    ConfigurationError,
-    DelayModel,
-    Geometry,
-    HeterogeneitySpec,
-    NetworkConfig,
-    RadioParams,
-    validate_config,
-)
+from .model import ConfigurationError, NetworkConfig, validate_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind
 from .stats import METRIC_NAMES, MilestoneSummary, MultiRunStats, aggregate_runs
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "network": ("n_nodes", "r_inner", "r_outer", "max_rounds", "seed", "deployment",
-                "inner_fraction", "link_drop_probability"),
-    "radio": ("e_elec", "e_fs", "e_mp", "e_da", "packet_bits"),
-    "energy": ("mode", "e0", "m", "m0", "alpha", "beta", "alpha_max"),
-    "delay": ("mode", "speed", "per_hop"),
-    "experiment": ("protocols", "runs", "base_seed", "seeds", "confidence", "p_opt"),
+# One row per network, radio, energy and delay key, in file order: the
+# file key and the NetworkConfig attribute it sets. Each key's default, and
+# so the type its text is parsed as, is read from NetworkConfig().
+NETWORK_KEYS: tuple[tuple[str, str], ...] = (
+    ("network.n_nodes", "n_nodes"),
+    ("network.r_inner", "geometry.r_inner"),
+    ("network.r_outer", "geometry.r_outer"),
+    ("network.max_rounds", "max_rounds"),
+    ("network.deployment", "deployment_mode"),
+    ("network.inner_fraction", "inner_fraction"),
+    ("network.link_drop_probability", "link_drop_probability"),
+    ("radio.e_elec", "radio.e_elec"),
+    ("radio.e_fs", "radio.e_fs"),
+    ("radio.e_mp", "radio.e_mp"),
+    ("radio.e_da", "radio.e_da"),
+    ("radio.packet_bits", "radio.packet_bits"),
+    ("energy.mode", "heterogeneity.mode"),
+    ("energy.e0", "heterogeneity.e0"),
+    ("energy.m", "heterogeneity.m"),
+    ("energy.m0", "heterogeneity.m0"),
+    ("energy.alpha", "heterogeneity.alpha"),
+    ("energy.beta", "heterogeneity.beta"),
+    ("energy.alpha_max", "heterogeneity.alpha_max"),
+    ("delay.mode", "delay.mode"),
+    ("delay.speed", "delay.speed"),
+    ("delay.per_hop", "delay.per_hop"),
+)
+
+# Every file key with its default, in file order. The experiment keys are
+# parsed by hand in build_spec; ``seeds`` has no default because
+# ``runs``/``base_seed`` stand in for it.
+DEFAULTS: dict[str, object] = {
+    **{key: attrgetter(path)(NetworkConfig()) for key, path in NETWORK_KEYS},
+    "experiment.protocols": ",".join(PROTOCOL_NAMES),
+    "experiment.runs": 5,
+    "experiment.base_seed": 42,
+    "experiment.seeds": None,
+    "experiment.confidence": 0.95,
+    "experiment.p_opt": 0.1,
 }
 
 PRESETS: dict[str, dict[str, str]] = {
@@ -60,52 +86,57 @@ class ExperimentSpec:
     network: NetworkConfig
     protocols: tuple[ProtocolKind, ...]
     seeds: tuple[int, ...]
-    confidence: float = 0.95
+    confidence: float = DEFAULTS["experiment.confidence"]
 
 
 def read_settings(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse sectioned key-value text into flat ``section.key`` settings.
 
     Unknown sections or keys are rejected by name; syntax errors carry
-    the parser's line numbers.
+    the parser's line numbers. ``;`` and ``#`` start a comment, on a line
+    of its own or after a value.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser = configparser.ConfigParser(interpolation=None, strict=True,
+                                       inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigurationError(str(exc)) from exc
+    sections = {key.partition(".")[0] for key in DEFAULTS}
     settings: dict[str, str] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigurationError(
-                f"unknown section [{section}]; expected one of {sorted(_SCHEMA)}")
+                f"unknown section [{section}]; expected one of {sorted(sections)}")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if f"{section}.{key}" not in DEFAULTS:
+                known = sorted(k.partition(".")[2] for k in DEFAULTS
+                               if k.startswith(section + "."))
                 raise ConfigurationError(
-                    f"unknown key {key!r} in section [{section}]; "
-                    f"expected one of {sorted(_SCHEMA[section])}")
+                    f"unknown key {key!r} in section [{section}]; expected one of {known}")
             settings[f"{section}.{key}"] = value.strip()
     return settings
 
 
-def _to_int(settings: dict[str, str], key: str, default: int) -> int:
+def _parse(settings: dict[str, str], key: str):
+    """Return ``key``'s value parsed as the type of its default, or the default."""
+    default = DEFAULTS[key]
     raw = settings.get(key)
     if raw is None:
         return default
     try:
-        return int(raw)
+        return type(default)(raw)
     except ValueError:
-        raise ConfigurationError(f"{key}: expected an integer, got {raw!r}") from None
+        expected = "an integer" if isinstance(default, int) else "a number"
+        raise ConfigurationError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
-def _to_float(settings: dict[str, str], key: str, default: float) -> float:
-    raw = settings.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{key}: expected a number, got {raw!r}") from None
+def _replace_path(obj, path: str, value):
+    """Return a copy of dataclass ``obj`` with the dotted attribute ``path`` set."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _replace_path(getattr(obj, name), rest, value)
+    return dataclasses.replace(obj, **{name: value})
 
 
 def _split_list(raw: str, key: str) -> list[str]:
@@ -117,46 +148,15 @@ def _split_list(raw: str, key: str) -> list[str]:
 
 def build_spec(settings: dict[str, str]) -> ExperimentSpec:
     """Turn flat settings into a validated experiment description."""
-    network = NetworkConfig(
-        n_nodes=_to_int(settings, "network.n_nodes", 100),
-        geometry=Geometry(
-            r_inner=_to_float(settings, "network.r_inner", 20.0),
-            r_outer=_to_float(settings, "network.r_outer", 35.0),
-        ),
-        radio=RadioParams(
-            e_elec=_to_float(settings, "radio.e_elec", 50e-9),
-            e_fs=_to_float(settings, "radio.e_fs", 10e-12),
-            e_mp=_to_float(settings, "radio.e_mp", 0.0013e-12),
-            e_da=_to_float(settings, "radio.e_da", 5e-9),
-            packet_bits=_to_int(settings, "radio.packet_bits", 4000),
-        ),
-        heterogeneity=HeterogeneitySpec(
-            mode=settings.get("energy.mode", "two_level"),
-            e0=_to_float(settings, "energy.e0", 0.5),
-            m=_to_float(settings, "energy.m", 0.2),
-            m0=_to_float(settings, "energy.m0", 0.0),
-            alpha=_to_float(settings, "energy.alpha", 1.0),
-            beta=_to_float(settings, "energy.beta", 0.0),
-            alpha_max=_to_float(settings, "energy.alpha_max", 0.0),
-        ),
-        max_rounds=_to_int(settings, "network.max_rounds", 5000),
-        seed=_to_int(settings, "network.seed", 42),
-        deployment_mode=settings.get("network.deployment", "uniform_area"),
-        inner_fraction=_to_float(settings, "network.inner_fraction", 1.0 / 9.0),
-        link_drop_probability=_to_float(settings, "network.link_drop_probability", 0.0),
-        delay=DelayModel(
-            mode=settings.get("delay.mode", "hops"),
-            speed=_to_float(settings, "delay.speed", 1.0),
-            per_hop=_to_float(settings, "delay.per_hop", 0.0),
-        ),
-    )
+    network = NetworkConfig()
+    for key, path in NETWORK_KEYS:
+        network = _replace_path(network, path, _parse(settings, key))
     problems = validate_config(network)
     if problems:
         raise ConfigurationError("; ".join(problems))
 
-    p_opt = _to_float(settings, "experiment.p_opt", 0.1)
-    names = _split_list(settings.get("experiment.protocols", ",".join(PROTOCOL_NAMES)),
-                        "experiment.protocols")
+    p_opt = _parse(settings, "experiment.p_opt")
+    names = _split_list(_parse(settings, "experiment.protocols"), "experiment.protocols")
     if len(set(names)) != len(names):
         raise ConfigurationError(f"experiment.protocols lists a protocol twice: {names}")
     try:
@@ -176,13 +176,13 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
                 f"experiment.seeds: expected integers, got {settings['experiment.seeds']!r}"
             ) from None
     else:
-        runs = _to_int(settings, "experiment.runs", 5)
+        runs = _parse(settings, "experiment.runs")
         if runs < 1:
             raise ConfigurationError(f"experiment.runs must be at least 1, got {runs}")
-        base_seed = _to_int(settings, "experiment.base_seed", 42)
+        base_seed = _parse(settings, "experiment.base_seed")
         seeds = tuple(base_seed + i for i in range(runs))
 
-    confidence = _to_float(settings, "experiment.confidence", 0.95)
+    confidence = _parse(settings, "experiment.confidence")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"experiment.confidence must lie in (0, 1), got {confidence}")
     return ExperimentSpec(network=network, protocols=protocols, seeds=seeds,
@@ -215,39 +215,13 @@ def write_config(spec: ExperimentSpec) -> str:
     p_opts = {kind.p_opt for kind in spec.protocols}
     if len(p_opts) > 1:
         raise ValueError("the config format carries a single p_opt for all protocols")
-    net = spec.network
-    lines = [
-        "[network]",
-        f"n_nodes = {net.n_nodes}",
-        f"r_inner = {_fmt(net.geometry.r_inner)}",
-        f"r_outer = {_fmt(net.geometry.r_outer)}",
-        f"max_rounds = {net.max_rounds}",
-        f"seed = {net.seed}",
-        f"deployment = {net.deployment_mode}",
-        f"inner_fraction = {_fmt(net.inner_fraction)}",
-        f"link_drop_probability = {_fmt(net.link_drop_probability)}",
-        "",
-        "[radio]",
-        f"e_elec = {_fmt(net.radio.e_elec)}",
-        f"e_fs = {_fmt(net.radio.e_fs)}",
-        f"e_mp = {_fmt(net.radio.e_mp)}",
-        f"e_da = {_fmt(net.radio.e_da)}",
-        f"packet_bits = {net.radio.packet_bits}",
-        "",
-        "[energy]",
-        f"mode = {net.heterogeneity.mode}",
-        f"e0 = {_fmt(net.heterogeneity.e0)}",
-        f"m = {_fmt(net.heterogeneity.m)}",
-        f"m0 = {_fmt(net.heterogeneity.m0)}",
-        f"alpha = {_fmt(net.heterogeneity.alpha)}",
-        f"beta = {_fmt(net.heterogeneity.beta)}",
-        f"alpha_max = {_fmt(net.heterogeneity.alpha_max)}",
-        "",
-        "[delay]",
-        f"mode = {net.delay.mode}",
-        f"speed = {_fmt(net.delay.speed)}",
-        f"per_hop = {_fmt(net.delay.per_hop)}",
-        "",
+    lines = []
+    for section, rows in groupby(NETWORK_KEYS, key=lambda row: row[0].partition(".")[0]):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key.partition('.')[2]} = {_fmt(attrgetter(path)(spec.network))}"
+                     for key, path in rows)
+        lines.append("")
+    lines += [
         "[experiment]",
         f"protocols = {','.join(kind.name for kind in spec.protocols)}",
         f"seeds = {','.join(str(seed) for seed in spec.seeds)}",
@@ -259,7 +233,9 @@ def write_config(spec: ExperimentSpec) -> str:
 
 
 def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
-                   seeds: list[int], confidence: float = 0.95) -> dict[str, MultiRunStats]:
+                   seeds: list[int],
+                   confidence: float = DEFAULTS["experiment.confidence"]
+                   ) -> dict[str, MultiRunStats]:
     """Run every (protocol, seed) pair and aggregate per protocol.
 
     Each seed gets its own deployment; results are keyed by protocol
@@ -397,18 +373,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="experiment configuration file")
     parser.add_argument("--protocols", metavar="LIST",
                         help="comma-separated protocol names "
-                             f"(default {','.join(PROTOCOL_NAMES)})")
+                             f"(default {DEFAULTS['experiment.protocols']})")
     parser.add_argument("--seeds", metavar="LIST", help="comma-separated run seeds")
     parser.add_argument("--runs", metavar="N", type=int,
-                        help="number of runs per protocol (default 5)")
+                        help="number of runs per protocol "
+                             f"(default {DEFAULTS['experiment.runs']})")
     parser.add_argument("--base-seed", metavar="S", type=int,
-                        help="first seed; run i uses S+i (default 42)")
+                        help="first seed; run i uses S+i "
+                             f"(default {DEFAULTS['experiment.base_seed']})")
     parser.add_argument("--out", metavar="DIR", default="results",
                         help="output directory (default: results)")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set applied before the config file")
     parser.add_argument("--confidence", metavar="LEVEL", type=float,
-                        help="confidence level for the interval bands (default 0.95)")
+                        help="confidence level for the interval bands "
+                             f"(default {DEFAULTS['experiment.confidence']})")
     return parser
 
 

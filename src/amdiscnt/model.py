@@ -7,6 +7,7 @@ constructed, inspected, and reported on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -167,21 +168,40 @@ class NetworkConfig:
     delay: DelayModel = DelayModel()
 
 
-def validate_config(config: NetworkConfig) -> list[str]:
-    """Return a description of every violated invariant; empty when valid."""
+def _type_problems(obj, prefix: str = "") -> list[str]:
+    """Name every numeric field of ``obj`` whose value lacks its default's type.
+
+    An ``int`` field takes an ``int``; a ``float`` field takes an ``int`` or
+    a ``float``. ``bool`` is an ``int`` subclass, but ``True`` nodes or
+    rounds is a mistake, so it is refused in both.
+    """
     problems: list[str] = []
+    for field in dataclasses.fields(obj):
+        name, value, default = prefix + field.name, getattr(obj, field.name), field.default
+        if dataclasses.is_dataclass(default):
+            problems.extend(_type_problems(value, name + "."))
+        elif isinstance(default, (int, float)):
+            allowed = int if isinstance(default, int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                expected = "an integer" if allowed is int else "a number"
+                problems.append(f"{name} must be {expected}, got {value!r}")
+    return problems
+
+
+def validate_config(config: NetworkConfig) -> list[str]:
+    """Return a description of every violated invariant; empty when valid.
+
+    A numeric field of the wrong type is reported alone, before any range
+    check compares it.
+    """
+    problems = _type_problems(config)
+    if problems:
+        return problems
     geo = config.geometry
     radio = config.radio
     het = config.heterogeneity
 
-    integers = {"n_nodes": config.n_nodes, "max_rounds": config.max_rounds,
-                "seed": config.seed, "radio.packet_bits": radio.packet_bits}
-    # bool is an int subclass, but True nodes or rounds is a mistake
-    not_int = [name for name, value in integers.items()
-               if not isinstance(value, int) or isinstance(value, bool)]
-    problems.extend(f"{name} must be an integer, got {integers[name]!r}" for name in not_int)
-
-    if "n_nodes" not in not_int and config.n_nodes < N_SECTORS + 1:
+    if config.n_nodes < N_SECTORS + 1:
         problems.append(
             f"n_nodes must be at least {N_SECTORS + 1} (one per region), got {config.n_nodes}")
     if not (math.isfinite(geo.r_inner) and math.isfinite(geo.r_outer)):
@@ -195,7 +215,7 @@ def validate_config(config: NetworkConfig) -> list[str]:
         value = getattr(radio, name)
         if not (math.isfinite(value) and value > 0):
             problems.append(f"radio.{name} must be strictly positive, got {value}")
-    if "radio.packet_bits" not in not_int and radio.packet_bits <= 0:
+    if radio.packet_bits <= 0:
         problems.append(f"radio.packet_bits must be strictly positive, got {radio.packet_bits}")
     if radio.e_fs > 0 and radio.e_mp > 0:
         d0 = math.sqrt(radio.e_fs / radio.e_mp)
@@ -215,7 +235,7 @@ def validate_config(config: NetworkConfig) -> list[str]:
         if not (math.isfinite(value) and value >= 0):
             problems.append(f"heterogeneity.{name} must be finite and non-negative, got {value}")
 
-    if "max_rounds" not in not_int and config.max_rounds < 0:
+    if config.max_rounds < 0:
         problems.append(f"max_rounds must be non-negative, got {config.max_rounds}")
     if config.deployment_mode not in DEPLOYMENT_MODES:
         problems.append(f"unknown deployment_mode {config.deployment_mode!r}")

@@ -2,6 +2,8 @@ import csv
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amdiscnt.experiment import (
     PRESETS,
@@ -15,8 +17,18 @@ from amdiscnt.experiment import (
     run_experiment,
     write_config,
 )
-from amdiscnt.model import ConfigurationError, NetworkConfig
-from amdiscnt.protocols import ProtocolKind
+from amdiscnt.model import (
+    DELAY_MODES,
+    DEPLOYMENT_MODES,
+    HETEROGENEITY_MODES,
+    ConfigurationError,
+    DelayModel,
+    Geometry,
+    HeterogeneitySpec,
+    NetworkConfig,
+    RadioParams,
+)
+from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
 
 
 def test_empty_settings_give_benchmark_defaults():
@@ -52,6 +64,12 @@ def test_config_file_overrides_preset():
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigurationError, match="voltage"):
         read_settings("[network]\nvoltage = 9\n")
+
+
+def test_network_seed_is_not_a_file_key():
+    # run seeds come from the experiment section; a network seed would be ignored
+    with pytest.raises(ConfigurationError, match="'seed'"):
+        read_settings("[network]\nseed = 7\n")
 
 
 def test_unknown_section_rejected_by_name():
@@ -99,6 +117,54 @@ def test_config_round_trip_exact():
         "experiment.confidence": "0.9",
         "experiment.p_opt": "0.2",
     })
+    assert build_spec(read_settings(write_config(spec))) == spec
+
+
+def _positive(high):
+    return st.floats(min_value=0.0, max_value=high, exclude_min=True)
+
+
+def _non_negative(high):
+    return st.floats(min_value=0.0, max_value=high)
+
+
+def _open_unit():
+    return st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def valid_specs(draw):
+    r_inner = draw(_positive(1e4))
+    network = NetworkConfig(
+        n_nodes=draw(st.integers(9, 10**6)),
+        geometry=Geometry(r_inner, draw(st.floats(min_value=r_inner, max_value=2e4,
+                                                  exclude_min=True))),
+        radio=RadioParams(*(draw(st.floats(1e-20, 1.0)) for _ in range(4)),
+                          packet_bits=draw(st.integers(1, 10**9))),
+        heterogeneity=HeterogeneitySpec(
+            draw(st.sampled_from(HETEROGENEITY_MODES)), draw(_positive(1e6)),
+            draw(_non_negative(1.0)), draw(_non_negative(1.0)),
+            *(draw(_non_negative(1e6)) for _ in range(3))),
+        max_rounds=draw(st.integers(0, 10**9)),
+        deployment_mode=draw(st.sampled_from(DEPLOYMENT_MODES)),
+        inner_fraction=draw(_open_unit()),
+        link_drop_probability=draw(_non_negative(1.0)),
+        delay=DelayModel(draw(st.sampled_from(DELAY_MODES)), draw(_positive(1e9)),
+                         draw(_non_negative(1e9))),
+    )
+    p_opt = draw(_open_unit())
+    names = draw(st.lists(st.sampled_from(PROTOCOL_NAMES), min_size=1, unique=True))
+    return ExperimentSpec(
+        network=network,
+        protocols=tuple(ProtocolKind(name, p_opt) for name in names),
+        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6))),
+        confidence=draw(_open_unit()),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_specs())
+def test_config_round_trip_property(spec):
     assert build_spec(read_settings(write_config(spec))) == spec
 
 

@@ -127,3 +127,27 @@ def test_non_integer_value_rejected_by_name(field, config):
     problems = validate_config(config)
     assert len(problems) == 1
     assert problems[0].startswith(field + " must be an integer")
+
+
+@pytest.mark.parametrize("field, config", [
+    ("geometry.r_inner", NetworkConfig(geometry=Geometry(r_inner="20"))),
+    ("link_drop_probability", NetworkConfig(link_drop_probability="0.1")),
+    ("inner_fraction", NetworkConfig(inner_fraction=None)),
+    ("radio.e_elec", NetworkConfig(radio=RadioParams(e_elec="5e-8"))),
+    ("heterogeneity.m",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, "0.2", 1.0))),
+    ("heterogeneity.alpha",
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, True))),
+    ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed="1"))),
+])
+def test_non_number_value_rejected_by_name(field, config):
+    problems = validate_config(config)
+    assert len(problems) == 1
+    assert problems[0].startswith(field + " must be a number")
+
+
+def test_int_in_float_field_is_valid():
+    config = NetworkConfig(geometry=Geometry(20, 35), link_drop_probability=0,
+                           heterogeneity=HeterogeneitySpec.two_level(1, 0, 2),
+                           delay=DelayModel(mode="distance", speed=3, per_hop=1))
+    assert validate_config(config) == []
