@@ -201,13 +201,13 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
     )
 
 
-def _elect(nodes: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
+def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
            history: dict[int, int]) -> set[int]:
     if kind.name == "amdiscnt":
-        return elect_chs_amdiscnt(nodes)
+        return elect_chs_amdiscnt(alive)
     if kind.name == "leach":
-        return elect_chs_leach(nodes, round_index, kind.p_opt, rng, history)
-    return elect_chs_deec(nodes, round_index, kind.p_opt, rng, history)
+        return elect_chs_leach(alive, round_index, kind.p_opt, rng, history)
+    return elect_chs_deec(alive, round_index, kind.p_opt, rng, history)
 
 
 def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResult:
@@ -221,14 +221,18 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
     links = DistanceCache(nodes, config.radio)
     history: dict[int, int] = {}
     n = len(nodes)
+    is_alive = attrgetter("alive")
+    alive = list(filter(is_alive, nodes))  # in id order; elections and plans walk only these
 
     per_round: list[RoundMetrics] = []
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        ch_set = _elect(nodes, kind, round_index, rng, history)
-        plan = build_plan(nodes, ch_set, kind, links, round_index)
+        ch_set = _elect(alive, kind, round_index, rng, history)
+        plan = build_plan(nodes, alive, ch_set, kind, links, round_index)
         metrics = run_round(nodes, plan, config, rng, links)
         per_round.append(metrics)
+        if metrics.alive < len(alive):  # someone died this round
+            alive = list(filter(is_alive, alive))
         completed = round_index + 1
         if fnd is None and metrics.dead >= 1:
             fnd = completed

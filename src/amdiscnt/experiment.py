@@ -18,9 +18,10 @@ import csv
 import dataclasses
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .engine import run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
@@ -255,6 +256,9 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
     return stats
 
 
+_lo, _hi = itemgetter(0), itemgetter(1)
+
+
 def _series_header() -> list[str]:
     header = ["round"]
     for name in METRIC_NAMES:
@@ -281,16 +285,14 @@ def emit_tables(stats: dict[str, MultiRunStats], out_dir: str, *,
             raise OSError(f"failed writing {path}: {exc}") from exc
 
     for name, bundle in stats.items():
+        columns: list[Iterable] = [range(bundle.rounds)]
+        for metric in METRIC_NAMES:
+            ci = bundle.per_round_ci[metric]
+            columns += (bundle.per_round_mean[metric], map(_lo, ci), map(_hi, ci))
         with _open(f"{name}.csv") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_series_header())
-            for round_index in range(bundle.rounds):
-                row: list[str] = [str(round_index)]
-                for metric in METRIC_NAMES:
-                    mean = bundle.per_round_mean[metric][round_index]
-                    lo, hi = bundle.per_round_ci[metric][round_index]
-                    row.extend((repr(mean), repr(lo), repr(hi)))
-                writer.writerow(row)
+            # no cell holds a comma, quote or newline, so csv.writer would quote nothing
+            handle.write(",".join(_series_header()) + "\n")
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
     with _open("summary.csv") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -171,7 +171,8 @@ class NetworkConfig:
 def _type_problems(obj, prefix: str = "") -> list[str]:
     """Name every numeric field of ``obj`` whose value lacks its default's type.
 
-    An ``int`` field takes an ``int``; a ``float`` field takes an ``int`` or
+    A nested field must hold its default's class, and is then walked. An
+    ``int`` field takes an ``int``; a ``float`` field takes an ``int`` or
     a ``float``. ``bool`` is an ``int`` subclass, but ``True`` nodes or
     rounds is a mistake, so it is refused in both.
     """
@@ -179,7 +180,10 @@ def _type_problems(obj, prefix: str = "") -> list[str]:
     for field in dataclasses.fields(obj):
         name, value, default = prefix + field.name, getattr(obj, field.name), field.default
         if dataclasses.is_dataclass(default):
-            problems.extend(_type_problems(value, name + "."))
+            if isinstance(value, type(default)):
+                problems.extend(_type_problems(value, name + "."))
+            else:
+                problems.append(f"{name} must be a {type(default).__name__}, got {value!r}")
         elif isinstance(default, (int, float)):
             allowed = int if isinstance(default, int) else (int, float)
             if isinstance(value, bool) or not isinstance(value, allowed):

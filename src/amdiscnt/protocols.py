@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
 
 from .energy import tx_cost
@@ -22,6 +23,9 @@ BS_ID = -1  # sentinel terminating every route
 DIRECT_ROUTE = (BS_ID,)
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
+
+_is_alive = attrgetter("alive")
+_residual = attrgetter("residual_energy")
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,13 @@ class DistanceCache:
 
 def elect_chs_amdiscnt(nodes: list[Node]) -> set[int]:
     """Pick the alive node with the most residual energy in each outer
-    wedge; ties go to the lower id. Needs no randomness."""
+    wedge; ties go to the lower id. ``nodes`` is in id order (the engine
+    passes only the alive ones). Needs no randomness."""
     best: dict[int, Node] = {}
     for node in nodes:
-        if not node.alive or node.region.is_inner:
-            continue
         sector = node.region.sector
+        if sector is None or not node.alive:
+            continue
         current = best.get(sector)
         if (current is None
                 or node.residual_energy > current.residual_energy
@@ -145,60 +150,60 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
     """Classic rotating election.
 
     Each alive node that has not served during the current epoch draws a
-    uniform number and elects itself when the draw falls under the epoch
-    threshold. ``history`` (node id -> last election round) carries the
-    rotation state between rounds and is updated in place.
+    uniform number, in id order, and elects itself when the draw falls
+    under the epoch threshold. ``history`` (node id -> last election
+    round) carries the rotation state between rounds and is updated in
+    place.
     """
     if history is None:
         history = {}
     epoch = int(1.0 / p_opt)
     epoch_start = round_index - (round_index % epoch)
     threshold = leach_threshold(round_index, p_opt)
+    draw = rng.random
+    last_election = history.get
     elected = set()
     for node in nodes:
         if not node.alive:
             continue
-        last = history.get(node.id)
+        last = last_election(node.id)
         if last is not None and last >= epoch_start:
             continue
-        if rng.random() < threshold:
+        if draw() < threshold:
             elected.add(node.id)
             history[node.id] = round_index
     return elected
-
-
-def deec_probability(residual: float, average: float, p_opt: float) -> float:
-    """Election probability scaled by the node's share of the average
-    residual energy, capped at 1."""
-    return min(1.0, p_opt * residual / average)
 
 
 def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
                    history: dict[int, int] | None = None) -> set[int]:
     """Energy-weighted rotating election.
 
-    Like the classic rotation, but each node's probability (and therefore
-    its personal epoch length) scales with residual energy over the exact
-    mean residual energy of the alive nodes this round.
+    Like the classic rotation, but each node's probability
+    ``min(1, p_opt * residual / average)`` (and therefore its personal
+    epoch length) scales with residual energy over the exact mean
+    residual energy of the alive nodes this round.
     """
     if history is None:
         history = {}
-    alive = [node for node in nodes if node.alive]
+    alive = list(filter(_is_alive, nodes))
     if not alive:
         return set()
-    average = math.fsum(node.residual_energy for node in alive) / len(alive)
+    average = math.fsum(map(_residual, alive)) / len(alive)
+    draw = rng.random
+    last_election = history.get
     elected = set()
     for node in alive:
-        p_i = deec_probability(node.residual_energy, average, p_opt)
+        x = p_opt * node.residual_energy / average
+        p_i = x if x < 1.0 else 1.0
         if p_i <= 0.0:
             continue
-        epoch = max(1, int(1.0 / p_i))
-        epoch_start = round_index - (round_index % epoch)
-        last = history.get(node.id)
-        if last is not None and last >= epoch_start:
+        epoch = int(1.0 / p_i)  # at least 1, since p_i <= 1
+        position = round_index % epoch
+        last = last_election(node.id)
+        if last is not None and last >= round_index - position:
             continue
-        threshold = p_i / (1.0 - p_i * (round_index % epoch))
-        if rng.random() < threshold:
+        if draw() < p_i / (1.0 - p_i * position):
             elected.add(node.id)
             history[node.id] = round_index
     return elected
@@ -217,7 +222,7 @@ def select_relay(ch_id: int, nodes: list[Node], links: DistanceCache) -> tuple[i
     return DIRECT_ROUTE
 
 
-def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
+def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: ProtocolKind,
                links: DistanceCache, round_index: int = 0) -> TransmissionPlan:
     """Assign every alive node its transmissions for the round.
 
@@ -226,7 +231,8 @@ def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
     round; heads route via :func:`select_relay`. Baselines: every alive
     non-head joins the nearest head (lower id on a distance tie) and heads
     go single-hop to the base station; with no heads at all, everyone
-    falls back to direct transmission. ``nodes`` is indexed by id.
+    falls back to direct transmission. ``nodes`` is indexed by id;
+    ``alive`` lists exactly its alive nodes, in id order.
     """
     members: list[tuple[int, int]] = []
     direct: list[int] = []
@@ -234,8 +240,8 @@ def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
 
     if kind.name == "amdiscnt":
         sector_ch = {nodes[ch_id].region.sector: ch_id for ch_id in ch_set}
-        for node in nodes:
-            if not node.alive or node.id in ch_set:
+        for node in alive:
+            if node.id in ch_set:
                 continue
             sector = node.region.sector
             if sector is None:
@@ -246,7 +252,7 @@ def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
         return TransmissionPlan(members, routes, direct, round_index)
 
     if not heads:
-        direct = [node.id for node in nodes if node.alive]
+        direct = [node.id for node in alive]
     else:
         orders = links.neighbour_orders()
         mask = bytearray(len(nodes))
@@ -255,6 +261,6 @@ def build_plan(nodes: list[Node], ch_set: set[int], kind: ProtocolKind,
         is_head = mask.__getitem__
         # each member takes the first head in its own (distance, id) order
         members = [(node.id, next(filter(is_head, orders[node.id])))
-                   for node in nodes if node.alive and not mask[node.id]]
+                   for node in alive if not mask[node.id]]
     return TransmissionPlan(members, [(ch_id, DIRECT_ROUTE) for ch_id in heads], direct,
                             round_index)

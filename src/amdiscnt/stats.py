@@ -48,19 +48,15 @@ def confidence_interval(values: list[float], confidence: float = 0.95) -> tuple[
     z = _normal_quantile(confidence)
     if not values:
         raise ValueError("confidence_interval needs at least one value")
-    return _interval(values, z, math.sqrt(len(values)))
+    mean = math.fsum(values) / len(values)
+    half = z * population_stddev(values) / math.sqrt(len(values))
+    return (mean - half, mean + half)
 
 
 def _normal_quantile(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
-def _interval(values, z: float, root_n: float) -> tuple[float, float]:
-    mean = math.fsum(values) / len(values)
-    half = z * population_stddev(values) / root_n
-    return (mean - half, mean + half)
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,11 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
         means = []
         cis = []
         for values in zip(*[_column(run, field, freezes, rounds) for run in results]):
-            means.append(math.fsum(values) / n)
-            cis.append(_interval(values, z, root_n))
+            # confidence_interval's arithmetic, with the mean taken once
+            mean = math.fsum(values) / n
+            half = z * math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) / root_n
+            means.append(mean)
+            cis.append((mean - half, mean + half))
         per_round_mean[name] = tuple(means)
         per_round_ci[name] = tuple(cis)
 

@@ -6,11 +6,19 @@ assignment, relay choice, and every energy charge. No engine code is
 imported; only the shared domain containers are touched. Supports
 loss-free links and unit-per-hop delay, which is all the tiny
 cross-check scenarios need.
+
+The rotating ``leach`` and ``deec`` elections are kept here as first
+written, one plain loop each with the probability formula as its own
+function, so that the engine's elections can be checked against them
+draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+from random import Random
+
+from amdiscnt.model import Node
 
 
 def _tx(bits, d, radio):
@@ -172,3 +180,73 @@ def replay_rounds(nodes, config, n_rounds):
             "energy_spent": math.fsum(ledger),
         })
     return out
+
+
+def leach_threshold(round_index: int, p_opt: float) -> float:
+    """Election threshold at a given position inside the rotation epoch."""
+    epoch = int(1.0 / p_opt)
+    return p_opt / (1.0 - p_opt * (round_index % epoch))
+
+
+def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+                    history: dict[int, int] | None = None) -> set[int]:
+    """Classic rotating election.
+
+    Each alive node that has not served during the current epoch draws a
+    uniform number and elects itself when the draw falls under the epoch
+    threshold. ``history`` (node id -> last election round) carries the
+    rotation state between rounds and is updated in place.
+    """
+    if history is None:
+        history = {}
+    epoch = int(1.0 / p_opt)
+    epoch_start = round_index - (round_index % epoch)
+    threshold = leach_threshold(round_index, p_opt)
+    elected = set()
+    for node in nodes:
+        if not node.alive:
+            continue
+        last = history.get(node.id)
+        if last is not None and last >= epoch_start:
+            continue
+        if rng.random() < threshold:
+            elected.add(node.id)
+            history[node.id] = round_index
+    return elected
+
+
+def deec_probability(residual: float, average: float, p_opt: float) -> float:
+    """Election probability scaled by the node's share of the average
+    residual energy, capped at 1."""
+    return min(1.0, p_opt * residual / average)
+
+
+def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+                   history: dict[int, int] | None = None) -> set[int]:
+    """Energy-weighted rotating election.
+
+    Like the classic rotation, but each node's probability (and therefore
+    its personal epoch length) scales with residual energy over the exact
+    mean residual energy of the alive nodes this round.
+    """
+    if history is None:
+        history = {}
+    alive = [node for node in nodes if node.alive]
+    if not alive:
+        return set()
+    average = math.fsum(node.residual_energy for node in alive) / len(alive)
+    elected = set()
+    for node in alive:
+        p_i = deec_probability(node.residual_energy, average, p_opt)
+        if p_i <= 0.0:
+            continue
+        epoch = max(1, int(1.0 / p_i))
+        epoch_start = round_index - (round_index % epoch)
+        last = history.get(node.id)
+        if last is not None and last >= epoch_start:
+            continue
+        threshold = p_i / (1.0 - p_i * (round_index % epoch))
+        if rng.random() < threshold:
+            elected.add(node.id)
+            history[node.id] = round_index
+    return elected

@@ -103,8 +103,9 @@ def test_c02_head_count_tracks_populated_sectors():
             populated = {n.region.sector for n in outer if n.alive}
             if not first_outer_death_seen and any(not n.alive for n in outer):
                 first_outer_death_seen = True
-            chs = elect_chs_amdiscnt(nodes)
-            plan = build_plan(nodes, chs, ProtocolKind("amdiscnt"), links, round_index)
+            alive = [n for n in nodes if n.alive]
+            chs = elect_chs_amdiscnt(alive)
+            plan = build_plan(nodes, alive, chs, ProtocolKind("amdiscnt"), links, round_index)
             metrics = run_round(nodes, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):

@@ -117,7 +117,8 @@ def test_baselines_run_to_completion():
 
 def _one_round(nodes, ch_set, config):
     links = DistanceCache(nodes, config.radio)
-    plan = build_plan(nodes, ch_set, AMDISCNT, links)
+    alive = [node for node in nodes if node.alive]
+    plan = build_plan(nodes, alive, ch_set, AMDISCNT, links)
     return plan, run_round(nodes, plan, config, Random(0), links)
 
 

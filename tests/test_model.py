@@ -151,3 +151,15 @@ def test_int_in_float_field_is_valid():
                            heterogeneity=HeterogeneitySpec.two_level(1, 0, 2),
                            delay=DelayModel(mode="distance", speed=3, per_hop=1))
     assert validate_config(config) == []
+
+
+@pytest.mark.parametrize("field, expected, value", [
+    ("geometry", "Geometry", None),
+    ("radio", "RadioParams", "x"),
+    ("radio", "RadioParams", Geometry()),
+    ("heterogeneity", "HeterogeneitySpec", "two_level"),
+    ("delay", "DelayModel", 3),
+])
+def test_nested_value_of_wrong_class_rejected_by_name(field, expected, value):
+    config = NetworkConfig(**{field: value})
+    assert validate_config(config) == [f"{field} must be a {expected}, got {value!r}"]

@@ -2,7 +2,10 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_engine as reference
 from amdiscnt.energy import tx_cost
 from amdiscnt.engine import run_simulation
 from amdiscnt.model import NetworkConfig, Node, Position, RadioParams, RegionId
@@ -11,7 +14,6 @@ from amdiscnt.protocols import (
     DistanceCache,
     ProtocolKind,
     build_plan,
-    deec_probability,
     elect_chs_amdiscnt,
     elect_chs_deec,
     elect_chs_leach,
@@ -105,15 +107,16 @@ class TestRotatingElection:
 
 
 class TestEnergyAwareElection:
+    # the formula is inlined in elect_chs_deec; the reference keeps it as a function
     def test_probability_equal_energies_is_p_opt(self):
-        assert deec_probability(0.5, 0.5, 0.1) == 0.1
+        assert reference.deec_probability(0.5, 0.5, 0.1) == 0.1
 
     def test_probability_scales_with_residual(self):
         # residuals [2, 0.5, 0.5, 1] -> average 1 -> first node at 0.2
-        assert deec_probability(2.0, 1.0, 0.1) == 0.2
+        assert reference.deec_probability(2.0, 1.0, 0.1) == 0.2
 
     def test_probability_capped_at_one(self):
-        assert deec_probability(100.0, 1.0, 0.1) == 1.0
+        assert reference.deec_probability(100.0, 1.0, 0.1) == 1.0
 
     def test_every_node_serves_once_per_epoch_at_equal_energy(self):
         nodes = outer_ring({s: [0.5, 0.5] for s in range(8)})
@@ -131,12 +134,54 @@ class TestEnergyAwareElection:
         assert elect_chs_deec(nodes, 0, 0.1, Random(1), {}) == set()
 
 
+# a few shared energy levels make exact ties (and exact averages) common
+_energies = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+                      st.floats(min_value=1e-6, max_value=2.0))
+
+
+@st.composite
+def election_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    energies = draw(st.lists(_energies, min_size=n, max_size=n))
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    history = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 300), max_size=n))
+    round_index = draw(st.integers(0, 300))
+    p_opt = draw(st.floats(min_value=0.001, max_value=0.999))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return energies, alive, history, round_index, p_opt, seed
+
+
+@pytest.mark.parametrize("name", ["leach", "deec"])
+@settings(deadline=None, max_examples=150)
+@given(inputs=election_inputs())
+def test_elections_match_reference(name, inputs):
+    energies, alive, history, round_index, p_opt, seed = inputs
+    nodes = [make_node(i, 30.0, 0.0, sector=0, energy=e, alive=a)
+             for i, (e, a) in enumerate(zip(energies, alive))]
+    elect = {"leach": elect_chs_leach, "deec": elect_chs_deec}[name]
+    elect_reference = {"leach": reference.elect_chs_leach, "deec": reference.elect_chs_deec}[name]
+    # the engine passes only the alive nodes; every node list must give the same draws
+    calls = [(elect_reference, nodes), (elect, nodes),
+             (elect, [node for node in nodes if node.alive])]
+    outcomes = []
+    for fn, listed in calls:
+        rng = Random(seed)
+        own_history = dict(history)
+        # consecutive rounds, so each round's elections feed the next one's history
+        elected = [fn(listed, r, p_opt, rng, own_history)
+                   for r in range(round_index, round_index + 3)]
+        outcomes.append((elected, own_history, rng.getstate()))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
 def relay_of(nodes, ch_id=0):
     return select_relay(ch_id, nodes, DistanceCache(nodes, RADIO))
 
 
 def plan_of(nodes, ch_set, name):
-    return build_plan(nodes, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
+    alive = [node for node in nodes if node.alive]
+    return build_plan(nodes, alive, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
 
 
 def random_field(seed, n=40, r_inner=40.0, r_outer=150.0):
@@ -283,9 +328,9 @@ class TestPlans:
             rng = Random(seed)
             # one table serves every round: fresh heads each round, nodes dying between
             for _ in range(4):
-                alive = [node.id for node in nodes if node.alive]
-                heads = set(rng.sample(alive, 1 + len(alive) // 5))
-                plan = build_plan(nodes, heads, ProtocolKind("deec"), links)
+                alive = [node for node in nodes if node.alive]
+                heads = set(rng.sample([node.id for node in alive], 1 + len(alive) // 5))
+                plan = build_plan(nodes, alive, heads, ProtocolKind("deec"), links)
                 expected = []
                 for node in nodes:
                     if node.alive and node.id not in heads:
