@@ -1,14 +1,17 @@
 """Deterministic round engine.
 
 Each round runs three phases in fixed id order: members transmit to their
-cluster heads, heads aggregate and forward along their routes (paying
-relay receive costs on the way), then direct senders transmit to the base
-station. Every energy charge is attempted against the node's remaining
-budget: a node that cannot cover a cost spends what it has, dies, and the
-packet involved is lost; a node left at exactly zero completes the action
-first and then dies. All randomness comes from the single ``Random``
-instance owned by the run, and it is consulted only when a lossy link is
-configured, so equal seeds give byte-identical histories.
+cluster heads, heads aggregate and send to the base station, straight or
+through one inner relay, then direct senders transmit to the base station.
+Every energy charge is attempted against the node's remaining budget: a
+node that cannot cover a cost spends what it has, dies, and the packet
+involved is lost; a node left at exactly zero completes the action first
+and then dies. That charge is the only liveness rule: a dead node holds
+exactly ``+0.0`` and every validated cost is strictly positive, so
+charging a dead node fails before any draw and adds ``0.0`` to the ledger.
+All randomness comes from the single ``Random`` instance owned by the run,
+and it is consulted only when a lossy link is configured, so equal seeds
+give byte-identical histories.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .deployment import deploy
 from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
 from .model import ConfigurationError, NetworkConfig, Node, validate_config
 from .protocols import (
-    BS_ID,
     DistanceCache,
     ProtocolKind,
     TransmissionPlan,
@@ -92,11 +94,13 @@ def _charge(node: Node, amount: float, ledger: list[float]) -> bool:
     return False
 
 
-def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
-              rng: Random, links: DistanceCache) -> RoundMetrics:
+def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
+              config: NetworkConfig, rng: Random, links: DistanceCache) -> RoundMetrics:
     """Execute one transmission round, mutating node energies in place.
 
     ``nodes`` is indexed by id and ``links`` is its table for ``config.radio``.
+    ``alive`` holds every node alive at the start of the round; the census
+    is taken over it, since every other node holds exactly 0.0.
     """
     radio = config.radio
     bits = radio.packet_bits
@@ -119,84 +123,64 @@ def run_round(nodes: list[Node], plan: TransmissionPlan, config: NetworkConfig,
 
     # phase 1: members transmit to their cluster heads
     for member_id, ch_id in plan.members:
-        member = nodes[member_id]
-        if not member.alive:
-            continue
         d = rows[member_id][ch_id]
         # tx_cost's expression with the radio constants hoisted out of the loop
         cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
-        if not _charge(member, cost, ledger):
+        if not _charge(nodes[member_id], cost, ledger):
             continue
         if lossy and rng.random() < drop_p:
             continue
-        ch = nodes[ch_id]
-        if not ch.alive:
-            continue
-        if not _charge(ch, rx, ledger):
+        if not _charge(nodes[ch_id], rx, ledger):
             continue
         arrivals[ch_id] += 1
         if d > longest[ch_id]:
             longest[ch_id] = d
 
-    # phase 2: cluster heads aggregate and forward along their routes
-    for ch_id, route in plan.routes:
-        ch = nodes[ch_id]
-        if not ch.alive:
-            continue
+    # phase 2: cluster heads aggregate, then send straight or through one relay
+    for ch_id, relay_id in plan.routes:
         signals = arrivals[ch_id] + 1  # members plus the head's own reading
-        if not _charge(ch, aggregation_cost(bits, signals, radio), ledger):
+        if not _charge(nodes[ch_id], aggregation_cost(bits, signals, radio), ledger):
             continue
         # link_delay never decreases with distance, so the longest link gives the max
         packet_delay = link_delay(longest[ch_id]) if signals > 1 else 0.0
-        sender = ch
-        for hop in route:
-            if not sender.alive:
-                break
-            if hop == BS_ID:
-                d = to_bs[sender.id]
-                if not _charge(sender, tx_to_bs[sender.id], ledger):
-                    break
-                sent += 1
-                if not lossy or rng.random() >= drop_p:
-                    received += 1
-                    delivered_delays.append(packet_delay + link_delay(d))
-                break
-            d = rows[sender.id][hop]
-            if not _charge(sender, tx_cost(bits, d, radio), ledger):
-                break
+        sender_id = ch_id
+        if relay_id is not None:
+            d = rows[ch_id][relay_id]
+            if not _charge(nodes[ch_id], tx_cost(bits, d, radio), ledger):
+                continue
             if lossy and rng.random() < drop_p:
-                break
-            relay = nodes[hop]
-            if not relay.alive:
-                break
-            if not _charge(relay, rx, ledger):
-                break
+                continue
+            if not _charge(nodes[relay_id], rx, ledger):
+                continue
             packet_delay += link_delay(d)
-            sender = relay
+            sender_id = relay_id
+        if not _charge(nodes[sender_id], tx_to_bs[sender_id], ledger):
+            continue
+        sent += 1
+        if not lossy or rng.random() >= drop_p:
+            received += 1
+            delivered_delays.append(packet_delay + link_delay(to_bs[sender_id]))
 
     # phase 3: direct senders transmit their own readings
     for node_id in plan.direct:
-        node = nodes[node_id]
-        if not node.alive:
-            continue
-        if not _charge(node, tx_to_bs[node_id], ledger):
+        if not _charge(nodes[node_id], tx_to_bs[node_id], ledger):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
             received += 1
             delivered_delays.append(link_delay(to_bs[node_id]))
 
-    alive = sum(map(attrgetter("alive"), nodes))
+    survivors = sum(map(attrgetter("alive"), alive))
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
     return RoundMetrics(
         round_index=plan.round_index,
-        alive=alive,
-        dead=len(nodes) - alive,
+        alive=survivors,
+        dead=len(nodes) - survivors,
         packets_sent_to_bs=sent,
         packets_received_by_bs=received,
         ch_count=plan.ch_count,
         mean_delay=mean_delay,
-        total_residual_energy=math.fsum(map(attrgetter("residual_energy"), nodes)),
+        total_residual_energy=math.fsum(map(attrgetter("residual_energy"), alive)),
         energy_spent=math.fsum(ledger),
     )
 
@@ -229,7 +213,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
     for round_index in range(config.max_rounds):
         ch_set = _elect(alive, kind, round_index, rng, history)
         plan = build_plan(nodes, alive, ch_set, kind, links, round_index)
-        metrics = run_round(nodes, plan, config, rng, links)
+        metrics = run_round(nodes, alive, plan, config, rng, links)
         per_round.append(metrics)
         if metrics.alive < len(alive):  # someone died this round
             alive = list(filter(is_alive, alive))

@@ -57,7 +57,6 @@ class RegionId:
 
 
 INNER = RegionId()
-OUTER = tuple(RegionId(s) for s in range(N_SECTORS))
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,9 @@ class HeterogeneitySpec:
 
 @dataclass
 class Node:
-    """One sensor. Only the engine mutates ``residual_energy``/``alive``."""
+    """One sensor. Only the engine mutates ``residual_energy``/``alive``;
+    a dead node holds exactly ``+0.0``, which the engine's one liveness
+    rule, charging the node, relies on."""
 
     id: int
     position: Position

@@ -19,9 +19,6 @@ from random import Random
 from .energy import tx_cost
 from .model import Node, RadioParams
 
-BS_ID = -1  # sentinel terminating every route
-DIRECT_ROUTE = (BS_ID,)
-
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
 
 _is_alive = attrgetter("alive")
@@ -45,16 +42,16 @@ class TransmissionPlan:
     """One round's transmissions, in the order the engine makes them.
 
     ``members`` pairs each member with its cluster head, in member id
-    order. ``routes`` pairs each cluster head, in id order, with the hops
-    its aggregate takes after leaving it, always ending with
-    :data:`BS_ID`. ``direct`` lists, in id order, the nodes that send
-    their own reading straight to the base station; an inner node that
-    relays an aggregate also sends its own packet there. Alive nodes in
-    none of the lists idle for the round.
+    order. ``routes`` pairs each cluster head, in id order, with the
+    inner node that relays its aggregate to the base station, or ``None``
+    when the head sends it there itself. ``direct`` lists, in id order,
+    the nodes that send their own reading straight to the base station;
+    an inner node that relays an aggregate also sends its own packet
+    there. Alive nodes in none of the lists idle for the round.
     """
 
     members: list[tuple[int, int]]
-    routes: list[tuple[int, tuple[int, ...]]]
+    routes: list[tuple[int, int | None]]
     direct: list[int]
     round_index: int = 0
 
@@ -146,7 +143,7 @@ def leach_threshold(round_index: int, p_opt: float) -> float:
 
 
 def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
-                    history: dict[int, int] | None = None) -> set[int]:
+                    history: dict[int, int]) -> set[int]:
     """Classic rotating election.
 
     Each alive node that has not served during the current epoch draws a
@@ -155,8 +152,6 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
     round) carries the rotation state between rounds and is updated in
     place.
     """
-    if history is None:
-        history = {}
     epoch = int(1.0 / p_opt)
     epoch_start = round_index - (round_index % epoch)
     threshold = leach_threshold(round_index, p_opt)
@@ -176,7 +171,7 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
 
 
 def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
-                   history: dict[int, int] | None = None) -> set[int]:
+                   history: dict[int, int]) -> set[int]:
     """Energy-weighted rotating election.
 
     Like the classic rotation, but each node's probability
@@ -184,8 +179,6 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
     epoch length) scales with residual energy over the exact mean
     residual energy of the alive nodes this round.
     """
-    if history is None:
-        history = {}
     alive = list(filter(_is_alive, nodes))
     if not alive:
         return set()
@@ -209,17 +202,17 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
     return elected
 
 
-def select_relay(ch_id: int, nodes: list[Node], links: DistanceCache) -> tuple[int, ...]:
-    """Route a cluster head's aggregate toward the base station.
+def select_relay(ch_id: int, nodes: list[Node], links: DistanceCache) -> int | None:
+    """Pick the inner node that relays a cluster head's aggregate.
 
     The relay is the alive inner node with the lowest two-leg radio cost
-    (lowest id on a cost tie). Direct transmission is kept whenever it
-    costs no more than that, and when no inner node is alive.
+    (lowest id on a cost tie). ``None`` (send direct) is kept whenever
+    direct costs no more than that, and when no inner node is alive.
     """
     for relay in links.relay_order(ch_id):
         if nodes[relay].alive:
-            return (relay, BS_ID)
-    return DIRECT_ROUTE
+            return relay
+    return None
 
 
 def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: ProtocolKind,
@@ -262,5 +255,4 @@ def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: Pro
         # each member takes the first head in its own (distance, id) order
         members = [(node.id, next(filter(is_head, orders[node.id])))
                    for node in alive if not mask[node.id]]
-    return TransmissionPlan(members, [(ch_id, DIRECT_ROUTE) for ch_id in heads], direct,
-                            round_index)
+    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], direct, round_index)

@@ -3,9 +3,11 @@
 Replays the deterministic sector-clustering protocol on an already
 deployed node list with everything written out inline: election, role
 assignment, relay choice, and every energy charge. No engine code is
-imported; only the shared domain containers are touched. Supports
-loss-free links and unit-per-hop delay, which is all the tiny
-cross-check scenarios need.
+imported; only the shared domain containers are touched.
+:func:`replay_rounds` runs the whole loss-free, unit-per-hop protocol;
+:func:`replay_round` executes one round of given transmissions, with
+lossy links and either delay mode, and checks liveness explicitly before
+every charge.
 
 The rotating ``leach`` and ``deec`` elections are kept here as first
 written, one plain loop each with the probability formula as its own
@@ -101,85 +103,113 @@ def replay_rounds(nodes, config, n_rounds):
             else:
                 routes[ch] = [best, None]
 
-        by_id = {n.id: n for n in nodes}
-        ledger = []
-        delays = []
-        sent = received = 0
-        arrived = {}
-        member_delay = {}
+        out.append({"round_index": round_index,
+                    **replay_round(nodes, members, routes, direct, config, None)})
+    return out
 
-        for mid in sorted(members):
-            member = by_id[mid]
-            if not member.alive:
-                continue
-            ch = by_id[members[mid]]
-            d = math.hypot(member.position.x - ch.position.x,
-                           member.position.y - ch.position.y)
-            if not _charge(member, _tx(bits, d, radio), ledger):
-                continue
-            if not ch.alive:
-                continue
-            if not _charge(ch, _rx(bits, radio), ledger):
-                continue
-            arrived[ch.id] = arrived.get(ch.id, 0) + 1
-            member_delay[ch.id] = max(member_delay.get(ch.id, 0.0), 1.0)
 
-        for ch_id in sorted(routes):
-            ch = by_id[ch_id]
-            if not ch.alive:
-                continue
-            fused = arrived.get(ch_id, 0) + 1
-            if not _charge(ch, bits * radio.e_da * fused, ledger):
-                continue
-            packet_delay = member_delay.get(ch_id, 0.0)
-            sender = ch
-            for hop in routes[ch_id]:
-                if not sender.alive:
-                    break
-                if hop is None:
-                    d = math.hypot(sender.position.x, sender.position.y)
-                    if not _charge(sender, _tx(bits, d, radio), ledger):
-                        break
-                    sent += 1
-                    received += 1
-                    delays.append(packet_delay + 1.0)
-                    break
-                d = math.hypot(sender.position.x - by_id[hop].position.x,
-                               sender.position.y - by_id[hop].position.y)
+def _link_delay(d, delay):
+    if delay.mode == "hops":
+        return 1.0
+    return delay.per_hop + d / delay.speed
+
+
+def replay_round(nodes, members, routes, direct, config, rng):
+    """Execute one round of given transmissions and return its metrics.
+
+    ``members`` maps member id to head id, ``routes`` maps head id to its
+    hop list ending in ``None`` (the sink), and ``direct`` lists the
+    nodes that send their own reading to the sink. Each phase walks its
+    ids in ascending order. With lossy links, one draw from ``rng`` is
+    made after each paid transmission, in the engine's order; loss-free
+    links never draw. Mutates the given nodes in place.
+    """
+    radio = config.radio
+    bits = radio.packet_bits
+    drop_p = config.link_drop_probability
+    by_id = {n.id: n for n in nodes}
+    ledger = []
+    delays = []
+    sent = received = 0
+    arrived = {}
+    member_delay = {}
+
+    for mid in sorted(members):
+        member = by_id[mid]
+        if not member.alive:
+            continue
+        ch = by_id[members[mid]]
+        d = math.hypot(member.position.x - ch.position.x,
+                       member.position.y - ch.position.y)
+        if not _charge(member, _tx(bits, d, radio), ledger):
+            continue
+        if drop_p > 0.0 and rng.random() < drop_p:
+            continue
+        if not ch.alive:
+            continue
+        if not _charge(ch, _rx(bits, radio), ledger):
+            continue
+        arrived[ch.id] = arrived.get(ch.id, 0) + 1
+        member_delay[ch.id] = max(member_delay.get(ch.id, 0.0), _link_delay(d, config.delay))
+
+    for ch_id in sorted(routes):
+        ch = by_id[ch_id]
+        if not ch.alive:
+            continue
+        fused = arrived.get(ch_id, 0) + 1
+        if not _charge(ch, bits * radio.e_da * fused, ledger):
+            continue
+        packet_delay = member_delay.get(ch_id, 0.0)
+        sender = ch
+        for hop in routes[ch_id]:
+            if not sender.alive:
+                break
+            if hop is None:
+                d = math.hypot(sender.position.x, sender.position.y)
                 if not _charge(sender, _tx(bits, d, radio), ledger):
                     break
-                relay = by_id[hop]
-                if not relay.alive:
-                    break
-                if not _charge(relay, _rx(bits, radio), ledger):
-                    break
-                packet_delay += 1.0
-                sender = relay
+                sent += 1
+                if drop_p == 0.0 or rng.random() >= drop_p:
+                    received += 1
+                    delays.append(packet_delay + _link_delay(d, config.delay))
+                break
+            d = math.hypot(sender.position.x - by_id[hop].position.x,
+                           sender.position.y - by_id[hop].position.y)
+            if not _charge(sender, _tx(bits, d, radio), ledger):
+                break
+            if drop_p > 0.0 and rng.random() < drop_p:
+                break
+            relay = by_id[hop]
+            if not relay.alive:
+                break
+            if not _charge(relay, _rx(bits, radio), ledger):
+                break
+            packet_delay += _link_delay(d, config.delay)
+            sender = relay
 
-        for node_id in sorted(direct):
-            node = by_id[node_id]
-            if not node.alive:
-                continue
-            d = math.hypot(node.position.x, node.position.y)
-            if not _charge(node, _tx(bits, d, radio), ledger):
-                continue
-            sent += 1
+    for node_id in sorted(direct):
+        node = by_id[node_id]
+        if not node.alive:
+            continue
+        d = math.hypot(node.position.x, node.position.y)
+        if not _charge(node, _tx(bits, d, radio), ledger):
+            continue
+        sent += 1
+        if drop_p == 0.0 or rng.random() >= drop_p:
             received += 1
-            delays.append(1.0)
+            delays.append(_link_delay(d, config.delay))
 
-        alive = sum(1 for n in nodes if n.alive)
-        out.append({
-            "round_index": round_index,
-            "alive": alive,
-            "dead": len(nodes) - alive,
-            "packets_sent_to_bs": sent,
-            "packets_received_by_bs": received,
-            "ch_count": len(routes),
-            "mean_delay": math.fsum(delays) / len(delays) if delays else 0.0,
-            "total_residual_energy": math.fsum(n.residual_energy for n in nodes),
-            "energy_spent": math.fsum(ledger),
-        })
-    return out
+    alive = sum(1 for n in nodes if n.alive)
+    return {
+        "alive": alive,
+        "dead": len(nodes) - alive,
+        "packets_sent_to_bs": sent,
+        "packets_received_by_bs": received,
+        "ch_count": len(routes),
+        "mean_delay": math.fsum(delays) / len(delays) if delays else 0.0,
+        "total_residual_energy": math.fsum(n.residual_energy for n in nodes),
+        "energy_spent": math.fsum(ledger),
+    }
 
 
 def leach_threshold(round_index: int, p_opt: float) -> float:

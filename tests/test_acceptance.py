@@ -106,7 +106,7 @@ def test_c02_head_count_tracks_populated_sectors():
             alive = [n for n in nodes if n.alive]
             chs = elect_chs_amdiscnt(alive)
             plan = build_plan(nodes, alive, chs, ProtocolKind("amdiscnt"), links, round_index)
-            metrics = run_round(nodes, plan, config, rng, links)
+            metrics = run_round(nodes, alive, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):
                 ok = False

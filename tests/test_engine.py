@@ -1,20 +1,25 @@
+import copy
 import dataclasses
 import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_engine as reference
 from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
 from amdiscnt.engine import run_round, run_simulation
 from amdiscnt.model import (
     ConfigurationError,
+    DelayModel,
     HeterogeneitySpec,
     NetworkConfig,
     Node,
     Position,
     RegionId,
 )
-from amdiscnt.protocols import BS_ID, DistanceCache, ProtocolKind, build_plan
+from amdiscnt.protocols import DistanceCache, ProtocolKind, TransmissionPlan, build_plan
 
 AMDISCNT = ProtocolKind("amdiscnt")
 
@@ -119,7 +124,7 @@ def _one_round(nodes, ch_set, config):
     links = DistanceCache(nodes, config.radio)
     alive = [node for node in nodes if node.alive]
     plan = build_plan(nodes, alive, ch_set, AMDISCNT, links)
-    return plan, run_round(nodes, plan, config, Random(0), links)
+    return plan, run_round(nodes, alive, plan, config, Random(0), links)
 
 
 def _direct_sender(residual):
@@ -180,10 +185,75 @@ def test_relayed_aggregate_pays_both_legs():
               initial_energy=0.5, residual_energy=0.5)
     radio = NetworkConfig().radio
     plan, metrics = _one_round([relay, ch], {1}, NetworkConfig())
-    assert plan.routes == [(1, (0, BS_ID))]
+    assert plan.routes == [(1, 0)]
     assert plan.direct == [0]
     assert metrics.packets_sent_to_bs == metrics.packets_received_by_bs == 2
     assert metrics.mean_delay == 1.5
     assert ch.residual_energy == 0.5 - aggregation_cost(4000, 1, radio) - tx_cost(4000, 80.0, radio)
     assert relay.residual_energy == 0.5 - rx_cost(4000, radio) - tx_cost(4000, 20.0, radio) \
         - tx_cost(4000, 20.0, radio)
+
+
+@st.composite
+def hand_built_rounds(draw):
+    """A few placed nodes, one round of transmissions for them, a lossy or
+    loss-free config and a seed. Budgets include dead nodes and exact
+    costs, so nodes die on the spot in every phase."""
+    radio = NetworkConfig().radio
+    bits = radio.packet_bits
+    n = draw(st.integers(min_value=2, max_value=12))
+    nodes = []
+    for i in range(n):
+        inner = draw(st.booleans())
+        radius = draw(st.floats(0.5, 20.0) if inner else st.floats(20.0, 150.0))
+        angle = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
+        region = RegionId() if inner else RegionId(min(int(angle // (math.pi / 4)), 7))
+        nodes.append(Node(id=i, position=Position(radius * math.cos(angle),
+                                                  radius * math.sin(angle)),
+                          region=region, initial_energy=0.5, residual_energy=0.5))
+    inner_ids = [node.id for node in nodes if node.region.is_inner]
+    outer_ids = [node.id for node in nodes if not node.region.is_inner]
+    heads = sorted(draw(st.sets(st.sampled_from(outer_ids))) if outer_ids else set())
+    members = {}
+    for i in outer_ids:
+        if i not in heads:
+            head = draw(st.sampled_from([None] + heads))
+            if head is not None:
+                members[i] = head
+    routes = {h: draw(st.sampled_from([None] + inner_ids)) for h in heads}
+    direct = [i for i in inner_ids if draw(st.booleans())]
+    for node in nodes:
+        link = members.get(node.id, routes.get(node.id))
+        budgets = [0.0, tx_cost(bits, node.position.radius(), radio), rx_cost(bits, radio),
+                   aggregation_cost(bits, 1, radio), aggregation_cost(bits, 2, radio),
+                   rx_cost(bits, radio) + aggregation_cost(bits, 2, radio)]
+        if link is not None:
+            budgets.append(tx_cost(bits, node.position.distance_to(nodes[link].position), radio))
+        energy = draw(st.sampled_from(budgets) | st.floats(1e-6, 2e-3))
+        node.residual_energy = energy
+        node.alive = energy > 0.0  # a dead node holds exactly 0.0
+    drop = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    delay = draw(st.just(DelayModel()) | st.builds(DelayModel, st.just("distance"),
+                                                   st.floats(0.5, 5.0), st.floats(0.0, 2.0)))
+    config = NetworkConfig(link_drop_probability=drop, delay=delay)
+    return nodes, members, routes, direct, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=hand_built_rounds())
+def test_run_round_matches_reference_round(case):
+    """run_round spends, delivers and draws exactly as the straight-line
+    round, whose explicit liveness checks are the engine's first rule."""
+    nodes, members, routes, direct, config, seed = case
+    twins = copy.deepcopy(nodes)
+    alive = [node for node in nodes if node.alive]
+    plan = TransmissionPlan(sorted(members.items()), sorted(routes.items()), direct)
+    rng = Random(seed)
+    metrics = run_round(nodes, alive, plan, config, rng, DistanceCache(nodes, config.radio))
+    hops = {h: [None] if relay is None else [relay, None] for h, relay in routes.items()}
+    reference_rng = Random(seed)
+    expected = reference.replay_round(twins, members, hops, direct, config, reference_rng)
+    assert {field: getattr(metrics, field) for field in expected} == expected
+    assert [(n.residual_energy, n.alive) for n in nodes] == \
+        [(n.residual_energy, n.alive) for n in twins]
+    assert rng.getstate() == reference_rng.getstate()

@@ -10,7 +10,6 @@ from amdiscnt.energy import tx_cost
 from amdiscnt.engine import run_simulation
 from amdiscnt.model import NetworkConfig, Node, Position, RadioParams, RegionId
 from amdiscnt.protocols import (
-    BS_ID,
     DistanceCache,
     ProtocolKind,
     build_plan,
@@ -211,28 +210,28 @@ def brute_force_relay(ch, nodes):
         if cost < best_cost:
             best_id, best_cost = node.id, cost
     if best_id is None or tx_cost(bits, ch.position.radius(), RADIO) <= best_cost:
-        return (BS_ID,)
-    return (best_id, BS_ID)
+        return None
+    return best_id
 
 
 class TestRelaySelection:
     def test_no_alive_inner_node_means_direct(self):
         ch = make_node(0, 30.0, 0.0, sector=0)
         dead_inner = make_node(1, 5.0, 0.0, alive=False)
-        assert relay_of([ch, dead_inner]) == (BS_ID,)
+        assert relay_of([ch, dead_inner]) is None
 
     def test_short_haul_relay_loses_to_direct(self):
         # below the crossover the second electronics charge outweighs the
         # amplifier saving: tx(30) = 2.36e-4 < tx(25) + tx(5) = 4.26e-4
         ch = make_node(0, 30.0, 0.0, sector=0)
         inner = make_node(1, 5.0, 0.0)
-        assert relay_of([ch, inner]) == (BS_ID,)
+        assert relay_of([ch, inner]) is None
 
     def test_long_haul_relay_wins_past_crossover(self):
         # tx(100) = 7.2e-4 (multipath) > tx(80) + tx(20) = 6.72e-4
         ch = make_node(0, 100.0, 0.0, sector=0)
         inner = make_node(1, 20.0, 0.0)
-        assert relay_of([ch, inner]) == (1, BS_ID)
+        assert relay_of([ch, inner]) == 1
 
     def test_equal_cost_relays_pick_lower_id(self):
         # mirror images of each other, so the two relayed costs are
@@ -240,9 +239,9 @@ class TestRelaySelection:
         ch = make_node(0, 100.0, 0.0, sector=0)
         a = make_node(1, 20.0, 1.0)
         b = make_node(2, 20.0, -1.0)
-        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == (1, BS_ID)
+        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == 1
         a.alive = False
-        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == (2, BS_ID)
+        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == 2
 
     def test_distance_cache_agrees_with_brute_force(self):
         relayed = 0
@@ -255,9 +254,9 @@ class TestRelaySelection:
                 for ch in nodes:
                     if ch.region.is_inner:
                         continue
-                    route = select_relay(ch.id, nodes, links)
-                    assert route == brute_force_relay(ch, nodes)
-                    relayed += len(route) == 2
+                    relay = select_relay(ch.id, nodes, links)
+                    assert relay == brute_force_relay(ch, nodes)
+                    relayed += relay is not None
                 for node in nodes:
                     if rng.random() < 0.2:
                         node.alive = False
@@ -290,7 +289,7 @@ class TestPlans:
         plan = plan_of(nodes, chs, "amdiscnt")
         assert plan.members == [(1, 2)]
         assert [ch_id for ch_id, _ in plan.routes] == [2, 3]
-        assert all(route[-1] == BS_ID for _, route in plan.routes)
+        assert all(relay is None for _, relay in plan.routes)  # short hauls go direct
         assert plan.direct == [0]
         assert plan.ch_count == 2
 
@@ -309,7 +308,7 @@ class TestPlans:
         ]
         plan = plan_of(nodes, {0, 1}, "leach")
         assert plan.members == [(2, 0)]
-        assert plan.routes == [(0, (BS_ID,)), (1, (BS_ID,))]
+        assert plan.routes == [(0, None), (1, None)]
         assert plan.direct == []
 
     def test_baseline_tied_distance_prefers_lower_id(self):
@@ -337,7 +336,7 @@ class TestPlans:
                         key = lambda h: (node.position.distance_to(nodes[h].position), h)
                         expected.append((node.id, min(heads, key=key)))
                 assert plan.members == expected
-                assert plan.routes == [(h, (BS_ID,)) for h in sorted(heads)]
+                assert plan.routes == [(h, None) for h in sorted(heads)]
                 assert plan.direct == []
                 for node in nodes:
                     if rng.random() < 0.15:
