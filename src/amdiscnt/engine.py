@@ -9,21 +9,26 @@ involved is lost; a node left at exactly zero completes the action first
 and then dies. That charge is the only liveness rule: a dead node holds
 exactly ``+0.0`` and every validated cost is strictly positive, so
 charging a dead node fails before any draw and adds ``0.0`` to the ledger.
-All randomness comes from the single ``Random`` instance owned by the run,
-and it is consulted only when a lossy link is configured, so equal seeds
-give byte-identical histories.
+All randomness comes from the single ``Random(seed)`` owned by the run:
+deployment draws the placement and any energy tiers from it, the
+``leach`` and ``deec`` elections draw once per eligible node each round,
+and a lossy link draws once per paid transmission; ``amdiscnt`` on
+loss-free links draws nothing after deployment. Equal seeds therefore
+give byte-identical histories. The link table holds no randomness, so
+consecutive runs on one placement share it (see :func:`_link_table`).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
 
 from .deployment import deploy
 from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
-from .model import ConfigurationError, NetworkConfig, Node, validate_config
+from .model import ConfigurationError, NetworkConfig, Node, RadioParams, validate_config
 from .protocols import (
     DistanceCache,
     ProtocolKind,
@@ -194,6 +199,32 @@ def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
     return elect_chs_deec(alive, round_index, kind.p_opt, rng, history)
 
 
+# The last link table built, with its key; see _link_table.
+_last_table: tuple[tuple, DistanceCache] | None = None
+
+
+def _link_table(nodes: list[Node], radio: RadioParams) -> DistanceCache:
+    """The link table of ``nodes`` under ``radio``, reused across runs.
+
+    One entry is kept, keyed by the radio and every node's position and
+    region, which is all the table reads. Consecutive runs on one
+    placement, such as the protocols of one seed, share it; any other key
+    drops the stored table before the new one is built, so two tables
+    never live at once.
+    """
+    global _last_table
+    # plain values, so the key keeps no object of an earlier placement alive
+    coordinates = array("d", [v for node in nodes for v in (node.position.x, node.position.y)])
+    key = (radio, coordinates, tuple(node.region.sector for node in nodes))
+    entry = _last_table  # one read, in case another thread replaces it meanwhile
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    entry = _last_table = None  # free the old table before the new one is built
+    links = DistanceCache(nodes, radio)
+    _last_table = key, links
+    return links
+
+
 def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResult:
     """Deploy the network and run rounds until the horizon or total death."""
     problems = validate_config(config)
@@ -202,7 +233,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResul
     rng = Random(config.seed)
     placement = deploy(config, rng)
     nodes = list(placement.nodes)
-    links = DistanceCache(nodes, config.radio)
+    links = _link_table(nodes, config.radio)
     history: dict[int, int] = {}
     n = len(nodes)
     is_alive = attrgetter("alive")

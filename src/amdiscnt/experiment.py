@@ -176,6 +176,8 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
             raise ConfigurationError(
                 f"experiment.seeds: expected integers, got {settings['experiment.seeds']!r}"
             ) from None
+        if len(set(seeds)) != len(seeds):
+            raise ConfigurationError(f"experiment.seeds lists a seed twice: {list(seeds)}")
     else:
         runs = _parse(settings, "experiment.runs")
         if runs < 1:
@@ -240,7 +242,8 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
     """Run every (protocol, seed) pair and aggregate per protocol.
 
     Each seed gets its own deployment; results are keyed by protocol
-    name in request order.
+    name in request order. The loop is protocol-major, so only one
+    protocol's histories are held before aggregation.
     """
     if not protocols:
         raise ValueError("run_experiment needs at least one protocol")
@@ -248,6 +251,8 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
         raise ValueError("run_experiment needs at least one seed")
     if len({kind.name for kind in protocols}) != len(protocols):
         raise ValueError("protocol list contains duplicates")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seed list contains duplicates")
     stats: dict[str, MultiRunStats] = {}
     for kind in protocols:
         runs = [run_simulation(dataclasses.replace(config, seed=seed), kind)

@@ -7,7 +7,9 @@ imported; only the shared domain containers are touched.
 :func:`replay_rounds` runs the whole loss-free, unit-per-hop protocol;
 :func:`replay_round` executes one round of given transmissions, with
 lossy links and either delay mode, and checks liveness explicitly before
-every charge.
+every charge; :func:`replay_run` runs ``leach`` or ``deec`` from first
+round to last out of the pieces here, with members joined to the nearest
+head by brute force.
 
 The rotating ``leach`` and ``deec`` elections are kept here as first
 written, one plain loop each with the probability formula as its own
@@ -280,3 +282,44 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
             elected.add(node.id)
             history[node.id] = round_index
     return elected
+
+
+def replay_run(nodes, config, protocol, p_opt, rng):
+    """Run ``leach`` or ``deec`` on deployed nodes until the horizon or total death.
+
+    ``rng`` is the run's generator just after deployment. Each round
+    elects with the loops above, joins every alive non-head to the head
+    at the smallest ``math.hypot`` distance (lower id on a tie), sends
+    every head straight to the sink (everyone goes direct when no head
+    is elected), and executes the round with :func:`replay_round`.
+    Returns the per-round metric dicts (with ``round_index``) and the
+    first, half and last death milestones in completed rounds.
+    """
+    elect = {"leach": elect_chs_leach, "deec": elect_chs_deec}[protocol]
+    nodes = sorted(nodes, key=lambda n: n.id)
+    history = {}
+    out = []
+    milestones = [None, None, None]
+    for round_index in range(config.max_rounds):
+        heads = sorted(elect(nodes, round_index, p_opt, rng, history))
+        members = {}
+        direct = []
+        for node in nodes:
+            if not node.alive or node.id in heads:
+                continue
+            if not heads:
+                direct.append(node.id)
+                continue
+            members[node.id] = min(heads, key=lambda h: (
+                math.hypot(node.position.x - nodes[h].position.x,
+                           node.position.y - nodes[h].position.y), h))
+        routes = {h: [None] for h in heads}
+        metrics = replay_round(nodes, members, routes, direct, config, rng)
+        out.append({"round_index": round_index, **metrics})
+        dead = metrics["dead"]
+        for i, reached in enumerate((dead >= 1, 2 * dead >= len(nodes), dead == len(nodes))):
+            if milestones[i] is None and reached:
+                milestones[i] = round_index + 1
+        if dead == len(nodes):
+            break
+    return out, tuple(milestones)

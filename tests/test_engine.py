@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import weakref
 from random import Random
 
 import pytest
@@ -8,18 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine as reference
+from amdiscnt import engine
+from amdiscnt.deployment import deploy
 from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
 from amdiscnt.engine import run_round, run_simulation
 from amdiscnt.model import (
+    DEPLOYMENT_MODES,
     ConfigurationError,
     DelayModel,
+    Geometry,
     HeterogeneitySpec,
     NetworkConfig,
     Node,
     Position,
+    RadioParams,
     RegionId,
 )
-from amdiscnt.protocols import DistanceCache, ProtocolKind, TransmissionPlan, build_plan
+from amdiscnt.protocols import (
+    PROTOCOL_NAMES,
+    DistanceCache,
+    ProtocolKind,
+    TransmissionPlan,
+    build_plan,
+)
 
 AMDISCNT = ProtocolKind("amdiscnt")
 
@@ -78,7 +90,6 @@ def test_residual_energy_never_increases():
 def test_energy_conservation_round_by_round():
     config = small_config()
     res = run_simulation(config, AMDISCNT)
-    from amdiscnt.deployment import deploy
     start = deploy(config, Random(config.seed)).total_initial_energy
     previous = start
     for m in res.per_round:
@@ -194,6 +205,10 @@ def test_relayed_aggregate_pays_both_legs():
         - tx_cost(4000, 20.0, radio)
 
 
+delay_models = st.just(DelayModel()) | st.builds(DelayModel, st.just("distance"),
+                                                 st.floats(0.5, 5.0), st.floats(0.0, 2.0))
+
+
 @st.composite
 def hand_built_rounds(draw):
     """A few placed nodes, one round of transmissions for them, a lossy or
@@ -233,8 +248,7 @@ def hand_built_rounds(draw):
         node.residual_energy = energy
         node.alive = energy > 0.0  # a dead node holds exactly 0.0
     drop = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
-    delay = draw(st.just(DelayModel()) | st.builds(DelayModel, st.just("distance"),
-                                                   st.floats(0.5, 5.0), st.floats(0.0, 2.0)))
+    delay = draw(delay_models)
     config = NetworkConfig(link_drop_probability=drop, delay=delay)
     return nodes, members, routes, direct, config, draw(st.integers(0, 2**32 - 1))
 
@@ -257,3 +271,139 @@ def test_run_round_matches_reference_round(case):
     assert [(n.residual_energy, n.alive) for n in nodes] == \
         [(n.residual_energy, n.alive) for n in twins]
     assert rng.getstate() == reference_rng.getstate()
+
+
+@st.composite
+def small_configs(draw):
+    """Small fields in every energy mode, lossy or loss-free, with either
+    delay mode; batteries are low enough that nodes die within 50 rounds."""
+    e0 = draw(st.floats(0.001, 0.02))
+    heterogeneity = draw(st.sampled_from([
+        HeterogeneitySpec.homogeneous(e0),
+        HeterogeneitySpec.two_level(e0, 0.2, 1.0),
+        HeterogeneitySpec.three_level(e0, 0.3, 0.5, 1.5, 2.0),
+        HeterogeneitySpec.multi_level(e0, 2.0),
+    ]))
+    return NetworkConfig(
+        n_nodes=draw(st.integers(9, 30)),
+        # the wide field puts heads past the radio crossover, where amdiscnt relays
+        geometry=draw(st.sampled_from([Geometry(), Geometry(120.0, 150.0)])),
+        heterogeneity=heterogeneity,
+        max_rounds=50,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        deployment_mode=draw(st.sampled_from(DEPLOYMENT_MODES)),
+        link_drop_probability=draw(st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0)),
+        delay=draw(delay_models),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=small_configs(), name=st.sampled_from(PROTOCOL_NAMES))
+def test_ledger_equals_residual_drop_property(config, name):
+    previous = deploy(config, Random(config.seed)).total_initial_energy
+    for m in run_simulation(config, ProtocolKind(name)).per_round:
+        drop = previous - m.total_residual_energy
+        assert drop == pytest.approx(m.energy_spent, rel=1e-9, abs=1e-15)
+        previous = m.total_residual_energy
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=small_configs(), name=st.sampled_from(["leach", "deec"]),
+       p_opt=st.sampled_from([0.1, 0.2]) | st.floats(0.05, 0.5))
+def test_baseline_run_matches_reference_replay(config, name, p_opt):
+    """A whole leach or deec run equals the straight-line replay: reference
+    election, brute-force nearest head and reference round, draw for draw."""
+    kind = ProtocolKind(name, p_opt)
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "Random", lambda seed: made.append(Random(seed)) or made[-1])
+        result = run_simulation(config, kind)
+    rng = Random(config.seed)
+    nodes = list(deploy(config, rng).nodes)
+    rounds, milestones = reference.replay_run(nodes, config, name, p_opt, rng)
+    assert [dataclasses.asdict(m) for m in result.per_round] == rounds
+    assert (result.first_node_death, result.half_nodes_death,
+            result.last_node_death) == milestones
+    assert made[0].getstate() == rng.getstate()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Empty the link-table memo and record the radio of every table built."""
+    monkeypatch.setattr(engine, "_last_table", None)
+    made = []
+
+    def counting(nodes, radio):
+        made.append(radio)
+        return DistanceCache(nodes, radio)
+
+    monkeypatch.setattr(engine, "DistanceCache", counting)
+    return made
+
+
+def test_protocols_on_one_placement_build_one_table(builds):
+    config = small_config(max_rounds=20)
+    for name in PROTOCOL_NAMES:
+        run_simulation(config, ProtocolKind(name))
+    assert builds == [config.radio]
+
+
+@pytest.mark.parametrize("change", [
+    {"radio": RadioParams(packet_bits=2000)},
+    {"geometry": Geometry(25.0, 40.0)},
+    {"seed": 43},
+    {"n_nodes": 10},
+], ids=["packet_bits", "geometry", "seed", "n_nodes"])
+def test_other_placement_or_radio_builds_a_fresh_table(builds, monkeypatch, change):
+    config = small_config(max_rounds=30)
+    changed = dataclasses.replace(config, **change)
+    run_simulation(config, ProtocolKind("leach"))
+    after = run_simulation(changed, ProtocolKind("leach"))
+    assert builds == [config.radio, changed.radio]
+    monkeypatch.setattr(engine, "_last_table", None)
+    assert run_simulation(changed, ProtocolKind("leach")) == after
+
+
+def test_region_change_alone_builds_a_fresh_table(builds):
+    radio = RadioParams()
+
+    def nodes(far_region):
+        return [Node(0, Position(10.0, 0.0), RegionId(), 0.5, 0.5),
+                Node(1, Position(30.0, 0.0), far_region, 0.5, 0.5)]
+
+    first = engine._link_table(nodes(RegionId(0)), radio)
+    assert engine._link_table(nodes(RegionId(0)), radio) is first
+    assert engine._link_table(nodes(RegionId()), radio).inner == [0, 1]
+    assert builds == [radio, radio]
+
+
+def test_old_table_is_freed_before_the_next_is_built(builds, monkeypatch):
+    config = small_config(max_rounds=1)
+    run_simulation(config, AMDISCNT)
+    old = weakref.ref(engine._last_table[1])
+    old_alive_at_build = []
+
+    def watching(nodes, radio):
+        old_alive_at_build.append(old() is not None)
+        return DistanceCache(nodes, radio)
+
+    monkeypatch.setattr(engine, "DistanceCache", watching)
+    run_simulation(dataclasses.replace(config, seed=43), AMDISCNT)
+    assert old_alive_at_build == [False]
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_reused_table_gives_the_fresh_history(builds, monkeypatch, name):
+    # lossy, distance-delayed and wide enough that amdiscnt heads relay
+    config = NetworkConfig(n_nodes=40, geometry=Geometry(120.0, 150.0), max_rounds=300,
+                           heterogeneity=HeterogeneitySpec.two_level(0.05, 0.2, 1.0), seed=8,
+                           link_drop_probability=0.1,
+                           delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
+    for other in PROTOCOL_NAMES:  # the table gains relay and neighbour orders on the way
+        if other != name:
+            run_simulation(config, ProtocolKind(other))
+    reused = run_simulation(config, ProtocolKind(name))
+    assert len(builds) == 1
+    monkeypatch.setattr(engine, "_last_table", None)
+    assert run_simulation(config, ProtocolKind(name)) == reused
+    assert len(builds) == 2

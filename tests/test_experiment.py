@@ -97,6 +97,12 @@ def test_seeds_and_runs_conflict_in_file():
         build_spec({"experiment.seeds": "1,2", "experiment.runs": "3"})
 
 
+def test_duplicate_seeds_rejected_by_name():
+    # one placement run twice would count as two runs with a zero-width band
+    with pytest.raises(ConfigurationError, match="experiment.seeds lists a seed twice"):
+        build_spec({"experiment.seeds": "1, 2, 1"})
+
+
 def test_explicit_seed_list():
     spec = build_spec({"experiment.seeds": "7, 8, 11"})
     assert spec.seeds == (7, 8, 11)
@@ -157,7 +163,8 @@ def valid_specs(draw):
     return ExperimentSpec(
         network=network,
         protocols=tuple(ProtocolKind(name, p_opt) for name in names),
-        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6))),
+        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6,
+                                  unique=True))),
         confidence=draw(_open_unit()),
     )
 
@@ -204,6 +211,14 @@ def test_run_experiment_rejects_empty_inputs():
         run_experiment(config, [], [1])
     with pytest.raises(ValueError):
         run_experiment(config, [ProtocolKind("leach")], [])
+
+
+def test_run_experiment_rejects_duplicates():
+    config = NetworkConfig()
+    with pytest.raises(ValueError, match="protocol"):
+        run_experiment(config, [ProtocolKind("leach"), ProtocolKind("leach")], [1])
+    with pytest.raises(ValueError, match="seed"):
+        run_experiment(config, [ProtocolKind("leach")], [1, 1])
 
 
 def test_emit_census_and_round_trip(tmp_path):
@@ -286,6 +301,12 @@ def test_main_reports_config_errors(tmp_path, capsys):
     bad.write_text("[network]\nn_nodes = 3\n")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "n_nodes" in capsys.readouterr().err
+
+
+def test_main_rejects_duplicate_seeds(tmp_path, capsys):
+    assert main(["--seeds", "1,1", "--out", str(tmp_path / "o")]) == 1
+    assert "experiment.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_rejects_unknown_protocol(tmp_path, capsys):
