@@ -37,7 +37,7 @@ class OutOfFieldError(ValueError):
 
 
 class DegenerateDeploymentError(ValueError):
-    """The node budget leaves at least one region empty."""
+    """The node budget leaves a region empty, or the field cannot hold a node."""
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def deploy(config: NetworkConfig, rng: Random) -> DeploymentResult:
     Nodes are placed inner region first, then sectors 0..7, with ids
     assigned sequentially from 0; energies are drawn afterwards in one
     block. Raises :class:`DegenerateDeploymentError` when any region would
-    receive no node.
+    receive no node, or when a node drawn for a region rounds outside it.
     """
     inner_count, sector_counts = region_node_counts(config.n_nodes, config.inner_fraction)
     if inner_count <= 0 or any(c <= 0 for c in sector_counts):
@@ -175,19 +175,22 @@ def deploy(config: NetworkConfig, rng: Random) -> DeploymentResult:
             f"{config.n_nodes} nodes with inner fraction {config.inner_fraction:.4g} "
             f"leave at least one region empty (inner={inner_count}, sectors={sector_counts})")
 
-    geometry = config.geometry
-    positions = [sample_inner_position(rng, geometry, config.deployment_mode)
-                 for _ in range(inner_count)]
+    geometry, mode = config.geometry, config.deployment_mode
+    placed = [(INNER, sample_inner_position(rng, geometry, mode)) for _ in range(inner_count)]
     for sector in range(N_SECTORS):
-        positions.extend(
-            sample_outer_position(rng, geometry, sector, config.deployment_mode)
-            for _ in range(sector_counts[sector]))
+        placed += [(RegionId(sector), sample_outer_position(rng, geometry, sector, mode))
+                   for _ in range(sector_counts[sector])]
+    for region, pos in placed:
+        # in an annulus a few float steps wide, rounding can carry a drawn radius out of it
+        if pos.radius() > geometry.r_outer or region_of(pos, geometry) != region:
+            raise DegenerateDeploymentError(
+                f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)
     nodes = [
-        Node(id=i, position=pos, region=region_of(pos, geometry),
+        Node(id=i, position=pos, region=region,
              initial_energy=e, residual_energy=e, alive=True, tier_scale=scale)
-        for i, (pos, (e, scale)) in enumerate(zip(positions, energies))
+        for i, ((region, pos), (e, scale)) in enumerate(zip(placed, energies))
     ]
     counts = dict(Counter(node.region for node in nodes))
     total = math.fsum(e for e, _ in energies)

@@ -248,11 +248,8 @@ def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: Pro
         direct = [node.id for node in alive]
     else:
         orders = links.neighbour_orders()
-        mask = bytearray(len(nodes))
-        for ch_id in heads:
-            mask[ch_id] = 1
-        is_head = mask.__getitem__
+        is_head = ch_set.__contains__
         # each member takes the first head in its own (distance, id) order
         members = [(node.id, next(filter(is_head, orders[node.id])))
-                   for node in alive if not mask[node.id]]
+                   for node in alive if node.id not in ch_set]
     return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], direct, round_index)

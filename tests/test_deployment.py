@@ -2,6 +2,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amdiscnt.deployment import (
     DegenerateDeploymentError,
@@ -15,6 +17,9 @@ from amdiscnt.deployment import (
     theoretical_total_energy,
 )
 from amdiscnt.model import (
+    DEPLOYMENT_MODES,
+    INNER,
+    N_SECTORS,
     Geometry,
     HeterogeneitySpec,
     NetworkConfig,
@@ -168,3 +173,58 @@ def test_deploy_total_matches_two_level_closed_form():
     config = NetworkConfig()
     result = deploy(config, Random(9))
     assert result.total_initial_energy == 60.0
+
+
+@st.composite
+def deployments(draw):
+    r_inner = draw(st.floats(min_value=0.01, max_value=1e4))
+    # a ring at least 1% wide, or any wider radius down to the next float
+    geometry = Geometry(r_inner, draw(st.one_of(
+        st.floats(min_value=1.01, max_value=100.0).map(lambda ratio: r_inner * ratio),
+        st.floats(min_value=r_inner, max_value=2e4, exclude_min=True))))
+    n = draw(st.integers(9, 300))
+    # a fraction that leaves every region populated, or any in (0, 1)
+    fraction = draw(st.one_of(
+        st.integers(1, n - N_SECTORS).map(lambda inner: inner / n),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)))
+    return NetworkConfig(n_nodes=n, geometry=geometry, inner_fraction=fraction,
+                         deployment_mode=draw(st.sampled_from(DEPLOYMENT_MODES)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=deployments(), seed=st.integers(0, 2**64))
+def test_every_node_lies_in_its_intended_region(config, seed):
+    inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)
+    if inner <= 0 or min(sectors) <= 0:
+        with pytest.raises(DegenerateDeploymentError):
+            deploy(config, Random(seed))
+        return
+    geo = config.geometry
+    try:
+        result = deploy(config, Random(seed))
+    except DegenerateDeploymentError:
+        # a node is lost to rounding about once in 1e16 * width / r_outer draws
+        assert geo.r_outer - geo.r_inner < 1e-9 * geo.r_outer
+        return
+    # placement goes inner region first, then sectors 0..7
+    intended = [INNER] * inner
+    for sector in range(N_SECTORS):
+        intended += [RegionId(sector)] * sectors[sector]
+    assert [node.region for node in result.nodes] == intended
+    for node in result.nodes:
+        assert node.region == region_of(node.position, geo)
+        r = node.position.radius()
+        if node.region.is_inner:
+            assert 0.0 < r <= geo.r_inner
+        else:
+            assert geo.r_inner < r <= geo.r_outer
+    expected_counts = {INNER: inner, **{RegionId(s): sectors[s] for s in range(N_SECTORS)}}
+    assert result.per_region_counts == expected_counts
+
+
+def test_annulus_too_thin_for_rounding_is_rejected_by_name():
+    # one float step wide: most outer draws round onto r_inner or past r_outer
+    config = NetworkConfig(n_nodes=16, inner_fraction=0.5,
+                           geometry=Geometry(4913.0, math.nextafter(4913.0, math.inf)))
+    with pytest.raises(DegenerateDeploymentError, match="too thin"):
+        deploy(config, Random(0))

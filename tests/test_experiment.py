@@ -1,5 +1,6 @@
 import csv
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,34 @@ def test_emit_census_and_round_trip(tmp_path):
     names = sorted(os.path.basename(p) for p in manifest)
     assert names == ["amdiscnt.csv", "deec.csv", "leach.csv", "meta", "summary.csv"]
     assert read_tables(str(out)) == stats
+
+
+@st.composite
+def short_batteries(draw):
+    """Small fields on small batteries, so nodes die and milestones fall inside the horizon."""
+    network = NetworkConfig(
+        n_nodes=draw(st.integers(9, 30)),
+        heterogeneity=HeterogeneitySpec.multi_level(draw(st.floats(2e-4, 0.02)),
+                                                    draw(_non_negative(3.0))),
+        max_rounds=draw(st.integers(0, 40)),
+        link_drop_probability=draw(_non_negative(0.5)),
+        delay=DelayModel(draw(st.sampled_from(DELAY_MODES)), draw(st.floats(1.0, 1e3)),
+                         draw(_non_negative(1.0))),
+    )
+    seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=3, unique=True))
+    confidence = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]), _open_unit()))
+    return network, seeds, confidence
+
+
+@settings(deadline=None, max_examples=40)
+@given(battery=short_batteries())
+def test_emit_read_round_trip_property(battery):
+    network, seeds, confidence = battery
+    stats = run_experiment(network, [ProtocolKind(name) for name in PROTOCOL_NAMES], seeds,
+                           confidence)
+    with tempfile.TemporaryDirectory() as out:
+        emit_tables(stats, out, seeds=tuple(seeds), config=network)
+        assert read_tables(out) == stats
 
 
 def test_summary_rows_follow_request_order(tmp_path):

@@ -382,6 +382,62 @@ class TestPlans:
         assert plan.routes == []
 
 
+# grid coordinates make equal distances common; mirrored and copied points force them
+_coordinates = st.one_of(st.sampled_from([-12.5, 0.0, 12.5, 40.0]),
+                         st.floats(min_value=-150.0, max_value=150.0))
+_mirrors = [lambda x, y: (x, y), lambda x, y: (x, -y), lambda x, y: (-x, y),
+            lambda x, y: (-x, -y)]
+
+
+@st.composite
+def tied_baseline_rounds(draw):
+    """A 2-40 node field with co-located nodes, mirror-image pairs and dead
+    nodes, and one round's heads: none, one, or many of the alive nodes."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    points = [(draw(_coordinates), draw(_coordinates))]
+    while len(points) < n:
+        # a fresh point, or a co-located copy or a mirror image of an earlier one
+        source = draw(st.sampled_from(points))
+        points.append(draw(st.one_of(st.tuples(_coordinates, _coordinates),
+                                     st.sampled_from(_mirrors).map(lambda f: f(*source)))))
+    # about a quarter dead
+    alive = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
+    nodes = [make_node(i, x, y, alive=a) for i, ((x, y), a) in enumerate(zip(points, alive))]
+    alive_ids = [node.id for node in nodes if node.alive]
+    count = draw(st.sampled_from(["many", "one", "none"]))
+    if count == "none" or not alive_ids:
+        heads = set()
+    elif count == "one":
+        heads = {draw(st.sampled_from(alive_ids))}
+    else:
+        heads = set(draw(st.lists(st.sampled_from(alive_ids), min_size=min(2, len(alive_ids)),
+                                  unique=True)))
+    return nodes, heads
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=tied_baseline_rounds(), name=st.sampled_from(["leach", "deec"]))
+def test_baseline_plan_matches_brute_force_with_ties(case, name):
+    nodes, heads = case
+    ch_set = set(heads)
+    alive = [node for node in nodes if node.alive]
+    plan = build_plan(nodes, alive, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
+    assert ch_set == heads
+
+    def nearest(node):
+        return min(heads, key=lambda h: (math.hypot(node.position.x - nodes[h].position.x,
+                                                    node.position.y - nodes[h].position.y), h))
+
+    if heads:
+        assert plan.members == [(node.id, nearest(node)) for node in alive
+                                if node.id not in heads]
+        assert plan.direct == []
+    else:
+        assert plan.members == []
+        assert plan.direct == [node.id for node in alive]
+    assert plan.routes == [(h, None) for h in sorted(heads)]
+
+
 class TestProtocolKind:
     def test_rejects_unknown_name(self):
         with pytest.raises(ValueError):
