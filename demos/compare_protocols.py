@@ -27,7 +27,8 @@ for index in (0, 250, 500, 750, 1000, 1250, 1500, 1750, 2000, 2500):
     for bundle in stats.values():
         if index < bundle.rounds:
             mean = bundle.per_round_mean["alive"][index]
-            lo, hi = bundle.per_round_ci["alive"][index]
+            lo = bundle.per_round_lo["alive"][index]
+            hi = bundle.per_round_hi["alive"][index]
             cells.append(f"{mean:6.1f} [{lo:6.1f},{hi:6.1f}]")
         else:
             cells.append(" " * 22)

@@ -40,7 +40,7 @@ from .protocols import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundMetrics:
     round_index: int
     alive: int

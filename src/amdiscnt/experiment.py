@@ -18,10 +18,11 @@ import csv
 import dataclasses
 import os
 import sys
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .engine import run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
@@ -242,8 +243,9 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
     """Run every (protocol, seed) pair and aggregate per protocol.
 
     Each seed gets its own deployment; results are keyed by protocol
-    name in request order. The loop is protocol-major, so only one
-    protocol's histories are held before aggregation.
+    name in request order. The loop is protocol-major, and each
+    protocol's histories are freed once aggregated, so only one
+    protocol's histories are ever held.
     """
     if not protocols:
         raise ValueError("run_experiment needs at least one protocol")
@@ -255,13 +257,10 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
         raise ValueError("seed list contains duplicates")
     stats: dict[str, MultiRunStats] = {}
     for kind in protocols:
-        runs = [run_simulation(dataclasses.replace(config, seed=seed), kind)
-                for seed in seeds]
-        stats[kind.name] = aggregate_runs(runs, confidence)
+        stats[kind.name] = aggregate_runs(
+            [run_simulation(dataclasses.replace(config, seed=seed), kind) for seed in seeds],
+            confidence)
     return stats
-
-
-_lo, _hi = itemgetter(0), itemgetter(1)
 
 
 def _series_header() -> list[str]:
@@ -292,8 +291,8 @@ def emit_tables(stats: dict[str, MultiRunStats], out_dir: str, *,
     for name, bundle in stats.items():
         columns: list[Iterable] = [range(bundle.rounds)]
         for metric in METRIC_NAMES:
-            ci = bundle.per_round_ci[metric]
-            columns += (bundle.per_round_mean[metric], map(_lo, ci), map(_hi, ci))
+            columns += (bundle.per_round_mean[metric], bundle.per_round_lo[metric],
+                        bundle.per_round_hi[metric])
         with _open(f"{name}.csv") as handle:
             # no cell holds a comma, quote or newline, so csv.writer would quote nothing
             handle.write(",".join(_series_header()) + "\n")
@@ -347,27 +346,24 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
 
     stats: dict[str, MultiRunStats] = {}
     for name in protocols:
-        means: dict[str, list[float]] = {metric: [] for metric in METRIC_NAMES}
-        cis: dict[str, list[tuple[float, float]]] = {metric: [] for metric in METRIC_NAMES}
         with open(os.path.join(out_dir, f"{name}.csv"), "r", encoding="utf-8",
                   newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader)
             if header != _series_header():
                 raise ValueError(f"unexpected series header in {name}.csv")
-            rounds = 0
+            # one column per header cell after "round": each metric's mean, lo, hi
+            columns = [array("d") for _ in header[1:]]
             for row in reader:
-                rounds += 1
-                for i, metric in enumerate(METRIC_NAMES):
-                    base = 1 + 3 * i
-                    means[metric].append(float(row[base]))
-                    cis[metric].append((float(row[base + 1]), float(row[base + 2])))
+                for column, cell in zip(columns, row[1:], strict=True):
+                    column.append(float(cell))
         stats[name] = MultiRunStats(
             runs=runs,
-            rounds=rounds,
+            rounds=len(columns[0]),
             confidence=confidence,
-            per_round_mean={metric: tuple(v) for metric, v in means.items()},
-            per_round_ci={metric: tuple(v) for metric, v in cis.items()},
+            per_round_mean=dict(zip(METRIC_NAMES, columns[0::3])),
+            per_round_lo=dict(zip(METRIC_NAMES, columns[1::3])),
+            per_round_hi=dict(zip(METRIC_NAMES, columns[2::3])),
             milestones=milestones[name],
         )
     return stats

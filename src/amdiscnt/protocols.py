@@ -63,15 +63,15 @@ class TransmissionPlan:
 class DistanceCache:
     """Link table of one fixed placement.
 
-    Holds the pairwise distances (``rows[a][b]``), each node's distance
-    and transmit cost to the base station, and each cluster head's relay
-    order: the inner nodes whose two-leg cost to the base station is
-    strictly below the head's direct cost, sorted by (cost, id). A relay
-    order is built the first time its node heads a cluster. The
-    neighbour orders list, for each node, every node id sorted by
-    (distance from it, id), as compact ``array`` rows; they are built
-    all at once, the first time a baseline plan asks for them, so runs
-    that never join members to the nearest head never pay for them.
+    Holds the pairwise distances (``rows[a][b]``, one ``array('d')`` per
+    node), each node's distance and transmit cost to the base station, and
+    each cluster head's relay order: the inner nodes whose two-leg cost to
+    the base station is strictly below the head's direct cost, sorted by
+    (cost, id). A relay order is built the first time its node heads a
+    cluster. The neighbour orders list, for each node, every node id
+    sorted by (distance from it, id), as compact ``array`` rows; they are
+    built all at once, the first time a baseline plan asks for them, so
+    runs that never join members to the nearest head never pay for them.
     ``nodes`` must be listed by id, 0..n-1 (deployment order).
     """
 
@@ -85,11 +85,11 @@ class DistanceCache:
         self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
         self.inner = [node.id for node in nodes if node.region.is_inner]
         # hypot(-u, -v) == hypot(u, v) exactly, so each distance is computed once
-        rows: list[list[float]] = []
+        rows: list[array] = []
         for i, (x, y) in enumerate(zip(xs, ys)):
-            row = [other[i] for other in rows]
-            row.append(0.0)
-            row += map(math.hypot, [x - xj for xj in xs[i + 1:]], [y - yj for yj in ys[i + 1:]])
+            row = array("d", [other[i] for other in rows] + [0.0])
+            row.extend(map(math.hypot, [x - xj for xj in xs[i + 1:]],
+                           [y - yj for yj in ys[i + 1:]]))
             rows.append(row)
         self.rows = rows
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
@@ -113,8 +113,8 @@ class DistanceCache:
         orders = self._neighbour_orders
         if orders is None:
             ids = range(len(self.rows))
-            # sorted is stable, so equal distances keep ascending id
-            orders = [array("H", sorted(ids, key=row.__getitem__)) for row in self.rows]
+            # sorted is stable, so equal distances keep ascending id; list keys allocate no floats
+            orders = [array("H", sorted(ids, key=row.tolist().__getitem__)) for row in self.rows]
             self._neighbour_orders = orders
         return orders
 

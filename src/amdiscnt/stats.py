@@ -11,6 +11,7 @@ per-round traffic, head counts and delay pad as zero.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -56,7 +57,10 @@ def confidence_interval(values: list[float], confidence: float = 0.95) -> tuple[
 def _normal_quantile(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    upper = 0.5 + confidence / 2.0
+    if upper == 1.0:  # the largest float below 1 rounds up here; its lower tail is exact
+        return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
+    return NormalDist().inv_cdf(upper)
 
 
 @dataclass(frozen=True)
@@ -79,8 +83,9 @@ class MultiRunStats:
     runs: int
     rounds: int
     confidence: float
-    per_round_mean: dict[str, tuple[float, ...]]
-    per_round_ci: dict[str, tuple[tuple[float, float], ...]]
+    per_round_mean: dict[str, array]
+    per_round_lo: dict[str, array]
+    per_round_hi: dict[str, array]
     milestones: MilestoneSummary
 
 
@@ -118,19 +123,18 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
     n = len(results)
     z = _normal_quantile(confidence)
     root_n = math.sqrt(n)
-    per_round_mean: dict[str, tuple[float, ...]] = {}
-    per_round_ci: dict[str, tuple[tuple[float, float], ...]] = {}
+    per_round_mean, per_round_lo, per_round_hi = {}, {}, {}
     for name, (field, freezes) in _COLUMNS.items():
-        means = []
-        cis = []
+        means = per_round_mean[name] = array("d")
+        los = per_round_lo[name] = array("d")
+        his = per_round_hi[name] = array("d")
         for values in zip(*[_column(run, field, freezes, rounds) for run in results]):
             # confidence_interval's arithmetic, with the mean taken once
             mean = math.fsum(values) / n
             half = z * math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) / root_n
             means.append(mean)
-            cis.append((mean - half, mean + half))
-        per_round_mean[name] = tuple(means)
-        per_round_ci[name] = tuple(cis)
+            los.append(mean - half)
+            his.append(mean + half)
 
     def milestone_mean(pick) -> float:
         return math.fsum(float(pick(r) if pick(r) is not None else rounds) for r in results) / n
@@ -147,6 +151,7 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
         rounds=rounds,
         confidence=confidence,
         per_round_mean=per_round_mean,
-        per_round_ci=per_round_ci,
+        per_round_lo=per_round_lo,
+        per_round_hi=per_round_hi,
         milestones=milestones,
     )

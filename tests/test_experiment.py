@@ -1,11 +1,13 @@
 import csv
 import os
 import tempfile
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amdiscnt import experiment
 from amdiscnt.experiment import (
     PRESETS,
     ExperimentSpec,
@@ -203,7 +205,27 @@ def test_single_pair_means_equal_raw_run():
     for i, m in enumerate(raw.per_round):
         assert bundle.per_round_mean["alive"][i] == float(m.alive)
         assert bundle.per_round_mean["energy"][i] == m.total_residual_energy
-        assert bundle.per_round_ci["energy"][i] == (m.total_residual_energy,) * 2
+        assert (bundle.per_round_lo["energy"][i], bundle.per_round_hi["energy"][i]) == \
+            (m.total_residual_energy,) * 2
+
+
+def test_histories_are_freed_before_the_next_protocol_runs(monkeypatch):
+    simulate = experiment.run_simulation
+    made: dict[str, list[weakref.ref]] = {}
+    first_alive_at_switch = []
+
+    def recording(config, kind):
+        if kind.name == "leach" and "leach" not in made:
+            first_alive_at_switch.extend(ref() is not None for ref in made["amdiscnt"])
+        result = simulate(config, kind)
+        made.setdefault(kind.name, []).append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(experiment, "run_simulation", recording)
+    stats = run_experiment(NetworkConfig(n_nodes=20, max_rounds=5),
+                           [ProtocolKind("amdiscnt"), ProtocolKind("leach")], [1, 2])
+    assert first_alive_at_switch == [False, False]
+    assert stats["leach"].runs == 2
 
 
 def test_run_experiment_rejects_empty_inputs():

@@ -1,4 +1,5 @@
 import math
+from array import array
 from random import Random
 
 import pytest
@@ -270,6 +271,29 @@ class TestRelaySelection:
             assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
             for b in nodes:
                 assert links.rows[a.id][b.id] == a.position.distance_to(b.position)
+
+
+@st.composite
+def mirrored_fields(draw):
+    """Nodes anywhere around the sink, each possibly joined by mirror images of itself."""
+    coordinate = st.floats(-150.0, 150.0, allow_nan=False)
+    points = []
+    for x, y in draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)):
+        points.append((x, y))
+        points += draw(st.lists(st.sampled_from([(-x, y), (x, -y), (-x, -y)]), max_size=3))
+    return [make_node(i, x, y) for i, (x, y) in enumerate(points)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(nodes=mirrored_fields())
+def test_link_rows_are_symmetric_hypot_arrays(nodes):
+    # each pair's distance is computed once, from the lower id, and copied
+    links = DistanceCache(nodes, RADIO)
+    assert all(type(row) is array and row.typecode == "d" for row in links.rows)
+    for a in nodes:
+        for b in nodes:
+            d = math.hypot(a.position.x - b.position.x, a.position.y - b.position.y)
+            assert links.rows[a.id][b.id] == links.rows[b.id][a.id] == d
 
 
 class TestPlans:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -61,6 +62,12 @@ class TestConfidenceInterval:
             with pytest.raises(ValueError):
                 confidence_interval([1.0, 2.0], bad)
 
+    def test_every_confidence_below_one_has_a_finite_band(self):
+        confidence = math.nextafter(1.0, 0.0)  # 0.5 + confidence / 2 rounds to 1.0
+        lo, hi = confidence_interval([1.0, 2.0, 4.0], confidence)
+        assert -math.inf < lo < 1.0 and 4.0 < hi < math.inf
+        assert aggregate_runs([make_result([90]), make_result([94])], confidence).runs == 2
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             confidence_interval([], 0.95)
@@ -94,17 +101,17 @@ class TestAggregateRuns:
         stats = aggregate_runs(runs, 0.95)
         assert stats.runs == 5
         assert stats.rounds == 3
-        assert stats.per_round_mean["alive"] == (100.0, 99.0, 98.0)
+        assert stats.per_round_mean["alive"].tolist() == [100.0, 99.0, 98.0]
         for metric in METRIC_NAMES:
-            for (lo, hi), mean in zip(stats.per_round_ci[metric],
-                                      stats.per_round_mean[metric]):
+            for lo, mean, hi in zip(stats.per_round_lo[metric], stats.per_round_mean[metric],
+                                    stats.per_round_hi[metric]):
                 assert lo == mean == hi
 
     def test_alive_fixture_matches_ci_oracle(self):
         runs = [make_result([a]) for a in (90, 92, 94)]
         stats = aggregate_runs(runs, 0.95)
         assert stats.per_round_mean["alive"][0] == 92.0
-        assert stats.per_round_ci["alive"][0] == \
+        assert (stats.per_round_lo["alive"][0], stats.per_round_hi["alive"][0]) == \
             confidence_interval([90.0, 92.0, 94.0], 0.95)
 
     def test_order_independent(self):
@@ -131,8 +138,22 @@ class TestAggregateRuns:
     def test_single_run_has_zero_width(self):
         stats = aggregate_runs([make_result([100, 99])], 0.95)
         for metric in METRIC_NAMES:
-            for lo, hi in stats.per_round_ci[metric]:
+            for lo, hi in zip(stats.per_round_lo[metric], stats.per_round_hi[metric]):
                 assert lo == hi
+
+    def test_stats_retain_under_32_bytes_per_value(self):
+        rounds = 2400
+        runs = [make_result([100 - (i + shift) // 30 for i in range(rounds)], max_rounds=rounds)
+                for shift in (0, 7)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = aggregate_runs(runs, 0.95)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.rounds == rounds
+        assert retained < 32 * len(METRIC_NAMES) * rounds
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
