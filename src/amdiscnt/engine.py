@@ -6,9 +6,10 @@ through one inner relay, then direct senders transmit to the base station.
 Every energy charge is attempted against the node's remaining budget: a
 node that cannot cover a cost spends what it has, dies, and the packet
 involved is lost; a node left at exactly zero completes the action first
-and then dies. That charge is the only liveness rule: a dead node holds
-exactly ``+0.0`` and every validated cost is strictly positive, so
-charging a dead node fails before any draw and adds ``0.0`` to the ledger.
+and then dies. A cost below the budget, the common case, is debited
+inline; only :func:`_charge` kills, and the round counts the deaths it
+records instead of taking a census. A dead node holds ``+0.0`` and every
+validated cost is positive, so charging it fails and adds ``0.0``.
 All randomness comes from the single ``Random(seed)`` owned by the run:
 deployment draws the placement and any energy tiers from it, the
 ``leach`` and ``deec`` elections draw once per eligible node each round,
@@ -81,22 +82,24 @@ class SimulationResult:
         return sum(m.packets_received_by_bs for m in self.per_round)
 
 
-def _charge(node: Node, amount: float, ledger: list[float]) -> bool:
-    """Debit ``amount`` if the node can cover it.
+def _charge(node: Node, amount: float, ledger: list[float], deaths: list[Node]) -> bool:
+    """Debit ``amount``: the charge rule at its boundary, and whole for phase 2.
 
-    Covering the cost exactly still completes the action; the node dies
-    afterwards. An uncoverable cost drains the node, kills it, and fails.
+    An exact cover completes the action and kills the node; a larger cost
+    drains it, kills it and fails. A node killed is appended to ``deaths``
+    once, since a dead node is never alive to be killed again.
     """
-    if amount <= node.residual_energy:
-        node.residual_energy -= amount
+    left = node.residual_energy
+    if amount < left:
+        node.residual_energy = left - amount
         ledger.append(amount)
-        if node.residual_energy == 0.0:
-            node.alive = False
         return True
-    ledger.append(node.residual_energy)
+    if node.alive:
+        node.alive = False
+        deaths.append(node)
     node.residual_energy = 0.0
-    node.alive = False
-    return False
+    ledger.append(left)  # all of it: the cost when it covers exactly, else the drain
+    return amount == left
 
 
 def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
@@ -104,8 +107,8 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     """Execute one transmission round, mutating node energies in place.
 
     ``nodes`` is indexed by id and ``links`` is its table for ``config.radio``.
-    ``alive`` holds every node alive at the start of the round; the census
-    is taken over it, since every other node holds exactly 0.0.
+    ``alive`` holds exactly the nodes alive at the start of the round;
+    the residual sum is taken over it, since every other node holds 0.0.
     """
     radio = config.radio
     bits = radio.packet_bits
@@ -120,22 +123,35 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     tx_to_bs = links.tx_to_bs
 
     ledger: list[float] = []
+    spend = ledger.append
+    deaths: list[Node] = []
     delivered_delays: list[float] = []
     sent = 0
     received = 0
     arrivals = [0] * len(nodes)
     longest = [0.0] * len(nodes)  # each head's longest delivered member link
 
+    # phases 1 and 3 debit a cost below the budget inline: x - y != 0 for x != y
     # phase 1: members transmit to their cluster heads
     for member_id, ch_id in plan.members:
         d = rows[member_id][ch_id]
         # tx_cost's expression with the radio constants hoisted out of the loop
         cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
-        if not _charge(nodes[member_id], cost, ledger):
+        node = nodes[member_id]
+        left = node.residual_energy
+        if cost < left:
+            node.residual_energy = left - cost
+            spend(cost)
+        elif not _charge(node, cost, ledger, deaths):
             continue
         if lossy and rng.random() < drop_p:
             continue
-        if not _charge(nodes[ch_id], rx, ledger):
+        node = nodes[ch_id]
+        left = node.residual_energy
+        if rx < left:
+            node.residual_energy = left - rx
+            spend(rx)
+        elif not _charge(node, rx, ledger, deaths):
             continue
         arrivals[ch_id] += 1
         if d > longest[ch_id]:
@@ -144,22 +160,22 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     # phase 2: cluster heads aggregate, then send straight or through one relay
     for ch_id, relay_id in plan.routes:
         signals = arrivals[ch_id] + 1  # members plus the head's own reading
-        if not _charge(nodes[ch_id], aggregation_cost(bits, signals, radio), ledger):
+        if not _charge(nodes[ch_id], aggregation_cost(bits, signals, radio), ledger, deaths):
             continue
         # link_delay never decreases with distance, so the longest link gives the max
         packet_delay = link_delay(longest[ch_id]) if signals > 1 else 0.0
         sender_id = ch_id
         if relay_id is not None:
             d = rows[ch_id][relay_id]
-            if not _charge(nodes[ch_id], tx_cost(bits, d, radio), ledger):
+            if not _charge(nodes[ch_id], tx_cost(bits, d, radio), ledger, deaths):
                 continue
             if lossy and rng.random() < drop_p:
                 continue
-            if not _charge(nodes[relay_id], rx, ledger):
+            if not _charge(nodes[relay_id], rx, ledger, deaths):
                 continue
             packet_delay += link_delay(d)
             sender_id = relay_id
-        if not _charge(nodes[sender_id], tx_to_bs[sender_id], ledger):
+        if not _charge(nodes[sender_id], tx_to_bs[sender_id], ledger, deaths):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
@@ -168,26 +184,25 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
 
     # phase 3: direct senders transmit their own readings
     for node_id in plan.direct:
-        if not _charge(nodes[node_id], tx_to_bs[node_id], ledger):
+        cost = tx_to_bs[node_id]
+        node = nodes[node_id]
+        left = node.residual_energy
+        if cost < left:
+            node.residual_energy = left - cost
+            spend(cost)
+        elif not _charge(node, cost, ledger, deaths):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
             received += 1
             delivered_delays.append(link_delay(to_bs[node_id]))
 
-    survivors = sum(map(attrgetter("alive"), alive))
+    survivors = len(alive) - len(deaths)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
-    return RoundMetrics(
-        round_index=plan.round_index,
-        alive=survivors,
-        dead=len(nodes) - survivors,
-        packets_sent_to_bs=sent,
-        packets_received_by_bs=received,
-        ch_count=plan.ch_count,
-        mean_delay=mean_delay,
-        total_residual_energy=math.fsum(map(attrgetter("residual_energy"), alive)),
-        energy_spent=math.fsum(ledger),
-    )
+    return RoundMetrics(plan.round_index, survivors, len(nodes) - survivors, sent, received,
+                        plan.ch_count, mean_delay,
+                        math.fsum(map(attrgetter("residual_energy"), alive)),
+                        math.fsum(ledger))
 
 
 def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,

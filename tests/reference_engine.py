@@ -7,9 +7,9 @@ imported; only the shared domain containers are touched.
 :func:`replay_rounds` runs the whole loss-free, unit-per-hop protocol;
 :func:`replay_round` executes one round of given transmissions, with
 lossy links and either delay mode, and checks liveness explicitly before
-every charge; :func:`replay_run` runs ``leach`` or ``deec`` from first
-round to last out of the pieces here, with members joined to the nearest
-head by brute force.
+every charge; :func:`replay_run` runs any of the three protocols from
+first round to last out of the pieces here, with relays chosen and
+members joined to the nearest head by brute force.
 
 The rotating ``leach`` and ``deec`` elections are kept here as first
 written, one plain loop each with the probability formula as its own
@@ -48,6 +48,57 @@ def _charge(node, amount, ledger):
     return False
 
 
+def _sector_plan(nodes, radio):
+    """One round of the sector-clustering protocol's roles and routes.
+
+    Elects the strongest alive node of each outer wedge (lower id on a
+    tie), sends inner alive non-heads direct, joins outer ones to their
+    wedge's head, and routes each head through the alive inner node of
+    lowest two-leg cost (lower id on a tie) when that is strictly
+    cheaper than going direct. ``nodes`` is sorted by id. Returns the
+    ``members``, ``routes`` and ``direct`` of :func:`replay_round`.
+    """
+    bits = radio.packet_bits
+    heads = {}
+    for node in nodes:
+        if node.alive and not node.region.is_inner:
+            cur = heads.get(node.region.sector)
+            if cur is None or node.residual_energy > cur.residual_energy:
+                heads[node.region.sector] = node
+    ch_ids = {n.id for n in heads.values()}
+
+    members = {}   # member id -> head id
+    routes = {}    # head id -> hop list ending in None (the sink)
+    direct = []
+    for node in nodes:
+        if not node.alive or node.id in ch_ids:
+            continue
+        if node.region.is_inner:
+            direct.append(node.id)
+        else:
+            members[node.id] = heads[node.region.sector].id
+    for ch in sorted(ch_ids):
+        ch_node = next(n for n in nodes if n.id == ch)
+        d_direct = math.hypot(ch_node.position.x, ch_node.position.y)
+        best = None
+        best_cost = math.inf
+        for cand in nodes:
+            if not cand.alive or not cand.region.is_inner or cand.id == ch:
+                continue
+            d1 = math.hypot(ch_node.position.x - cand.position.x,
+                            ch_node.position.y - cand.position.y)
+            d2 = math.hypot(cand.position.x, cand.position.y)
+            cost = _tx(bits, d1, radio) + _tx(bits, d2, radio)
+            if cost < best_cost:
+                best_cost = cost
+                best = cand.id
+        if best is None or _tx(bits, d_direct, radio) <= best_cost:
+            routes[ch] = [None]
+        else:
+            routes[ch] = [best, None]
+    return members, routes, direct
+
+
 def replay_rounds(nodes, config, n_rounds):
     """Run ``n_rounds`` of the sector-clustering protocol, loss-free.
 
@@ -56,55 +107,12 @@ def replay_rounds(nodes, config, n_rounds):
     """
     assert config.link_drop_probability == 0.0
     assert config.delay.mode == "hops"
-    radio = config.radio
-    bits = radio.packet_bits
     nodes = sorted(nodes, key=lambda n: n.id)
     out = []
-
     for round_index in range(n_rounds):
         if not any(n.alive for n in nodes):
             break
-
-        # election: strongest alive node of each outer wedge
-        heads = {}
-        for node in nodes:
-            if node.alive and not node.region.is_inner:
-                cur = heads.get(node.region.sector)
-                if cur is None or node.residual_energy > cur.residual_energy:
-                    heads[node.region.sector] = node
-        ch_ids = {n.id for n in heads.values()}
-
-        # roles and routes
-        members = {}   # member id -> head id
-        routes = {}    # head id -> hop list ending in None (the sink)
-        direct = []
-        for node in nodes:
-            if not node.alive or node.id in ch_ids:
-                continue
-            if node.region.is_inner:
-                direct.append(node.id)
-            else:
-                members[node.id] = heads[node.region.sector].id
-        for ch in sorted(ch_ids):
-            ch_node = next(n for n in nodes if n.id == ch)
-            d_direct = math.hypot(ch_node.position.x, ch_node.position.y)
-            best = None
-            best_cost = math.inf
-            for cand in nodes:
-                if not cand.alive or not cand.region.is_inner or cand.id == ch:
-                    continue
-                d1 = math.hypot(ch_node.position.x - cand.position.x,
-                                ch_node.position.y - cand.position.y)
-                d2 = math.hypot(cand.position.x, cand.position.y)
-                cost = _tx(bits, d1, radio) + _tx(bits, d2, radio)
-                if cost < best_cost:
-                    best_cost = cost
-                    best = cand.id
-            if best is None or _tx(bits, d_direct, radio) <= best_cost:
-                routes[ch] = [None]
-            else:
-                routes[ch] = [best, None]
-
+        members, routes, direct = _sector_plan(nodes, config.radio)
         out.append({"round_index": round_index,
                     **replay_round(nodes, members, routes, direct, config, None)})
     return out
@@ -284,36 +292,46 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
     return elected
 
 
+def _nearest_head_plan(nodes, heads):
+    """Join every alive non-head to the head at the smallest ``math.hypot``
+    distance (lower id on a tie) and send every head straight to the
+    sink; everyone goes direct when no head is elected."""
+    members = {}
+    direct = []
+    for node in nodes:
+        if not node.alive or node.id in heads:
+            continue
+        if not heads:
+            direct.append(node.id)
+            continue
+        members[node.id] = min(heads, key=lambda h: (
+            math.hypot(node.position.x - nodes[h].position.x,
+                       node.position.y - nodes[h].position.y), h))
+    return members, {h: [None] for h in heads}, direct
+
+
 def replay_run(nodes, config, protocol, p_opt, rng):
-    """Run ``leach`` or ``deec`` on deployed nodes until the horizon or total death.
+    """Run one protocol on deployed nodes until the horizon or total death.
 
     ``rng`` is the run's generator just after deployment. Each round
-    elects with the loops above, joins every alive non-head to the head
-    at the smallest ``math.hypot`` distance (lower id on a tie), sends
-    every head straight to the sink (everyone goes direct when no head
-    is elected), and executes the round with :func:`replay_round`.
-    Returns the per-round metric dicts (with ``round_index``) and the
-    first, half and last death milestones in completed rounds.
+    plans ``amdiscnt`` with :func:`_sector_plan` (``p_opt`` unused), or
+    elects ``leach``/``deec`` heads with the loops above and joins
+    members by :func:`_nearest_head_plan`, then executes the round with
+    :func:`replay_round`. Returns the per-round metric dicts (with
+    ``round_index``) and the first, half and last death milestones in
+    completed rounds.
     """
-    elect = {"leach": elect_chs_leach, "deec": elect_chs_deec}[protocol]
     nodes = sorted(nodes, key=lambda n: n.id)
     history = {}
     out = []
     milestones = [None, None, None]
     for round_index in range(config.max_rounds):
-        heads = sorted(elect(nodes, round_index, p_opt, rng, history))
-        members = {}
-        direct = []
-        for node in nodes:
-            if not node.alive or node.id in heads:
-                continue
-            if not heads:
-                direct.append(node.id)
-                continue
-            members[node.id] = min(heads, key=lambda h: (
-                math.hypot(node.position.x - nodes[h].position.x,
-                           node.position.y - nodes[h].position.y), h))
-        routes = {h: [None] for h in heads}
+        if protocol == "amdiscnt":
+            members, routes, direct = _sector_plan(nodes, config.radio)
+        else:
+            elect = {"leach": elect_chs_leach, "deec": elect_chs_deec}[protocol]
+            heads = sorted(elect(nodes, round_index, p_opt, rng, history))
+            members, routes, direct = _nearest_head_plan(nodes, heads)
         metrics = replay_round(nodes, members, routes, direct, config, rng)
         out.append({"round_index": round_index, **metrics})
         dead = metrics["dead"]

@@ -205,6 +205,57 @@ def test_relayed_aggregate_pays_both_legs():
         - tx_cost(4000, 20.0, radio)
 
 
+# The boundary round: an inner relay that also sends its own reading, an
+# outer head past the crossover with three members (one dead from the
+# start) and an inner direct sender.
+RELAY, HEAD, MEMBER, DEAD, OTHER_MEMBER, DIRECT = range(6)
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.3], ids=["loss-free", "lossy"])
+@pytest.mark.parametrize("toward", [None, 0.0, math.inf], ids=["exact", "below", "above"])
+@pytest.mark.parametrize("site", ["member_tx", "head_rx", "relay_rx", "direct_tx"])
+def test_charge_boundary_matches_reference_round(site, toward, drop):
+    """The budget at each inline charge's cost, and at a phase 2 charge's,
+    or one float step either side of it: run_round spends, kills and draws
+    as the straight-line round, and counts each death once."""
+    radio = NetworkConfig().radio
+    bits = radio.packet_bits
+    nodes = [Node(RELAY, Position(15.0, 5.0), RegionId(), 0.5, 0.5),
+             Node(HEAD, Position(100.0, 10.0), RegionId(0), 0.5, 0.5),
+             Node(MEMBER, Position(95.0, 20.0), RegionId(0), 0.5, 0.5),
+             Node(DEAD, Position(90.0, 5.0), RegionId(0), 0.5, 0.0, alive=False),
+             Node(OTHER_MEMBER, Position(110.0, 15.0), RegionId(0), 0.5, 0.5),
+             Node(DIRECT, Position(5.0, 10.0), RegionId(), 0.5, 0.5)]
+    member_link = nodes[MEMBER].position.distance_to(nodes[HEAD].position)
+    node_id, cost = {"member_tx": (MEMBER, tx_cost(bits, member_link, radio)),
+                     "head_rx": (HEAD, rx_cost(bits, radio)),
+                     "relay_rx": (RELAY, rx_cost(bits, radio)),
+                     "direct_tx": (DIRECT, tx_cost(bits, nodes[DIRECT].position.radius(), radio)),
+                     }[site]
+    budget = cost if toward is None else math.nextafter(cost, toward)
+    nodes[node_id].residual_energy = budget
+    twins = copy.deepcopy(nodes)
+    members = {MEMBER: HEAD, DEAD: HEAD, OTHER_MEMBER: HEAD}
+    direct = [RELAY, DIRECT]
+    plan = TransmissionPlan(sorted(members.items()), [(HEAD, RELAY)], direct)
+    config = NetworkConfig(link_drop_probability=drop)
+    alive = [node for node in nodes if node.alive]
+    # seed 7 keeps the packets into the head and the relay and drops two others
+    rng = Random(7)
+    metrics = run_round(nodes, alive, plan, config, rng, DistanceCache(nodes, radio))
+    reference_rng = Random(7)
+    expected = reference.replay_round(twins, members, {HEAD: [RELAY, None]}, direct,
+                                      config, reference_rng)
+    assert {field: getattr(metrics, field) for field in expected} == expected
+    assert [(n.residual_energy, n.alive) for n in nodes] == \
+        [(n.residual_energy, n.alive) for n in twins]
+    assert rng.getstate() == reference_rng.getstate()
+    assert metrics.alive == sum(n.alive for n in nodes)
+    assert nodes[node_id].residual_energy < budget  # the site was reached
+    if toward != math.inf:  # a step above leaves a remainder a later charge may drain
+        assert not nodes[node_id].alive
+
+
 delay_models = st.just(DelayModel()) | st.builds(DelayModel, st.just("distance"),
                                                  st.floats(0.5, 5.0), st.floats(0.0, 2.0))
 
@@ -307,24 +358,36 @@ def test_ledger_equals_residual_drop_property(config, name):
         previous = m.total_residual_energy
 
 
-@settings(deadline=None, max_examples=60)
-@given(config=small_configs(), name=st.sampled_from(["leach", "deec"]),
-       p_opt=st.sampled_from([0.1, 0.2]) | st.floats(0.05, 0.5))
-def test_baseline_run_matches_reference_replay(config, name, p_opt):
-    """A whole leach or deec run equals the straight-line replay: reference
-    election, brute-force nearest head and reference round, draw for draw."""
-    kind = ProtocolKind(name, p_opt)
+def _check_run_against_replay(config, kind):
     made = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "Random", lambda seed: made.append(Random(seed)) or made[-1])
         result = run_simulation(config, kind)
     rng = Random(config.seed)
     nodes = list(deploy(config, rng).nodes)
-    rounds, milestones = reference.replay_run(nodes, config, name, p_opt, rng)
+    rounds, milestones = reference.replay_run(nodes, config, kind.name, kind.p_opt, rng)
     assert [dataclasses.asdict(m) for m in result.per_round] == rounds
     assert (result.first_node_death, result.half_nodes_death,
             result.last_node_death) == milestones
     assert made[0].getstate() == rng.getstate()
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=small_configs(), name=st.sampled_from(["leach", "deec"]),
+       p_opt=st.sampled_from([0.1, 0.2]) | st.floats(0.05, 0.5))
+def test_baseline_run_matches_reference_replay(config, name, p_opt):
+    """A whole leach or deec run equals the straight-line replay: reference
+    election, brute-force nearest head and reference round, draw for draw."""
+    _check_run_against_replay(config, ProtocolKind(name, p_opt))
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=small_configs())
+def test_amdiscnt_run_matches_reference_replay(config):
+    """A whole amdiscnt run, lossy and delayed included, equals the
+    straight-line replay: reference sector election and roles,
+    brute-force relay choice and reference round, draw for draw."""
+    _check_run_against_replay(config, AMDISCNT)
 
 
 @pytest.fixture
