@@ -15,21 +15,22 @@ deployment draws the placement and any energy tiers from it, the
 ``leach`` and ``deec`` elections draw once per eligible node each round,
 and a lossy link draws once per paid transmission; ``amdiscnt`` on
 loss-free links draws nothing after deployment. Equal seeds therefore
-give byte-identical histories. The link table holds no randomness, so
-consecutive runs on one placement share it (see :func:`_link_table`).
+give byte-identical histories. :func:`place` deploys a seed's field once
+and saves the generator's state after deployment; every run on that
+:class:`Placement` resets its nodes, restores that state and reads its link
+table, which holds no randomness, so it is bit-exact with a fresh run.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
 
 from .deployment import deploy
 from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
-from .model import ConfigurationError, NetworkConfig, Node, RadioParams, validate_config
+from .model import ConfigurationError, NetworkConfig, Node, validate_config
 from .protocols import (
     DistanceCache,
     ProtocolKind,
@@ -214,45 +215,47 @@ def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
     return elect_chs_deec(alive, round_index, kind.p_opt, rng, history)
 
 
-# The last link table built, with its key; see _link_table.
-_last_table: tuple[tuple, DistanceCache] | None = None
+@dataclass(frozen=True)
+class Placement:
+    """A seed's deployed nodes, listed by id, the generator state right
+    after deployment, and the nodes' link table."""
+
+    nodes: list[Node]
+    rng_state: tuple
+    links: DistanceCache
 
 
-def _link_table(nodes: list[Node], radio: RadioParams) -> DistanceCache:
-    """The link table of ``nodes`` under ``radio``, reused across runs.
-
-    One entry is kept, keyed by the radio and every node's position and
-    region, which is all the table reads. Consecutive runs on one
-    placement, such as the protocols of one seed, share it; any other key
-    drops the stored table before the new one is built, so two tables
-    never live at once.
-    """
-    global _last_table
-    # plain values, so the key keeps no object of an earlier placement alive
-    coordinates = array("d", [v for node in nodes for v in (node.position.x, node.position.y)])
-    key = (radio, coordinates, tuple(node.region.sector for node in nodes))
-    entry = _last_table  # one read, in case another thread replaces it meanwhile
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    entry = _last_table = None  # free the old table before the new one is built
-    links = DistanceCache(nodes, radio)
-    _last_table = key, links
-    return links
-
-
-def run_simulation(config: NetworkConfig, kind: ProtocolKind) -> SimulationResult:
-    """Deploy the network and run rounds until the horizon or total death."""
+def place(config: NetworkConfig) -> Placement:
+    """Validate ``config`` and deploy its field from ``Random(config.seed)``."""
     problems = validate_config(config)
     if problems:
         raise ConfigurationError("; ".join(problems))
     rng = Random(config.seed)
-    placement = deploy(config, rng)
-    nodes = list(placement.nodes)
-    links = _link_table(nodes, config.radio)
+    nodes = deploy(config, rng).nodes
+    return Placement(nodes, rng.getstate(), DistanceCache(nodes, config.radio))
+
+
+def run_simulation(config: NetworkConfig, kind: ProtocolKind,
+                   placement: Placement | None = None) -> SimulationResult:
+    """Run rounds on ``placement``, which must be ``place(config)``'s
+    (a fresh one by default), until the horizon or total death."""
+    if placement is None:
+        placement = place(config)
+    else:
+        problems = validate_config(config)
+        if problems:
+            raise ConfigurationError("; ".join(problems))
+    nodes = placement.nodes
+    for node in nodes:  # a run on a used placement starts from full batteries
+        node.residual_energy = node.initial_energy
+        node.alive = True
+    rng = Random()
+    rng.setstate(placement.rng_state)
+    links = placement.links
     history: dict[int, int] = {}
     n = len(nodes)
     is_alive = attrgetter("alive")
-    alive = list(filter(is_alive, nodes))  # in id order; elections and plans walk only these
+    alive = list(nodes)  # in id order; elections and plans walk only the alive nodes
 
     per_round: list[RoundMetrics] = []
     fnd = hnd = lnd = None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 
-from .engine import run_simulation
+from .engine import place, run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind
 from .stats import METRIC_NAMES, MilestoneSummary, MultiRunStats, aggregate_runs
@@ -242,10 +242,12 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
                    ) -> dict[str, MultiRunStats]:
     """Run every (protocol, seed) pair and aggregate per protocol.
 
-    Each seed gets its own deployment; results are keyed by protocol
-    name in request order. The loop is protocol-major, and each
-    protocol's histories are freed once aggregated, so only one
-    protocol's histories are ever held.
+    Results are keyed by protocol name in request order. The loop is
+    protocol-major, and each protocol's histories are freed once
+    aggregated, so only one protocol's histories are ever held. Each run
+    deploys its own seed's field, except that a single seed's field is
+    placed once and shared by all the protocols: holding every seed's
+    placement would cost O(seeds * n**2) memory.
     """
     if not protocols:
         raise ValueError("run_experiment needs at least one protocol")
@@ -255,11 +257,12 @@ def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
         raise ValueError("protocol list contains duplicates")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seed list contains duplicates")
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    shared = place(configs[0]) if len(configs) == 1 else None
     stats: dict[str, MultiRunStats] = {}
     for kind in protocols:
         stats[kind.name] = aggregate_runs(
-            [run_simulation(dataclasses.replace(config, seed=seed), kind) for seed in seeds],
-            confidence)
+            [run_simulation(run_config, kind, shared) for run_config in configs], confidence)
     return stats
 
 

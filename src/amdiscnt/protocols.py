@@ -21,7 +21,6 @@ from .model import Node, RadioParams
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
 
-_is_alive = attrgetter("alive")
 _residual = attrgetter("residual_energy")
 
 
@@ -119,14 +118,14 @@ class DistanceCache:
         return orders
 
 
-def elect_chs_amdiscnt(nodes: list[Node]) -> set[int]:
-    """Pick the alive node with the most residual energy in each outer
-    wedge; ties go to the lower id. ``nodes`` is in id order (the engine
-    passes only the alive ones). Needs no randomness."""
+def elect_chs_amdiscnt(alive: list[Node]) -> set[int]:
+    """Pick the node with the most residual energy in each outer wedge;
+    ties go to the lower id. ``alive`` lists the alive nodes in id order.
+    Needs no randomness."""
     best: dict[int, Node] = {}
-    for node in nodes:
+    for node in alive:
         sector = node.region.sector
-        if sector is None or not node.alive:
+        if sector is None:
             continue
         current = best.get(sector)
         if (current is None
@@ -142,15 +141,15 @@ def leach_threshold(round_index: int, p_opt: float) -> float:
     return p_opt / (1.0 - p_opt * (round_index % epoch))
 
 
-def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Random,
                     history: dict[int, int]) -> set[int]:
     """Classic rotating election.
 
-    Each alive node that has not served during the current epoch draws a
-    uniform number, in id order, and elects itself when the draw falls
-    under the epoch threshold. ``history`` (node id -> last election
-    round) carries the rotation state between rounds and is updated in
-    place.
+    Each node of ``alive`` (the alive nodes, in id order) that has not
+    served during the current epoch draws a uniform number and elects
+    itself when the draw falls under the epoch threshold. ``history``
+    (node id -> last election round) carries the rotation state between
+    rounds and is updated in place.
     """
     epoch = int(1.0 / p_opt)
     epoch_start = round_index - (round_index % epoch)
@@ -158,9 +157,7 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
     draw = rng.random
     last_election = history.get
     elected = set()
-    for node in nodes:
-        if not node.alive:
-            continue
+    for node in alive:
         last = last_election(node.id)
         if last is not None and last >= epoch_start:
             continue
@@ -170,16 +167,15 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
     return elected
 
 
-def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+def elect_chs_deec(alive: list[Node], round_index: int, p_opt: float, rng: Random,
                    history: dict[int, int]) -> set[int]:
     """Energy-weighted rotating election.
 
     Like the classic rotation, but each node's probability
     ``min(1, p_opt * residual / average)`` (and therefore its personal
     epoch length) scales with residual energy over the exact mean
-    residual energy of the alive nodes this round.
+    residual energy of ``alive``, the alive nodes in id order.
     """
-    alive = list(filter(_is_alive, nodes))
     if not alive:
         return set()
     average = math.fsum(map(_residual, alive)) / len(alive)

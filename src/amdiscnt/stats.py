@@ -103,8 +103,7 @@ def _column(run: SimulationResult, field: str, freezes: bool, rounds: int) -> It
     return chain(values, repeat(pad, missing))
 
 
-def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
-                   rounds: int | None = None) -> MultiRunStats:
+def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) -> MultiRunStats:
     """Combine same-experiment runs into per-round means and bands."""
     if not results:
         raise ValueError("aggregate_runs needs at least one run")
@@ -112,11 +111,7 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95,
         raise ValueError("runs were made with different horizons; they cannot be aggregated")
     if len({r.protocol for r in results}) > 1:
         raise ValueError("runs were made with different protocols; they cannot be aggregated")
-    longest = max(r.rounds for r in results)
-    if rounds is None:
-        rounds = longest
-    elif rounds < longest:
-        raise ValueError(f"horizon {rounds} is shorter than the longest run ({longest})")
+    rounds = max(r.rounds for r in results)
     if rounds > 0 and any(r.rounds == 0 for r in results):
         raise ValueError("cannot pad a zero-round run to a longer horizon")
 

@@ -12,7 +12,8 @@ import reference_engine as reference
 from amdiscnt import engine
 from amdiscnt.deployment import deploy
 from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
-from amdiscnt.engine import run_round, run_simulation
+from amdiscnt.engine import place, run_round, run_simulation
+from amdiscnt.experiment import run_experiment
 from amdiscnt.model import (
     DEPLOYMENT_MODES,
     ConfigurationError,
@@ -361,7 +362,7 @@ def test_ledger_equals_residual_drop_property(config, name):
 def _check_run_against_replay(config, kind):
     made = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "Random", lambda seed: made.append(Random(seed)) or made[-1])
+        patch.setattr(engine, "Random", lambda *seed: made.append(Random(*seed)) or made[-1])
         result = run_simulation(config, kind)
     rng = Random(config.seed)
     nodes = list(deploy(config, rng).nodes)
@@ -369,7 +370,7 @@ def _check_run_against_replay(config, kind):
     assert [dataclasses.asdict(m) for m in result.per_round] == rounds
     assert (result.first_node_death, result.half_nodes_death,
             result.last_node_death) == milestones
-    assert made[0].getstate() == rng.getstate()
+    assert made[-1].getstate() == rng.getstate()  # the run's own generator
 
 
 @settings(deadline=None, max_examples=60)
@@ -391,24 +392,31 @@ def test_amdiscnt_run_matches_reference_replay(config):
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Empty the link-table memo and record the radio of every table built."""
-    monkeypatch.setattr(engine, "_last_table", None)
-    made = []
+def placed(monkeypatch):
+    """Count the engine's deployments and link-table builds."""
+    calls = {"deploy": 0, "DistanceCache": 0}
 
-    def counting(nodes, radio):
-        made.append(radio)
-        return DistanceCache(nodes, radio)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(engine, "DistanceCache", counting)
-    return made
+    monkeypatch.setattr(engine, "deploy", counting("deploy", deploy))
+    monkeypatch.setattr(engine, "DistanceCache", counting("DistanceCache", DistanceCache))
+    return calls
 
 
-def test_protocols_on_one_placement_build_one_table(builds):
-    config = small_config(max_rounds=20)
-    for name in PROTOCOL_NAMES:
-        run_simulation(config, ProtocolKind(name))
-    assert builds == [config.radio]
+def test_protocols_on_one_placement_build_one_table(placed):
+    protocols = [ProtocolKind(name) for name in PROTOCOL_NAMES]
+    run_experiment(small_config(max_rounds=20), protocols, [42])
+    assert placed == {"deploy": 1, "DistanceCache": 1}
+
+
+def test_each_run_of_a_many_seed_experiment_places_its_own_field(placed):
+    protocols = [ProtocolKind(name) for name in PROTOCOL_NAMES]
+    run_experiment(small_config(max_rounds=20), protocols, [42, 43, 44])
+    assert placed == {"deploy": 9, "DistanceCache": 9}
 
 
 @pytest.mark.parametrize("change", [
@@ -417,56 +425,47 @@ def test_protocols_on_one_placement_build_one_table(builds):
     {"seed": 43},
     {"n_nodes": 10},
 ], ids=["packet_bits", "geometry", "seed", "n_nodes"])
-def test_other_placement_or_radio_builds_a_fresh_table(builds, monkeypatch, change):
+def test_other_placement_or_radio_builds_a_fresh_table(placed, change):
     config = small_config(max_rounds=30)
     changed = dataclasses.replace(config, **change)
     run_simulation(config, ProtocolKind("leach"))
     after = run_simulation(changed, ProtocolKind("leach"))
-    assert builds == [config.radio, changed.radio]
-    monkeypatch.setattr(engine, "_last_table", None)
-    assert run_simulation(changed, ProtocolKind("leach")) == after
+    assert placed == {"deploy": 2, "DistanceCache": 2}
+    assert run_simulation(changed, ProtocolKind("leach")) == after  # nothing carries over
 
 
-def test_region_change_alone_builds_a_fresh_table(builds):
-    radio = RadioParams()
-
-    def nodes(far_region):
-        return [Node(0, Position(10.0, 0.0), RegionId(), 0.5, 0.5),
-                Node(1, Position(30.0, 0.0), far_region, 0.5, 0.5)]
-
-    first = engine._link_table(nodes(RegionId(0)), radio)
-    assert engine._link_table(nodes(RegionId(0)), radio) is first
-    assert engine._link_table(nodes(RegionId()), radio).inner == [0, 1]
-    assert builds == [radio, radio]
-
-
-def test_old_table_is_freed_before_the_next_is_built(builds, monkeypatch):
-    config = small_config(max_rounds=1)
-    run_simulation(config, AMDISCNT)
-    old = weakref.ref(engine._last_table[1])
+def test_old_table_is_freed_before_the_next_is_built(monkeypatch):
+    built = []
     old_alive_at_build = []
 
     def watching(nodes, radio):
-        old_alive_at_build.append(old() is not None)
-        return DistanceCache(nodes, radio)
+        old_alive_at_build.extend(ref() is not None for ref in built[-1:])
+        links = DistanceCache(nodes, radio)
+        built.append(weakref.ref(links))
+        return links
 
     monkeypatch.setattr(engine, "DistanceCache", watching)
-    run_simulation(dataclasses.replace(config, seed=43), AMDISCNT)
-    assert old_alive_at_build == [False]
+    run_experiment(small_config(max_rounds=5), [AMDISCNT, ProtocolKind("leach")], [42, 43])
+    assert old_alive_at_build == [False, False, False]
+
+
+def test_run_on_a_placement_still_validates_its_config():
+    config = small_config(max_rounds=5)
+    with pytest.raises(ConfigurationError):
+        run_simulation(dataclasses.replace(config, max_rounds=-1), AMDISCNT, place(config))
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_reused_table_gives_the_fresh_history(builds, monkeypatch, name):
+def test_reused_table_gives_the_fresh_history(name):
     # lossy, distance-delayed and wide enough that amdiscnt heads relay
     config = NetworkConfig(n_nodes=40, geometry=Geometry(120.0, 150.0), max_rounds=300,
                            heterogeneity=HeterogeneitySpec.two_level(0.05, 0.2, 1.0), seed=8,
                            link_drop_probability=0.1,
                            delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
-    for other in PROTOCOL_NAMES:  # the table gains relay and neighbour orders on the way
-        if other != name:
-            run_simulation(config, ProtocolKind(other))
-    reused = run_simulation(config, ProtocolKind(name))
-    assert len(builds) == 1
-    monkeypatch.setattr(engine, "_last_table", None)
-    assert run_simulation(config, ProtocolKind(name)) == reused
-    assert len(builds) == 2
+    placement = place(config)
+    # the others drain batteries, kill nodes and add relay and neighbour orders to the table
+    others = [run_simulation(config, ProtocolKind(other), placement)
+              for other in PROTOCOL_NAMES if other != name]
+    assert any(result.first_node_death is not None for result in others)
+    assert run_simulation(config, ProtocolKind(name), placement) == \
+        run_simulation(config, ProtocolKind(name))

@@ -214,10 +214,10 @@ def test_histories_are_freed_before_the_next_protocol_runs(monkeypatch):
     made: dict[str, list[weakref.ref]] = {}
     first_alive_at_switch = []
 
-    def recording(config, kind):
+    def recording(config, kind, *args):
         if kind.name == "leach" and "leach" not in made:
             first_alive_at_switch.extend(ref() is not None for ref in made["amdiscnt"])
-        result = simulate(config, kind)
+        result = simulate(config, kind, *args)
         made.setdefault(kind.name, []).append(weakref.ref(result))
         return result
 

@@ -159,10 +159,6 @@ class TestAggregateRuns:
         with pytest.raises(ValueError):
             aggregate_runs([], 0.95)
 
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_runs([make_result([100, 99, 98])], 0.95, rounds=2)
-
     def test_mixed_horizons_rejected(self):
         with pytest.raises(ValueError):
             aggregate_runs([make_result([100], max_rounds=10),
