@@ -24,6 +24,8 @@ table, which holds no randomness, so it is bit-exact with a fresh run.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
@@ -55,6 +57,42 @@ class RoundMetrics:
     energy_spent: float
 
 
+_FIELDS = RoundMetrics.__match_args__  # the nine fields, in constructor order
+_record = attrgetter(*_FIELDS)
+
+
+class RoundHistory(Sequence):
+    """One run's rounds as nine typed columns: a read-only sequence of
+    :class:`RoundMetrics`, each record built on access."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, records=()):
+        self._columns = tuple(map(array, "qqqqqqddd"))  # six counts, three floats
+        for m in records:
+            any(map(array.append, self._columns, _record(m)))
+
+    def column(self, name: str) -> array:
+        """Field ``name`` of every round; do not mutate it."""
+        return self._columns[_FIELDS.index(name)]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(RoundMetrics, *[c[i] for c in self._columns]))
+        return RoundMetrics(*[c[i] for c in self._columns])
+
+    def __iter__(self):
+        return map(RoundMetrics, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, RoundHistory):
+            return self._columns == other._columns
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Full per-round history of one seeded run.
@@ -65,7 +103,7 @@ class SimulationResult:
 
     config: NetworkConfig
     protocol: str
-    per_round: tuple[RoundMetrics, ...]
+    per_round: RoundHistory
     first_node_death: int | None
     half_nodes_death: int | None
     last_node_death: int | None
@@ -76,11 +114,11 @@ class SimulationResult:
 
     @property
     def cumulative_sent(self) -> int:
-        return sum(m.packets_sent_to_bs for m in self.per_round)
+        return sum(self.per_round.column("packets_sent_to_bs"))
 
     @property
     def cumulative_received(self) -> int:
-        return sum(m.packets_received_by_bs for m in self.per_round)
+        return sum(self.per_round.column("packets_received_by_bs"))
 
 
 def _charge(node: Node, amount: float, ledger: list[float], deaths: list[Node]) -> bool:
@@ -257,13 +295,14 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     is_alive = attrgetter("alive")
     alive = list(nodes)  # in id order; elections and plans walk only the alive nodes
 
-    per_round: list[RoundMetrics] = []
+    per_round = RoundHistory()
+    columns = per_round._columns
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
         ch_set = _elect(alive, kind, round_index, rng, history)
         plan = build_plan(nodes, alive, ch_set, kind, links, round_index)
         metrics = run_round(nodes, alive, plan, config, rng, links)
-        per_round.append(metrics)
+        any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame
         if metrics.alive < len(alive):  # someone died this round
             alive = list(filter(is_alive, alive))
         completed = round_index + 1
@@ -277,7 +316,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     return SimulationResult(
         config=config,
         protocol=kind.name,
-        per_round=tuple(per_round),
+        per_round=per_round,
         first_node_death=fnd,
         half_nodes_death=hnd,
         last_node_death=lnd,

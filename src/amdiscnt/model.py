@@ -260,4 +260,31 @@ def validate_config(config: NetworkConfig) -> list[str]:
         if not (math.isfinite(per_hop) and per_hop >= 0):
             problems.append(f"delay.per_hop must be finite and non-negative, got {per_hop}")
 
+    if not problems:
+        problems.extend(_overflow_problems(config))
+    return problems
+
+
+def _overflow_problems(config: NetworkConfig) -> list[str]:
+    """Name the fields of an otherwise valid config whose worst link cost or
+    total initial energy is not a finite float."""
+    from .energy import tx_cost  # energy imports this module
+
+    def finite(compute) -> bool:
+        try:
+            return math.isfinite(compute())
+        except OverflowError:  # a float power, or an int too large for a float
+            return False
+
+    problems = []
+    radio, het = config.radio, config.heterogeneity
+    if not finite(lambda: 2 * tx_cost(radio.packet_bits, 2 * config.geometry.r_outer, radio)):
+        problems.append("worst link cost 2 * tx_cost(radio.packet_bits, 2 * geometry.r_outer) "
+                        "must be finite")
+    extra = {"two_level": ("alpha",), "three_level": ("alpha", "beta"),
+             "multi_level": ("alpha_max",)}.get(het.mode, ())
+    if not finite(lambda: config.n_nodes * het.e0 * (1.0 + sum(getattr(het, f) for f in extra))):
+        terms = "".join(f" + heterogeneity.{f}" for f in extra)
+        factor = f" * (1{terms})" if extra else ""
+        problems.append(f"total initial energy n_nodes * heterogeneity.e0{factor} must be finite")
     return problems

@@ -15,7 +15,6 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
 from statistics import NormalDist
 
 from .engine import SimulationResult
@@ -95,12 +94,11 @@ def _column(run: SimulationResult, field: str, freezes: bool, rounds: int) -> It
     Counts stay ints: every sum and difference taken on them is exact, as
     it would be on their float values.
     """
-    values = map(attrgetter(field), run.per_round)
-    missing = rounds - run.rounds
+    values = run.per_round.column(field)
+    missing = rounds - len(values)
     if not missing:
         return values
-    pad = getattr(run.per_round[-1], field) if freezes else 0.0
-    return chain(values, repeat(pad, missing))
+    return chain(values, repeat(values[-1] if freezes else 0.0, missing))
 
 
 def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) -> MultiRunStats:

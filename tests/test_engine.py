@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import weakref
 from random import Random
 
@@ -65,11 +66,40 @@ def test_invalid_config_raises_before_running():
 
 def test_zero_round_run():
     res = run_simulation(NetworkConfig(max_rounds=0), AMDISCNT)
-    assert res.per_round == ()
+    assert len(res.per_round) == 0
     assert res.first_node_death is None
     assert res.half_nodes_death is None
     assert res.last_node_death is None
     assert res.cumulative_sent == 0
+
+
+def test_history_pickles_as_columns_and_reads_as_its_records(monkeypatch):
+    config = small_config(max_rounds=5000, link_drop_probability=0.2,
+                          delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
+    records = []
+
+    def recording(*args):
+        records.append(run_round(*args))
+        return records[-1]
+
+    monkeypatch.setattr(engine, "run_round", recording)
+    result = run_simulation(config, AMDISCNT)
+    n = len(records)
+    assert result.last_node_death == n > 2
+    data = pickle.dumps(result)
+    assert b"RoundMetrics" not in data
+    assert pickle.loads(data) == result
+    history = result.per_round
+    assert len(history) == n
+    assert list(history) == records
+    assert [history[i] for i in range(n)] == records
+    assert [history[i - n] for i in range(n)] == records
+    assert history[1:-1] == tuple(records[1:-1])
+    assert history[::-3] == tuple(records[::-3])
+    with pytest.raises(IndexError):
+        history[n]
+    assert history.column("mean_delay").tolist() == [m.mean_delay for m in records]
+    assert result.cumulative_received == sum(m.packets_received_by_bs for m in records)
 
 
 def test_simulation_is_deterministic():

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from test_golden_histories import history_digest
 
+from amdiscnt.engine import place, run_simulation
 from amdiscnt.model import (
+    ConfigurationError,
     DelayModel,
     Geometry,
     HeterogeneitySpec,
@@ -12,6 +15,7 @@ from amdiscnt.model import (
     RegionId,
     validate_config,
 )
+from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
 
 
 def test_default_config_is_valid():
@@ -93,6 +97,48 @@ def test_invalid_config_still_constructible_and_all_problems_reported():
 def test_nan_radius_rejected():
     problems = validate_config(NetworkConfig(geometry=Geometry(r_inner=math.nan)))
     assert any("finite" in p for p in problems)
+
+
+# each of these finite values overflowed inside place() before validation bounded them
+@pytest.mark.parametrize("fields, config", [
+    (["geometry.r_outer"], NetworkConfig(geometry=Geometry(20.0, 1e90))),
+    (["radio.packet_bits"], NetworkConfig(radio=RadioParams(packet_bits=10**400))),
+    (["heterogeneity.e0", "heterogeneity.alpha"],
+     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e308, 0.2, 1.0))),
+    (["heterogeneity.e0", "heterogeneity.alpha_max"],
+     NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(0.5, 1e308))),
+])
+def test_overflowing_value_rejected_by_name(fields, config):
+    problems = validate_config(config)
+    assert len(problems) == 1
+    assert all(field in problems[0] for field in fields)
+    assert "must be finite" in problems[0]
+    with pytest.raises(ConfigurationError):
+        place(config)
+
+
+_NEAR_LIMIT = dict(n_nodes=30, max_rounds=20, seed=11)
+
+
+# digests recorded before the overflow bounds went into validation
+@pytest.mark.parametrize("config, digests", [
+    (NetworkConfig(geometry=Geometry(20.0, 1e70), **_NEAR_LIMIT),
+     ("337ab907134e2bf0918e6c248ec3b2a19e845c548e8d18f64a506ad222682bb5",
+      "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71",
+      "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71")),
+    (NetworkConfig(radio=RadioParams(packet_bits=10**300), **_NEAR_LIMIT),
+     ("a7658c2ff3faf36e43917660449476c44c3c7937ce69085173662f071b8a950d",
+      "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71",
+      "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71")),
+    (NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e305, 0.2, 1.0), **_NEAR_LIMIT),
+     ("c5990d3f25f37f4b8e2d83ffd87a7e300255b088e5d75485c76bf40ffb56e4ff",
+      "388587a0fdf06ce71f166b97b3753b92f6b617a3fd1cb58409438d37ede4a89a",
+      "991bbb2d896c0553b1d9b88b38fa2b2c997d494a2306623d3dffce395f689a98")),
+])
+def test_large_finite_values_still_run_with_recorded_histories(config, digests):
+    assert validate_config(config) == []
+    for name, digest in zip(PROTOCOL_NAMES, digests):
+        assert history_digest(run_simulation(config, ProtocolKind(name))) == digest
 
 
 @pytest.mark.parametrize("field, config", [

@@ -1,11 +1,13 @@
+import gc
 import math
 import tracemalloc
 from random import Random
 
 import pytest
 
-from amdiscnt.engine import RoundMetrics, SimulationResult
+from amdiscnt.engine import RoundHistory, RoundMetrics, SimulationResult, run_simulation
 from amdiscnt.model import NetworkConfig
+from amdiscnt.protocols import ProtocolKind
 from amdiscnt.stats import (
     METRIC_NAMES,
     aggregate_runs,
@@ -22,7 +24,7 @@ def make_metrics(i, alive, sent=5, received=4, energy=50.0):
 
 
 def make_result(alives, fnd=None, hnd=None, lnd=None, max_rounds=10, protocol="amdiscnt"):
-    per = tuple(make_metrics(i, a) for i, a in enumerate(alives))
+    per = RoundHistory(make_metrics(i, a) for i, a in enumerate(alives))
     return SimulationResult(config=NetworkConfig(max_rounds=max_rounds),
                             protocol=protocol, per_round=per, first_node_death=fnd,
                             half_nodes_death=hnd, last_node_death=lnd)
@@ -38,6 +40,22 @@ class TestPopulationStddev:
 
     def test_single_sample(self):
         assert population_stddev([3.7]) == 0.0
+
+    def test_history_retains_under_100_bytes_per_round(self):
+        tracemalloc.start()
+        try:
+            history = run_simulation(NetworkConfig(max_rounds=2400),
+                                     ProtocolKind("amdiscnt")).per_round
+            rounds = len(history)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del history
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rounds == 2400
+        assert retained < 100 * rounds
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
