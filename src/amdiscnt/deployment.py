@@ -27,6 +27,7 @@ from .model import (
     Node,
     Position,
     RegionId,
+    round_half_up,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -45,10 +46,6 @@ class DeploymentResult:
     nodes: list[Node]
     total_initial_energy: float
     per_region_counts: dict[RegionId, int]
-
-
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 def region_of(position: Position, geometry: Geometry) -> RegionId:
@@ -98,7 +95,7 @@ def region_node_counts(n_nodes: int, inner_fraction: float) -> tuple[int, list[i
     """Split the node budget: the inner region takes its rounded share and
     the rest spreads as evenly as possible over the sectors, any leftover
     going one per sector starting at sector 0."""
-    inner = _round_half_up(inner_fraction * n_nodes)
+    inner = round_half_up(inner_fraction * n_nodes)
     base, leftover = divmod(n_nodes - inner, N_SECTORS)
     sectors = [base + 1 if s < leftover else base for s in range(N_SECTORS)]
     return inner, sectors
@@ -109,56 +106,28 @@ def assign_initial_energy(count: int, spec: HeterogeneitySpec,
     """Return ``(initial_energy, tier_scale)`` per node index.
 
     ``tier_scale`` is the extra-energy ratio: a node's battery is
-    ``e0 * (1 + tier_scale)``. Tiered modes pick their subsets as a uniform
-    random sample of node indices; super nodes stack ``beta`` on top of the
-    advanced ``alpha`` so the realised total matches the closed form.
+    ``e0 * (1 + tier_scale)``. Discrete modes sample their upper tier from the
+    node indices; its first ``m * m0 * count`` are super nodes, stacking
+    ``beta`` on ``alpha``, so the realised total matches the closed form.
     """
-    e0 = spec.e0
-    if spec.mode == "homogeneous":
-        return [(e0, 0.0) for _ in range(count)]
-    if spec.mode == "two_level":
-        n_advanced = _round_half_up(spec.m * count)
-        advanced = set(rng.sample(range(count), n_advanced))
-        return [(e0 * (1.0 + spec.alpha), spec.alpha) if i in advanced else (e0, 0.0)
-                for i in range(count)]
-    if spec.mode == "three_level":
-        n_upper = _round_half_up(spec.m * count)
-        n_super = _round_half_up(spec.m * spec.m0 * count)
-        chosen = rng.sample(range(count), n_upper)
-        super_ids = set(chosen[:n_super])
-        advanced_ids = set(chosen[n_super:])
-        out = []
-        for i in range(count):
-            if i in super_ids:
-                scale = spec.alpha + spec.beta
-            elif i in advanced_ids:
-                scale = spec.alpha
-            else:
-                scale = 0.0
-            out.append((e0 * (1.0 + scale), scale))
-        return out
     if spec.mode == "multi_level":
-        out = []
-        for _ in range(count):
-            t = 1.0 - rng.random()  # (0, 1]
-            scale = t * spec.alpha_max
-            out.append((e0 * (1.0 + scale), scale))
-        return out
-    raise ValueError(f"unknown heterogeneity mode {spec.mode!r}")
+        scales = [(1.0 - rng.random()) * spec.alpha_max for _ in range(count)]  # (0, alpha_max]
+    else:
+        m, m0, alpha, beta = spec.tiers()
+        chosen = rng.sample(range(count), round_half_up(m * count))  # k = 0 draws nothing
+        n_super = round_half_up(m * m0 * count)
+        scales = [0.0] * count
+        for rank, i in enumerate(chosen):
+            scales[i] = alpha + beta if rank < n_super else alpha
+    return [(spec.e0 * (1.0 + scale), scale) for scale in scales]
 
 
 def theoretical_total_energy(count: int, spec: HeterogeneitySpec) -> float:
     """Closed-form network energy (the expectation, for ``multi_level``)."""
-    e0 = spec.e0
-    if spec.mode == "homogeneous":
-        return count * e0
-    if spec.mode == "two_level":
-        return count * e0 * (1.0 + spec.m * spec.alpha)
-    if spec.mode == "three_level":
-        return count * e0 * (1.0 + spec.m * (spec.alpha + spec.m0 * spec.beta))
     if spec.mode == "multi_level":
-        return count * e0 * (1.0 + spec.alpha_max / 2.0)
-    raise ValueError(f"unknown heterogeneity mode {spec.mode!r}")
+        return count * spec.e0 * (1.0 + spec.alpha_max / 2.0)
+    m, m0, alpha, beta = spec.tiers()
+    return count * spec.e0 * (1.0 + m * (alpha + m0 * beta))
 
 
 def deploy(config: NetworkConfig, rng: Random) -> DeploymentResult:

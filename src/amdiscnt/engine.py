@@ -73,8 +73,8 @@ class RoundHistory(Sequence):
             any(map(array.append, self._columns, _record(m)))
 
     def column(self, name: str) -> array:
-        """Field ``name`` of every round; do not mutate it."""
-        return self._columns[_FIELDS.index(name)]
+        """A copy of field ``name`` for every round."""
+        return self._columns[_FIELDS.index(name)][:]
 
     def __len__(self) -> int:
         return len(self._columns[0])

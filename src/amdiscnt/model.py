@@ -23,6 +23,11 @@ class ConfigurationError(ValueError):
     """Raised when a simulation is started from an invalid configuration."""
 
 
+def round_half_up(x: float) -> int:
+    """The rounding of every node count: nearest integer, halves up."""
+    return math.floor(x + 0.5)
+
+
 @dataclass(frozen=True)
 class Position:
     """A point in the plane; the base station sits at the origin."""
@@ -117,6 +122,16 @@ class HeterogeneitySpec:
     @classmethod
     def multi_level(cls, e0: float, alpha_max: float) -> "HeterogeneitySpec":
         return cls(mode="multi_level", e0=e0, alpha_max=alpha_max)
+
+    def tiers(self) -> tuple[float, float, float, float]:
+        """The discrete modes' ``(m, m0, alpha, beta)``, ``0.0`` where a mode has no tier."""
+        if self.mode == "homogeneous":
+            return 0.0, 0.0, 0.0, 0.0
+        if self.mode == "two_level":
+            return self.m, 0.0, self.alpha, 0.0
+        if self.mode == "three_level":
+            return self.m, self.m0, self.alpha, self.beta
+        raise ValueError(f"{self.mode!r} is not a discrete heterogeneity mode")
 
 
 @dataclass
@@ -266,25 +281,42 @@ def validate_config(config: NetworkConfig) -> list[str]:
 
 
 def _overflow_problems(config: NetworkConfig) -> list[str]:
-    """Name the fields of an otherwise valid config whose worst link cost or
-    total initial energy is not a finite float."""
+    """Name the fields of an otherwise valid config whose worst link cost,
+    total initial energy or largest round delay is not a finite float."""
+    from fractions import Fraction
+
     from .energy import tx_cost  # energy imports this module
 
     def finite(compute) -> bool:
         try:
             return math.isfinite(compute())
-        except OverflowError:  # a float power, or an int too large for a float
+        except OverflowError:  # a float power, an infinite Fraction, or an int too large
             return False
 
     problems = []
-    radio, het = config.radio, config.heterogeneity
-    if not finite(lambda: 2 * tx_cost(radio.packet_bits, 2 * config.geometry.r_outer, radio)):
+    n, radio, het, delay = config.n_nodes, config.radio, config.heterogeneity, config.delay
+    r_outer = config.geometry.r_outer
+    if not finite(lambda: 2 * tx_cost(radio.packet_bits, 2 * r_outer, radio)):
         problems.append("worst link cost 2 * tx_cost(radio.packet_bits, 2 * geometry.r_outer) "
                         "must be finite")
-    extra = {"two_level": ("alpha",), "three_level": ("alpha", "beta"),
-             "multi_level": ("alpha_max",)}.get(het.mode, ())
-    if not finite(lambda: config.n_nodes * het.e0 * (1.0 + sum(getattr(het, f) for f in extra))):
+    if het.mode == "multi_level":  # drawn ratios: bound every battery by the largest
+        extra = ("alpha_max",)
+        energy_finite = finite(lambda: n * het.e0 * (1.0 + het.alpha_max))
+    else:  # deploy's tier counts and batteries, summed exactly and rounded once like its fsum
+        m, m0, alpha, beta = het.tiers()
+        n_upper, n_super = round_half_up(m * n), round_half_up(m * m0 * n)
+        extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
+        tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
+                 (n_super, het.e0 * (1.0 + (alpha + beta)))]
+        energy_finite = finite(lambda: float(sum(k * Fraction(e) for k, e in tiers if k)))
+    if not energy_finite:
         terms = "".join(f" + heterogeneity.{f}" for f in extra)
         factor = f" * (1{terms})" if extra else ""
-        problems.append(f"total initial energy n_nodes * heterogeneity.e0{factor} must be finite")
+        problems.append(f"total initial energy of n_nodes batteries of at most "
+                        f"heterogeneity.e0{factor} must be finite")
+    # a round delivers at most n packets, each over at most 3 links of at most 2 * r_outer
+    if delay.mode == "distance" and not finite(
+            lambda: n * 3 * (delay.per_hop + 2 * r_outer / delay.speed)):
+        problems.append("largest round delay n_nodes * 3 * (delay.per_hop + "
+                        "2 * geometry.r_outer / delay.speed) must be finite")
     return problems

@@ -187,7 +187,10 @@ def elect_chs_deec(alive: list[Node], round_index: int, p_opt: float, rng: Rando
         p_i = x if x < 1.0 else 1.0
         if p_i <= 0.0:
             continue
-        epoch = int(1.0 / p_i)  # at least 1, since p_i <= 1
+        try:
+            epoch = int(1.0 / p_i)  # at least 1, since p_i <= 1
+        except OverflowError:  # 1 / p_i is inf: an epoch longer than any run
+            epoch = round_index + 1
         position = round_index % epoch
         last = last_election(node.id)
         if last is not None and last >= round_index - position:

@@ -280,7 +280,9 @@ def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Rando
         p_i = deec_probability(node.residual_energy, average, p_opt)
         if p_i <= 0.0:
             continue
-        epoch = max(1, int(1.0 / p_i))
+        inverse = 1.0 / p_i
+        # an overflowing 1 / p_i means an epoch longer than the whole run
+        epoch = max(1, int(inverse)) if math.isfinite(inverse) else round_index + 1
         epoch_start = round_index - (round_index % epoch)
         last = history.get(node.id)
         if last is not None and last >= epoch_start:

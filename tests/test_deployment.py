@@ -145,6 +145,49 @@ def test_multi_level_mean_total_matches_expectation():
     assert all(0.5 < e <= 1.0 for e, _ in assign_initial_energy(100, spec, Random(5)))
 
 
+# the fields each mode does not read; setting them must change nothing
+_IGNORED = {"homogeneous": ("m", "m0", "alpha", "beta", "alpha_max"),
+            "two_level": ("m0", "beta", "alpha_max"),
+            "three_level": ("alpha_max",),
+            "multi_level": ("m", "m0", "alpha", "beta")}
+_fraction = st.floats(0.0, 1.0)
+_ratio = st.floats(0.0, 1e6)
+
+
+@settings(max_examples=200)
+@given(mode=st.sampled_from(sorted(_IGNORED)), count=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), e0=st.floats(1e-6, 1e6),
+       used=st.tuples(_fraction, _fraction, _ratio, _ratio, _ratio),
+       ignored=st.tuples(_fraction, _fraction, _ratio, _ratio, _ratio))
+def test_fields_a_mode_ignores_change_nothing(mode, count, seed, e0, used, ignored):
+    fields = dict(zip(("m", "m0", "alpha", "beta", "alpha_max"), used))
+    spec = HeterogeneitySpec(mode=mode, e0=e0, **fields)
+    noisy = HeterogeneitySpec(mode=mode, e0=e0, **{
+        **fields, **{f: v for f, v in zip(fields, ignored) if f in _IGNORED[mode]}})
+    rng, noisy_rng = Random(seed), Random(seed)
+    assert assign_initial_energy(count, noisy, noisy_rng) == \
+        assign_initial_energy(count, spec, rng)
+    assert noisy_rng.getstate() == rng.getstate()
+    assert theoretical_total_energy(count, noisy) == theoretical_total_energy(count, spec)
+
+
+def test_homogeneous_draws_nothing():
+    rng = Random(7)
+    state = rng.getstate()
+    spec = HeterogeneitySpec(mode="homogeneous", e0=0.25, m=0.5, m0=0.5, alpha=2.0, beta=3.0)
+    assert assign_initial_energy(50, spec, rng) == [(0.25, 0.0)] * 50
+    assert rng.getstate() == state
+    assert theoretical_total_energy(50, spec) == 12.5
+
+
+def test_unknown_mode_raises_from_both_energy_functions():
+    spec = HeterogeneitySpec(mode="four_level", e0=0.5, m=0.2, alpha=1.0)
+    with pytest.raises(ValueError):
+        assign_initial_energy(10, spec, Random(1))
+    with pytest.raises(ValueError):
+        theoretical_total_energy(10, spec)
+
+
 def test_deploy_census_and_region_consistency():
     config = NetworkConfig()
     result = deploy(config, Random(42))

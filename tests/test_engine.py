@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import weakref
+from array import array
 from random import Random
 
 import pytest
@@ -100,6 +101,23 @@ def test_history_pickles_as_columns_and_reads_as_its_records(monkeypatch):
         history[n]
     assert history.column("mean_delay").tolist() == [m.mean_delay for m in records]
     assert result.cumulative_received == sum(m.packets_received_by_bs for m in records)
+
+
+def test_changing_a_column_copy_leaves_the_history_as_it_was():
+    result = run_simulation(small_config(max_rounds=3), AMDISCNT)
+    history = result.per_round
+    records = list(history)
+    assert len(records) == 3
+    column = history.column("round_index")
+    column.append(9)
+    column[0] = 7
+    assert type(column) is array
+    assert len(history) == 3
+    assert list(history) == records
+    assert [history[i] for i in range(3)] == records
+    assert history.column("round_index").tolist() == [0, 1, 2]
+    with pytest.raises(IndexError):
+        history[3]
 
 
 def test_simulation_is_deterministic():
@@ -410,6 +428,24 @@ def test_baseline_run_matches_reference_replay(config, name, p_opt):
     """A whole leach or deec run equals the straight-line replay: reference
     election, brute-force nearest head and reference round, draw for draw."""
     _check_run_against_replay(config, ProtocolKind(name, p_opt))
+
+
+# the alive mean is near alpha * e0, so a draining normal node's p_i
+# falls below 1 / DBL_MAX and 1 / p_i overflows; its epoch then outlasts the run
+@pytest.mark.parametrize("alpha", [1e305, 1e307])
+def test_deec_runs_to_horizon_when_inverse_probability_overflows(alpha):
+    config = NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, alpha))
+    result = run_simulation(config, ProtocolKind("deec"))
+    assert result.rounds == config.max_rounds
+    assert result.first_node_death == 2233
+    for m in result.per_round:
+        assert all(map(math.isfinite, (m.mean_delay, m.total_residual_energy, m.energy_spent)))
+
+
+def test_deec_with_overflowing_inverse_probability_matches_reference_replay():
+    config = small_config(n_nodes=30, max_rounds=200,
+                          heterogeneity=HeterogeneitySpec.two_level(0.02, 0.2, 1e307))
+    _check_run_against_replay(config, ProtocolKind("deec"))
 
 
 @settings(deadline=None, max_examples=60)

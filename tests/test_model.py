@@ -1,8 +1,13 @@
 import math
+import sys
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden_histories import history_digest
 
+from amdiscnt.deployment import deploy
 from amdiscnt.engine import place, run_simulation
 from amdiscnt.model import (
     ConfigurationError,
@@ -99,7 +104,7 @@ def test_nan_radius_rejected():
     assert any("finite" in p for p in problems)
 
 
-# each of these finite values overflowed inside place() before validation bounded them
+# each of these finite values overflowed in place() or in a run before validation bounded them
 @pytest.mark.parametrize("fields, config", [
     (["geometry.r_outer"], NetworkConfig(geometry=Geometry(20.0, 1e90))),
     (["radio.packet_bits"], NetworkConfig(radio=RadioParams(packet_bits=10**400))),
@@ -107,6 +112,10 @@ def test_nan_radius_rejected():
      NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e308, 0.2, 1.0))),
     (["heterogeneity.e0", "heterogeneity.alpha_max"],
      NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(0.5, 1e308))),
+    (["delay.per_hop", "delay.speed"],
+     NetworkConfig(delay=DelayModel(mode="distance", per_hop=1e308))),
+    (["delay.per_hop", "delay.speed"],
+     NetworkConfig(delay=DelayModel(mode="distance", speed=5e-324))),
 ])
 def test_overflowing_value_rejected_by_name(fields, config):
     problems = validate_config(config)
@@ -139,6 +148,41 @@ def test_large_finite_values_still_run_with_recorded_histories(config, digests):
     assert validate_config(config) == []
     for name, digest in zip(PROTOCOL_NAMES, digests):
         assert history_digest(run_simulation(config, ProtocolKind(name))) == digest
+
+
+def test_exact_energy_bound_runs_a_total_near_the_float_limit():
+    # 80 batteries of 1e306 and 20 of 2e306: 1.2e308, finite, though
+    # n_nodes times the largest battery is not
+    config = NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e306, 0.2, 1.0),
+                           max_rounds=20)
+    assert validate_config(config) == []
+    for name in PROTOCOL_NAMES:
+        result = run_simulation(config, ProtocolKind(name))
+        assert result.rounds == 20
+        for m in result.per_round:
+            assert all(map(math.isfinite, (m.mean_delay, m.total_residual_energy, m.energy_spent)))
+
+
+DBL_MAX = sys.float_info.max
+_ratios = (st.just(0.0) | st.floats(-20.0, 20.0).map(lambda x: 2.0 ** x)
+           | st.floats(0.0, 40.0).map(lambda k: DBL_MAX * 2.0 ** -k))
+
+
+@settings(deadline=None, max_examples=200)
+@given(mode=st.sampled_from(["homogeneous", "two_level", "three_level"]),
+       n_nodes=st.integers(9, 60), seed=st.integers(0, 2**32 - 1),
+       e0=st.floats(0.0, 40.0).map(lambda k: DBL_MAX * 2.0 ** -k),
+       m=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       m0=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), alpha=_ratios, beta=_ratios)
+def test_discrete_energy_accepted_exactly_when_deploy_total_is_finite(
+        mode, n_nodes, seed, e0, m, m0, alpha, beta):
+    config = NetworkConfig(n_nodes=n_nodes, heterogeneity=HeterogeneitySpec(
+        mode=mode, e0=e0, m=m, m0=m0, alpha=alpha, beta=beta))
+    try:
+        deployed = math.isfinite(deploy(config, Random(seed)).total_initial_energy)
+    except OverflowError:  # fsum's intermediate overflow
+        deployed = False
+    assert (validate_config(config) == []) == deployed
 
 
 @pytest.mark.parametrize("field, config", [
