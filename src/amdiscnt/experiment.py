@@ -3,11 +3,14 @@
 An experiment is a network configuration plus a protocol list, a seed
 list, and a confidence level. Configuration files are sectioned
 key-value text (INI syntax); every key has a default, so an empty file
-describes the standard benchmark scenario. The runner executes every
-(protocol, seed) pair, aggregates per protocol, and writes one CSV
-series per protocol plus ``summary.csv`` and a ``meta`` key-value file.
-Floats are serialised with ``repr`` so files round-trip exactly and
-repeated invocations are byte-identical.
+describes the standard benchmark scenario. The runner is one stream of
+``(protocol name, MultiRunStats)`` pairs: it runs each protocol's seeds
+and yields their aggregate before the next protocol runs. The writer
+takes that stream and writes each protocol's CSV series as its pair
+arrives, so only one protocol's bands are ever held, then
+``summary.csv`` and last a ``meta`` key-value file, so a directory
+without ``meta`` is incomplete. Floats are serialised with ``repr`` so
+files round-trip exactly and repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import dataclasses
 import os
 import sys
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -236,34 +239,48 @@ def write_config(spec: ExperimentSpec) -> str:
     return "\n".join(lines)
 
 
-def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
-                   seeds: list[int],
-                   confidence: float = DEFAULTS["experiment.confidence"]
-                   ) -> dict[str, MultiRunStats]:
-    """Run every (protocol, seed) pair and aggregate per protocol.
+def stream_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
+                      seeds: list[int],
+                      confidence: float = DEFAULTS["experiment.confidence"]
+                      ) -> Iterator[tuple[str, MultiRunStats]]:
+    """Check the inputs now, then return a stream of ``(protocol name,
+    MultiRunStats)`` pairs in request order.
 
-    Results are keyed by protocol name in request order. The loop is
-    protocol-major, and each protocol's histories are freed once
-    aggregated, so only one protocol's histories are ever held. Each run
+    The stream is protocol-major: it runs one protocol's seeds when the
+    next pair is asked for, and each protocol's histories are freed once
+    aggregated, so only one protocol's histories are ever held. A config
+    that cannot run, or whose aggregated sums over ``seeds`` would
+    overflow, raises ``ConfigurationError`` before any run. Each run
     deploys its own seed's field, except that a single seed's field is
     placed once and shared by all the protocols: holding every seed's
     placement would cost O(seeds * n**2) memory.
     """
     if not protocols:
-        raise ValueError("run_experiment needs at least one protocol")
+        raise ValueError("an experiment needs at least one protocol")
     if not seeds:
-        raise ValueError("run_experiment needs at least one seed")
+        raise ValueError("an experiment needs at least one seed")
     if len({kind.name for kind in protocols}) != len(protocols):
         raise ValueError("protocol list contains duplicates")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seed list contains duplicates")
+    problems = validate_config(config, runs=len(seeds))
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     shared = place(configs[0]) if len(configs) == 1 else None
-    stats: dict[str, MultiRunStats] = {}
-    for kind in protocols:
-        stats[kind.name] = aggregate_runs(
-            [run_simulation(run_config, kind, shared) for run_config in configs], confidence)
-    return stats
+    return ((kind.name, aggregate_runs([run_simulation(run_config, kind, shared)
+                                        for run_config in configs], confidence))
+            for kind in protocols)
+
+
+def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
+                   seeds: list[int],
+                   confidence: float = DEFAULTS["experiment.confidence"]
+                   ) -> dict[str, MultiRunStats]:
+    """Run every (protocol, seed) pair and aggregate per protocol: the
+    :func:`stream_experiment` stream collected into a dict keyed by
+    protocol name in request order."""
+    return dict(stream_experiment(config, protocols, seeds, confidence))
 
 
 def _series_header() -> list[str]:
@@ -273,12 +290,18 @@ def _series_header() -> list[str]:
     return header
 
 
-def emit_tables(stats: dict[str, MultiRunStats], out_dir: str, *,
+def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str, *,
                 seeds: tuple[int, ...], config: NetworkConfig) -> list[str]:
     """Write per-protocol series, the milestone summary, and the meta file.
 
-    Returns the list of paths written. Output contains nothing
-    volatile (no timestamps), so identical inputs give identical bytes.
+    ``stats`` is an iterable of ``(protocol name, MultiRunStats)`` pairs,
+    such as a dict's ``items()`` or a :func:`stream_experiment` stream.
+    Each ``<name>.csv`` is written as its pair arrives, and only the
+    names, milestones and confidence are kept. ``summary.csv`` follows,
+    and ``meta`` is written last, so a directory without it is
+    incomplete. Returns the list of paths written. Output contains
+    nothing volatile (no timestamps), so identical inputs give identical
+    bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest: list[str] = []
@@ -291,7 +314,8 @@ def emit_tables(stats: dict[str, MultiRunStats], out_dir: str, *,
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
 
-    for name, bundle in stats.items():
+    milestones: dict[str, MilestoneSummary] = {}
+    for name, bundle in stats:
         columns: list[Iterable] = [range(bundle.rounds)]
         for metric in METRIC_NAMES:
             columns += (bundle.per_round_mean[metric], bundle.per_round_lo[metric],
@@ -300,21 +324,23 @@ def emit_tables(stats: dict[str, MultiRunStats], out_dir: str, *,
             # no cell holds a comma, quote or newline, so csv.writer would quote nothing
             handle.write(",".join(_series_header()) + "\n")
             handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+        milestones[name], confidence = bundle.milestones, bundle.confidence
+        del bundle, columns  # free these bands before the stream makes the next protocol's
+    if not milestones:
+        raise ValueError("emit_tables needs at least one protocol")
 
     with _open("summary.csv") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        for name, bundle in stats.items():
-            m = bundle.milestones
+        for name, m in milestones.items():
             writer.writerow([name, repr(m.fnd_mean), repr(m.hnd_mean), repr(m.lnd_mean),
                              repr(m.sent_total_mean), repr(m.received_total_mean)])
 
-    first = next(iter(stats.values()))
     with _open("meta") as handle:
-        handle.write(f"protocols = {','.join(stats)}\n")
+        handle.write(f"protocols = {','.join(milestones)}\n")
         handle.write(f"seeds = {','.join(str(seed) for seed in seeds)}\n")
         handle.write(f"runs = {len(seeds)}\n")
-        handle.write(f"confidence = {repr(first.confidence)}\n")
+        handle.write(f"confidence = {repr(confidence)}\n")
         handle.write(f"delay_mode = {config.delay.mode}\n")
         handle.write(f"deployment_mode = {config.deployment_mode}\n")
         handle.write(f"max_rounds = {config.max_rounds}\n")
@@ -424,9 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.confidence is not None:
             settings["experiment.confidence"] = repr(args.confidence)
         spec = build_spec(settings)
-        stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds),
-                               spec.confidence)
-        manifest = emit_tables(stats, args.out, seeds=spec.seeds, config=spec.network)
+        stream = stream_experiment(spec.network, list(spec.protocols), list(spec.seeds),
+                                   spec.confidence)
+        manifest = emit_tables(stream, args.out, seeds=spec.seeds, config=spec.network)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

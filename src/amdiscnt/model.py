@@ -208,11 +208,13 @@ def _type_problems(obj, prefix: str = "") -> list[str]:
     return problems
 
 
-def validate_config(config: NetworkConfig) -> list[str]:
+def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     """Return a description of every violated invariant; empty when valid.
 
     A numeric field of the wrong type is reported alone, before any range
-    check compares it.
+    check compares it. ``runs`` is the number of seeds whose runs are
+    aggregated together: the energy and delay sums that aggregation takes
+    over them must be finite too.
     """
     problems = _type_problems(config)
     if problems:
@@ -276,47 +278,56 @@ def validate_config(config: NetworkConfig) -> list[str]:
             problems.append(f"delay.per_hop must be finite and non-negative, got {per_hop}")
 
     if not problems:
-        problems.extend(_overflow_problems(config))
+        problems.extend(_overflow_problems(config, runs))
     return problems
 
 
-def _overflow_problems(config: NetworkConfig) -> list[str]:
+def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     """Name the fields of an otherwise valid config whose worst link cost,
-    total initial energy or largest round delay is not a finite float."""
+    total initial energy or largest round delay is not a finite float, or
+    whose total initial energy or largest packet delay is not once
+    aggregation sums it over ``runs`` seeds."""
     from fractions import Fraction
 
     from .energy import tx_cost  # energy imports this module
 
-    def finite(compute) -> bool:
+    def bound(compute) -> float:
         try:
-            return math.isfinite(compute())
+            return float(compute())
         except OverflowError:  # a float power, an infinite Fraction, or an int too large
-            return False
+            return math.inf
 
     problems = []
     n, radio, het, delay = config.n_nodes, config.radio, config.heterogeneity, config.delay
     r_outer = config.geometry.r_outer
-    if not finite(lambda: 2 * tx_cost(radio.packet_bits, 2 * r_outer, radio)):
+    over_runs = f", summed over {runs} seeds,"
+    if not math.isfinite(bound(lambda: 2 * tx_cost(radio.packet_bits, 2 * r_outer, radio))):
         problems.append("worst link cost 2 * tx_cost(radio.packet_bits, 2 * geometry.r_outer) "
                         "must be finite")
     if het.mode == "multi_level":  # drawn ratios: bound every battery by the largest
         extra = ("alpha_max",)
-        energy_finite = finite(lambda: n * het.e0 * (1.0 + het.alpha_max))
+        energy = bound(lambda: n * het.e0 * (1.0 + het.alpha_max))
     else:  # deploy's tier counts and batteries, summed exactly and rounded once like its fsum
         m, m0, alpha, beta = het.tiers()
         n_upper, n_super = round_half_up(m * n), round_half_up(m * m0 * n)
         extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
         tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
                  (n_super, het.e0 * (1.0 + (alpha + beta)))]
-        energy_finite = finite(lambda: float(sum(k * Fraction(e) for k, e in tiers if k)))
-    if not energy_finite:
-        terms = "".join(f" + heterogeneity.{f}" for f in extra)
-        factor = f" * (1{terms})" if extra else ""
-        problems.append(f"total initial energy of n_nodes batteries of at most "
-                        f"heterogeneity.e0{factor} must be finite")
-    # a round delivers at most n packets, each over at most 3 links of at most 2 * r_outer
-    if delay.mode == "distance" and not finite(
-            lambda: n * 3 * (delay.per_hop + 2 * r_outer / delay.speed)):
-        problems.append("largest round delay n_nodes * 3 * (delay.per_hop + "
-                        "2 * geometry.r_outer / delay.speed) must be finite")
+        energy = bound(lambda: sum(k * Fraction(e) for k, e in tiers if k))
+    terms = "".join(f" + heterogeneity.{f}" for f in extra)
+    factor = f" * (1{terms})" if extra else ""
+    energy_text = f"total initial energy of n_nodes batteries of at most heterogeneity.e0{factor}"
+    if not math.isfinite(energy):
+        problems.append(f"{energy_text} must be finite")
+    elif not math.isfinite(runs * energy):  # each run's total residual energy is at most it
+        problems.append(f"{energy_text}{over_runs} must be finite")
+    if delay.mode == "distance":
+        # a packet crosses at most 3 links of at most 2 * r_outer and a round delivers at
+        # most n packets; aggregation sums each round's mean delay, at most one packet's
+        hop = delay.per_hop + 2 * r_outer / delay.speed
+        delay_text = "3 * (delay.per_hop + 2 * geometry.r_outer / delay.speed)"
+        if not math.isfinite(bound(lambda: n * 3 * hop)):
+            problems.append(f"largest round delay n_nodes * {delay_text} must be finite")
+        elif not math.isfinite(runs * 3 * hop):
+            problems.append(f"largest packet delay {delay_text}{over_runs} must be finite")
     return problems

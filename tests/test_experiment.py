@@ -1,5 +1,6 @@
 import csv
 import os
+import sys
 import tempfile
 import weakref
 
@@ -18,6 +19,7 @@ from amdiscnt.experiment import (
     read_settings,
     read_tables,
     run_experiment,
+    stream_experiment,
     write_config,
 )
 from amdiscnt.model import (
@@ -30,6 +32,7 @@ from amdiscnt.model import (
     HeterogeneitySpec,
     NetworkConfig,
     RadioParams,
+    validate_config,
 )
 from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
 
@@ -228,6 +231,68 @@ def test_histories_are_freed_before_the_next_protocol_runs(monkeypatch):
     assert stats["leach"].runs == 2
 
 
+def test_bands_are_freed_once_written(monkeypatch, tmp_path):
+    simulate, aggregate = experiment.run_simulation, experiment.aggregate_runs
+    made: list[list[weakref.ref]] = []  # per protocol: its stats and every band column
+    earlier_alive = []
+
+    def recording_aggregate(results, *args):
+        stats = aggregate(results, *args)
+        bands = (stats.per_round_mean, stats.per_round_lo, stats.per_round_hi)
+        made.append([weakref.ref(stats)] + [weakref.ref(column) for band in bands
+                                            for column in band.values()])
+        return stats
+
+    def recording_simulate(config, kind, *args):
+        earlier_alive.extend(any(ref() is not None for ref in refs) for refs in made)
+        return simulate(config, kind, *args)
+
+    monkeypatch.setattr(experiment, "aggregate_runs", recording_aggregate)
+    monkeypatch.setattr(experiment, "run_simulation", recording_simulate)
+    config = tmp_path / "small.ini"
+    config.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
+    assert main(["--config", str(config), "--seeds", "1,2", "--out", str(tmp_path / "o")]) == 0
+    assert len(made) == 3
+    # leach's two runs each see amdiscnt's stats, deec's two runs see both earlier ones
+    assert earlier_alive == [False] * 6
+
+
+BIG_TWO_LEVEL = HeterogeneitySpec.two_level(1e306, 0.2, 1.0)  # 1.2e308 J in all per run
+
+
+@pytest.mark.parametrize("network, runs, fields", [
+    (NetworkConfig(heterogeneity=BIG_TWO_LEVEL), 5,
+     ("heterogeneity.e0", "heterogeneity.alpha")),
+    (NetworkConfig(heterogeneity=HeterogeneitySpec.homogeneous(1e305)), 20,
+     ("heterogeneity.e0",)),
+    # a round of 9 packets stays finite; 20 seeds' mean delays may not
+    (NetworkConfig(n_nodes=9, delay=DelayModel("distance", 3.0, sys.float_info.max / 40)), 20,
+     ("delay.per_hop", "delay.speed")),
+])
+def test_sums_over_the_seeds_that_overflow_are_rejected_before_any_run(monkeypatch, network,
+                                                                        runs, fields):
+    calls = []
+    monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    assert validate_config(network) == []  # one seed keeps the one-run rule
+    with pytest.raises(ConfigurationError, match=f"summed over {runs} seeds") as raised:
+        stream_experiment(network, [ProtocolKind(name) for name in PROTOCOL_NAMES],
+                          list(range(runs)))
+    assert all(field in str(raised.value) for field in fields)
+    assert calls == []
+
+
+def test_main_rejects_an_overflowing_seed_sum_before_any_run(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    config = tmp_path / "big.ini"
+    config.write_text("[energy]\nmode = two_level\ne0 = 1e306\nm = 0.2\nalpha = 1.0\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "summed over 5 seeds" in err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_experiment_rejects_empty_inputs():
     config = NetworkConfig()
     with pytest.raises(ValueError):
@@ -249,7 +314,7 @@ def test_emit_census_and_round_trip(tmp_path):
     stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds),
                            spec.confidence)
     out = tmp_path / "tables"
-    manifest = emit_tables(stats, str(out), seeds=spec.seeds, config=spec.network)
+    manifest = emit_tables(stats.items(), str(out), seeds=spec.seeds, config=spec.network)
     names = sorted(os.path.basename(p) for p in manifest)
     assert names == ["amdiscnt.csv", "deec.csv", "leach.csv", "meta", "summary.csv"]
     assert read_tables(str(out)) == stats
@@ -279,14 +344,14 @@ def test_emit_read_round_trip_property(battery):
     stats = run_experiment(network, [ProtocolKind(name) for name in PROTOCOL_NAMES], seeds,
                            confidence)
     with tempfile.TemporaryDirectory() as out:
-        emit_tables(stats, out, seeds=tuple(seeds), config=network)
+        emit_tables(stats.items(), out, seeds=tuple(seeds), config=network)
         assert read_tables(out) == stats
 
 
 def test_summary_rows_follow_request_order(tmp_path):
     spec = build_spec(small_settings({"experiment.protocols": "deec,leach"}))
     stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds))
-    emit_tables(stats, str(tmp_path), seeds=spec.seeds, config=spec.network)
+    emit_tables(stats.items(), str(tmp_path), seeds=spec.seeds, config=spec.network)
     with open(tmp_path / "summary.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows[1:]] == ["deec", "leach"]
@@ -295,7 +360,7 @@ def test_summary_rows_follow_request_order(tmp_path):
 def test_round_zero_alive_equals_population(tmp_path):
     spec = build_spec(small_settings())
     stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds))
-    emit_tables(stats, str(tmp_path), seeds=spec.seeds, config=spec.network)
+    emit_tables(stats.items(), str(tmp_path), seeds=spec.seeds, config=spec.network)
     for name in ("amdiscnt", "leach", "deec"):
         with open(tmp_path / f"{name}.csv", newline="") as handle:
             rows = list(csv.reader(handle))
