@@ -28,7 +28,7 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """A point in the plane; the base station sits at the origin."""
 
@@ -43,7 +43,7 @@ class Position:
         return math.hypot(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionId:
     """Either the inner disk (``sector is None``) or one of 8 outer wedges."""
 
@@ -134,7 +134,7 @@ class HeterogeneitySpec:
         raise ValueError(f"{self.mode!r} is not a discrete heterogeneity mode")
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """One sensor. Only the engine mutates ``residual_energy``/``alive``;
     a dead node holds exactly ``+0.0``, which the engine's one liveness
@@ -285,8 +285,9 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
 def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     """Name the fields of an otherwise valid config whose worst link cost,
     total initial energy or largest round delay is not a finite float, or
-    whose total initial energy or largest packet delay is not once
-    aggregation sums it over ``runs`` seeds."""
+    whose total initial energy or largest packet delay, squared, is not
+    once aggregation sums it over ``runs`` seeds: every deviation from a
+    round's mean is at most that bound, and one seed's is exactly 0."""
     from fractions import Fraction
 
     from .energy import tx_cost  # energy imports this module
@@ -300,7 +301,7 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     problems = []
     n, radio, het, delay = config.n_nodes, config.radio, config.heterogeneity, config.delay
     r_outer = config.geometry.r_outer
-    over_runs = f", summed over {runs} seeds,"
+    over_runs = f", squared and summed over {runs} seeds,"
     if not math.isfinite(bound(lambda: 2 * tx_cost(radio.packet_bits, 2 * r_outer, radio))):
         problems.append("worst link cost 2 * tx_cost(radio.packet_bits, 2 * geometry.r_outer) "
                         "must be finite")
@@ -319,15 +320,15 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     energy_text = f"total initial energy of n_nodes batteries of at most heterogeneity.e0{factor}"
     if not math.isfinite(energy):
         problems.append(f"{energy_text} must be finite")
-    elif not math.isfinite(runs * energy):  # each run's total residual energy is at most it
+    elif runs > 1 and not math.isfinite(runs * energy * energy):  # each residual is at most it
         problems.append(f"{energy_text}{over_runs} must be finite")
     if delay.mode == "distance":
         # a packet crosses at most 3 links of at most 2 * r_outer and a round delivers at
-        # most n packets; aggregation sums each round's mean delay, at most one packet's
+        # most n packets; a round's mean delay is at most one packet's
         hop = delay.per_hop + 2 * r_outer / delay.speed
         delay_text = "3 * (delay.per_hop + 2 * geometry.r_outer / delay.speed)"
         if not math.isfinite(bound(lambda: n * 3 * hop)):
             problems.append(f"largest round delay n_nodes * {delay_text} must be finite")
-        elif not math.isfinite(runs * 3 * hop):
+        elif runs > 1 and not math.isfinite(runs * (3 * hop) * (3 * hop)):
             problems.append(f"largest packet delay {delay_text}{over_runs} must be finite")
     return problems

@@ -62,15 +62,19 @@ class TransmissionPlan:
 class DistanceCache:
     """Link table of one fixed placement.
 
-    Holds the pairwise distances (``rows[a][b]``, one ``array('d')`` per
-    node), each node's distance and transmit cost to the base station, and
-    each cluster head's relay order: the inner nodes whose two-leg cost to
-    the base station is strictly below the head's direct cost, sorted by
-    (cost, id). A relay order is built the first time its node heads a
-    cluster. The neighbour orders list, for each node, every node id
-    sorted by (distance from it, id), as compact ``array`` rows; they are
-    built all at once, the first time a baseline plan asks for them, so
-    runs that never join members to the nearest head never pay for them.
+    Holds the pairwise distances as a lower triangle: ``rows[a]`` is an
+    ``array('d')`` of node ``a``'s distances to the lower ids ``0..a-1``,
+    so the distance between ``a`` and ``b < a`` is ``rows[a][b]``, stored
+    once, and :meth:`distances_from` lists one node's distances to all.
+    It also holds each node's distance and transmit cost to the base
+    station, and each cluster head's relay order: the inner nodes whose
+    two-leg cost to the base station is strictly below the head's direct
+    cost, sorted by (cost, id). A relay order is built the first time its
+    node heads a cluster. The neighbour orders list, for each node, every
+    node id sorted by (distance from it, id), as compact ``array`` rows;
+    they are built all at once, the first time a baseline plan asks for
+    them, so runs that never join members to the nearest head never pay
+    for them.
     ``nodes`` must be listed by id, 0..n-1 (deployment order).
     """
 
@@ -83,23 +87,24 @@ class DistanceCache:
         self.to_bs = list(map(math.hypot, xs, ys))
         self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
         self.inner = [node.id for node in nodes if node.region.is_inner]
-        # hypot(-u, -v) == hypot(u, v) exactly, so each distance is computed once
-        rows: list[array] = []
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            row = array("d", [other[i] for other in rows] + [0.0])
-            row.extend(map(math.hypot, [x - xj for xj in xs[i + 1:]],
-                           [y - yj for yj in ys[i + 1:]]))
-            rows.append(row)
-        self.rows = rows
+        # hypot(-u, -v) == hypot(u, v) exactly, so one entry serves both directions;
+        # an array made from a list is allocated at its exact size
+        self.rows = [array("d", list(map(math.hypot, [x - xj for xj in xs[:i]],
+                                         [y - yj for yj in ys[:i]])))
+                     for i, (x, y) in enumerate(zip(xs, ys))]
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
         self._neighbour_orders: list[array] | None = None
+
+    def distances_from(self, i: int) -> list[float]:
+        """Node ``i``'s distance to every node, by id (``0.0`` to itself)."""
+        return self.rows[i].tolist() + [0.0] + [row[i] for row in self.rows[i + 1:]]
 
     def relay_order(self, ch_id: int) -> list[int]:
         """Inner nodes cheaper than going direct, by (two-leg cost, id)."""
         order = self._relay_orders[ch_id]
         if order is None:
             bits = self.radio.packet_bits
-            row = self.rows[ch_id]
+            row = self.distances_from(ch_id)
             direct = self.tx_to_bs[ch_id]
             costs = sorted((tx_cost(bits, row[i], self.radio) + self.tx_to_bs[i], i)
                            for i in self.inner)
@@ -112,8 +117,8 @@ class DistanceCache:
         orders = self._neighbour_orders
         if orders is None:
             ids = range(len(self.rows))
-            # sorted is stable, so equal distances keep ascending id; list keys allocate no floats
-            orders = [array("H", sorted(ids, key=row.tolist().__getitem__)) for row in self.rows]
+            # sorted is stable, so equal distances keep ascending id
+            orders = [array("H", sorted(ids, key=self.distances_from(i).__getitem__)) for i in ids]
             self._neighbour_orders = orders
         return orders
 

@@ -268,15 +268,25 @@ BIG_TWO_LEVEL = HeterogeneitySpec.two_level(1e306, 0.2, 1.0)  # 1.2e308 J in all
     # a round of 9 packets stays finite; 20 seeds' mean delays may not
     (NetworkConfig(n_nodes=9, delay=DelayModel("distance", 3.0, sys.float_info.max / 40)), 20,
      ("delay.per_hop", "delay.speed")),
+    # each sum is finite, but aggregation's squared deviations from the mean overflowed:
+    # leach and deec raised OverflowError on the first, all three protocols on the second
+    (NetworkConfig(delay=DelayModel("distance", 1.0, 1e160)), 5,
+     ("delay.per_hop", "delay.speed")),
+    (NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(1e160, 1.0)), 5,
+     ("heterogeneity.e0", "heterogeneity.alpha_max")),
+    # equal totals on every seed made these deviations 0, but no bound can tell
+    (NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e200, 0.2, 1.0)), 5,
+     ("heterogeneity.e0", "heterogeneity.alpha")),
 ])
 def test_sums_over_the_seeds_that_overflow_are_rejected_before_any_run(monkeypatch, network,
                                                                         runs, fields):
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    kinds = [ProtocolKind(name) for name in PROTOCOL_NAMES]
     assert validate_config(network) == []  # one seed keeps the one-run rule
+    stream_experiment(network, kinds, [0])
     with pytest.raises(ConfigurationError, match=f"summed over {runs} seeds") as raised:
-        stream_experiment(network, [ProtocolKind(name) for name in PROTOCOL_NAMES],
-                          list(range(runs)))
+        stream_experiment(network, kinds, list(range(runs)))
     assert all(field in str(raised.value) for field in fields)
     assert calls == []
 
@@ -285,12 +295,15 @@ def test_main_rejects_an_overflowing_seed_sum_before_any_run(monkeypatch, tmp_pa
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
     config = tmp_path / "big.ini"
-    config.write_text("[energy]\nmode = two_level\ne0 = 1e306\nm = 0.2\nalpha = 1.0\n")
-    assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "summed over 5 seeds" in err
-    assert calls == []
-    assert not (tmp_path / "o").exists()
+    for text in ("[energy]\nmode = two_level\ne0 = 1e306\nm = 0.2\nalpha = 1.0\n",
+                 "[delay]\nmode = distance\nper_hop = 1e160\n",
+                 "[energy]\nmode = multi_level\ne0 = 1e160\nalpha_max = 1.0\n"):
+        config.write_text(text)
+        assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "summed over 5 seeds" in err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_experiment_rejects_empty_inputs():

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from array import array
 from random import Random
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_engine as reference
 from amdiscnt.energy import tx_cost
-from amdiscnt.engine import run_simulation
+from amdiscnt.engine import place, run_simulation
 from amdiscnt.model import NetworkConfig, Node, Position, RadioParams, RegionId
 from amdiscnt.protocols import (
     DistanceCache,
@@ -264,8 +266,29 @@ class TestRelaySelection:
         for a in nodes:
             assert links.to_bs[a.id] == a.position.radius()
             assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
+            row = links.distances_from(a.id)
             for b in nodes:
-                assert links.rows[a.id][b.id] == a.position.distance_to(b.position)
+                assert row[b.id] == a.position.distance_to(b.position)
+
+    def test_link_rows_hold_each_pair_once(self):
+        for n in (9, 100, 400):
+            links = place(NetworkConfig(n_nodes=n)).links
+            assert [len(row) for row in links.rows] == list(range(n))
+            assert sum(len(row) for row in links.rows) == n * (n - 1) // 2
+
+    def test_link_table_of_400_nodes_retains_under_800_kb(self):
+        nodes = place(NetworkConfig(n_nodes=400)).nodes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            links = DistanceCache(nodes, RADIO)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(links.rows) == 400
+        assert retained < 800_000
 
 
 @st.composite
@@ -282,13 +305,15 @@ def mirrored_fields(draw):
 @settings(deadline=None, max_examples=100)
 @given(nodes=mirrored_fields())
 def test_link_rows_are_symmetric_hypot_arrays(nodes):
-    # each pair's distance is computed once, from the lower id, and copied
+    # each pair's distance is computed once, from the higher id, and serves both orders
     links = DistanceCache(nodes, RADIO)
     assert all(type(row) is array and row.typecode == "d" for row in links.rows)
+    assert [len(row) for row in links.rows] == list(range(len(nodes)))
+    full = [links.distances_from(node.id) for node in nodes]
     for a in nodes:
         for b in nodes:
             d = math.hypot(a.position.x - b.position.x, a.position.y - b.position.y)
-            assert links.rows[a.id][b.id] == links.rows[b.id][a.id] == d
+            assert full[a.id][b.id] == full[b.id][a.id] == d
 
 
 class TestPlans:
@@ -368,11 +393,11 @@ class TestPlans:
                  make_node(2, 20.0, -1.0)] + random_field(3)[3:]
         links = DistanceCache(nodes, RADIO)
         orders = links.neighbour_orders()
-        assert links.rows[0][1] == links.rows[0][2]
+        assert links.distances_from(0)[1] == links.distances_from(0)[2]
         first = orders[0].index(1)
         assert orders[0][first + 1] == 2
         for i, order in enumerate(orders):
-            row = links.rows[i]
+            row = links.distances_from(i)
             assert list(order) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
         assert links.neighbour_orders() is orders
 
