@@ -2,30 +2,33 @@
 direct-to-sink nodes ringed by eight wedges, with the battery tiers
 marked."""
 
+import math
+from collections import Counter
 from random import Random
 
 from amdiscnt import NetworkConfig, RegionId, deploy
 
 config = NetworkConfig()
-result = deploy(config, Random(config.seed))
+nodes = deploy(config, Random(config.seed))
+census = Counter(node.region for node in nodes)
 
 print(f"{config.n_nodes} nodes, sink at the origin, "
       f"inner radius {config.geometry.r_inner} m, outer {config.geometry.r_outer} m")
 print()
 
 print("Region census")
-print(f"  inner disk: {result.per_region_counts[RegionId()]} nodes")
+print(f"  inner disk: {census[RegionId()]} nodes")
 for sector in range(8):
-    count = result.per_region_counts[RegionId(sector)]
+    count = census[RegionId(sector)]
     lo, hi = sector * 45, (sector + 1) * 45
     print(f"  wedge {sector} ({lo:3d}-{hi:3d} deg): {count} nodes")
 print()
 
-advanced = [n for n in result.nodes if n.tier_scale > 0]
-print(f"Battery tiers: {len(result.nodes) - len(advanced)} normal at "
+advanced = [n for n in nodes if n.tier_scale > 0]
+print(f"Battery tiers: {len(nodes) - len(advanced)} normal at "
       f"{config.heterogeneity.e0} J, {len(advanced)} advanced at "
       f"{config.heterogeneity.e0 * (1 + config.heterogeneity.alpha)} J")
-print(f"Total on-field energy: {result.total_initial_energy} J")
+print(f"Total on-field energy: {math.fsum(n.initial_energy for n in nodes)} J")
 print()
 
 # character map, 2 m per cell; o normal, A advanced, + sink
@@ -42,7 +45,7 @@ def plot(x, y, mark):
         grid[row][col] = mark
 
 
-for node in result.nodes:
+for node in nodes:
     plot(node.position.x, node.position.y, "A" if node.tier_scale > 0 else "o")
 plot(0.0, 0.0, "+")
 

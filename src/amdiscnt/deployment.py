@@ -13,8 +13,6 @@ uniformly (which concentrates nodes toward the centre of the region).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from random import Random
 
 from .model import (
@@ -39,13 +37,6 @@ class OutOfFieldError(ValueError):
 
 class DegenerateDeploymentError(ValueError):
     """The node budget leaves a region empty, or the field cannot hold a node."""
-
-
-@dataclass(frozen=True)
-class DeploymentResult:
-    nodes: list[Node]
-    total_initial_energy: float
-    per_region_counts: dict[RegionId, int]
 
 
 def region_of(position: Position, geometry: Geometry) -> RegionId:
@@ -122,16 +113,8 @@ def assign_initial_energy(count: int, spec: HeterogeneitySpec,
     return [(spec.e0 * (1.0 + scale), scale) for scale in scales]
 
 
-def theoretical_total_energy(count: int, spec: HeterogeneitySpec) -> float:
-    """Closed-form network energy (the expectation, for ``multi_level``)."""
-    if spec.mode == "multi_level":
-        return count * spec.e0 * (1.0 + spec.alpha_max / 2.0)
-    m, m0, alpha, beta = spec.tiers()
-    return count * spec.e0 * (1.0 + m * (alpha + m0 * beta))
-
-
-def deploy(config: NetworkConfig, rng: Random) -> DeploymentResult:
-    """Build the initial network.
+def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
+    """Build the initial network's nodes, listed by id.
 
     Nodes are placed inner region first, then sectors 0..7, with ids
     assigned sequentially from 0; energies are drawn afterwards in one
@@ -156,11 +139,8 @@ def deploy(config: NetworkConfig, rng: Random) -> DeploymentResult:
                 f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)
-    nodes = [
+    return [
         Node(id=i, position=pos, region=region,
              initial_energy=e, residual_energy=e, alive=True, tier_scale=scale)
         for i, ((region, pos), (e, scale)) in enumerate(zip(placed, energies))
     ]
-    counts = dict(Counter(node.region for node in nodes))
-    total = math.fsum(e for e, _ in energies)
-    return DeploymentResult(nodes=nodes, total_initial_energy=total, per_region_counts=counts)

@@ -271,7 +271,7 @@ def place(config: NetworkConfig) -> Placement:
     if problems:
         raise ConfigurationError("; ".join(problems))
     rng = Random(config.seed)
-    nodes = deploy(config, rng).nodes
+    nodes = deploy(config, rng)
     return Placement(nodes, rng.getstate(), DistanceCache(nodes, config.radio))
 
 

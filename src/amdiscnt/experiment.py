@@ -70,8 +70,18 @@ DEFAULTS: dict[str, object] = {
     "experiment.base_seed": 42,
     "experiment.seeds": None,
     "experiment.confidence": 0.95,
-    "experiment.p_opt": 0.1,
+    "experiment.p_opt": ProtocolKind.p_opt,
 }
+
+# One row per experiment flag: the key it sets, its metavar and its help.
+# Its value type, and the default its help shows, are read from DEFAULTS.
+FLAGS: tuple[tuple[str, str, str], ...] = (
+    ("experiment.protocols", "LIST", "comma-separated protocol names"),
+    ("experiment.seeds", "LIST", "comma-separated run seeds"),
+    ("experiment.runs", "N", "number of runs per protocol"),
+    ("experiment.base_seed", "S", "first seed; run i uses S+i"),
+    ("experiment.confidence", "LEVEL", "confidence level for the interval bands"),
+)
 
 PRESETS: dict[str, dict[str, str]] = {
     "table1": {},
@@ -206,11 +216,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return read_settings(text, source=path)
 
 
-def parse_config(path: str) -> ExperimentSpec:
-    """Read and validate one experiment configuration file."""
-    return build_spec(_read_config_file(path))
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -330,11 +335,9 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str, *,
         raise ValueError("emit_tables needs at least one protocol")
 
     with _open("summary.csv") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for name, m in milestones.items():
-            writer.writerow([name, repr(m.fnd_mean), repr(m.hnd_mean), repr(m.lnd_mean),
-                             repr(m.sent_total_mean), repr(m.received_total_mean)])
+        handle.write(",".join(SUMMARY_HEADER) + "\n")
+        handle.writelines(",".join([name, *map(repr, dataclasses.astuple(m))]) + "\n"
+                          for name, m in milestones.items())
 
     with _open("meta") as handle:
         handle.write(f"protocols = {','.join(milestones)}\n")
@@ -403,23 +406,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="amdiscnt",
         description="Run round-based sensor-network simulations and write metric tables.")
     parser.add_argument("--config", metavar="PATH", help="experiment configuration file")
-    parser.add_argument("--protocols", metavar="LIST",
-                        help="comma-separated protocol names "
-                             f"(default {DEFAULTS['experiment.protocols']})")
-    parser.add_argument("--seeds", metavar="LIST", help="comma-separated run seeds")
-    parser.add_argument("--runs", metavar="N", type=int,
-                        help="number of runs per protocol "
-                             f"(default {DEFAULTS['experiment.runs']})")
-    parser.add_argument("--base-seed", metavar="S", type=int,
-                        help="first seed; run i uses S+i "
-                             f"(default {DEFAULTS['experiment.base_seed']})")
     parser.add_argument("--out", metavar="DIR", default="results",
                         help="output directory (default: results)")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set applied before the config file")
-    parser.add_argument("--confidence", metavar="LEVEL", type=float,
-                        help="confidence level for the interval bands "
-                             f"(default {DEFAULTS['experiment.confidence']})")
+    for key, metavar, text in FLAGS:
+        default = DEFAULTS[key]
+        parser.add_argument("--" + key.partition(".")[2].replace("_", "-"), metavar=metavar,
+                            type=str if default is None else type(default),
+                            help=text if default is None else f"{text} (default {default})")
     return parser
 
 
@@ -429,26 +424,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.seeds is not None and (args.runs is not None or args.base_seed is not None):
         parser.error("--seeds cannot be combined with --runs/--base-seed")
 
+    flags = {key: str(value) for key, *_ in FLAGS
+             if (value := getattr(args, key.partition(".")[2])) is not None}
     settings: dict[str, str] = {}
     try:
         if args.preset:
             settings.update(PRESETS[args.preset])
         if args.config:
             settings.update(_read_config_file(args.config))
-        if args.protocols is not None:
-            settings["experiment.protocols"] = args.protocols
-        if args.seeds is not None:
-            settings["experiment.seeds"] = args.seeds
+        # a seed flag replaces the file's other way of giving seeds: --seeds
+        # drops runs and base_seed, --runs or --base-seed drops seeds
+        if "experiment.seeds" in flags:
             settings.pop("experiment.runs", None)
             settings.pop("experiment.base_seed", None)
-        if args.runs is not None or args.base_seed is not None:
+        elif flags.keys() & {"experiment.runs", "experiment.base_seed"}:
             settings.pop("experiment.seeds", None)
-            if args.runs is not None:
-                settings["experiment.runs"] = str(args.runs)
-            if args.base_seed is not None:
-                settings["experiment.base_seed"] = str(args.base_seed)
-        if args.confidence is not None:
-            settings["experiment.confidence"] = repr(args.confidence)
+        settings.update(flags)
         spec = build_spec(settings)
         stream = stream_experiment(spec.network, list(spec.protocols), list(spec.seeds),
                                    spec.confidence)

@@ -35,9 +35,6 @@ class Position:
     x: float
     y: float
 
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def radius(self) -> float:
         """Distance to the base station."""
         return math.hypot(self.x, self.y)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from random import Random
 
 from .energy import tx_cost
@@ -97,7 +97,7 @@ class DistanceCache:
 
     def distances_from(self, i: int) -> list[float]:
         """Node ``i``'s distance to every node, by id (``0.0`` to itself)."""
-        return self.rows[i].tolist() + [0.0] + [row[i] for row in self.rows[i + 1:]]
+        return self.rows[i].tolist() + [0.0] + list(map(itemgetter(i), self.rows[i + 1:]))
 
     def relay_order(self, ch_id: int) -> list[int]:
         """Inner nodes cheaper than going direct, by (two-leg cost, id)."""
@@ -140,12 +140,6 @@ def elect_chs_amdiscnt(alive: list[Node]) -> set[int]:
     return {node.id for node in best.values()}
 
 
-def leach_threshold(round_index: int, p_opt: float) -> float:
-    """Election threshold at a given position inside the rotation epoch."""
-    epoch = int(1.0 / p_opt)
-    return p_opt / (1.0 - p_opt * (round_index % epoch))
-
-
 def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Random,
                     history: dict[int, int]) -> set[int]:
     """Classic rotating election.
@@ -156,9 +150,12 @@ def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Rand
     (node id -> last election round) carries the rotation state between
     rounds and is updated in place.
     """
-    epoch = int(1.0 / p_opt)
+    try:
+        epoch = int(1.0 / p_opt)
+    except OverflowError:  # 1 / p_opt is inf: an epoch longer than any run
+        epoch = round_index + 1
     epoch_start = round_index - (round_index % epoch)
-    threshold = leach_threshold(round_index, p_opt)
+    threshold = p_opt / (1.0 - p_opt * (round_index - epoch_start))
     draw = rng.random
     last_election = history.get
     elected = set()

@@ -222,10 +222,28 @@ def replay_round(nodes, members, routes, direct, config, rng):
     }
 
 
+def distance(p, q) -> float:
+    """Distance between two positions, bit-equal to the engine's link table."""
+    return math.hypot(p.x - q.x, p.y - q.y)
+
+
+def theoretical_total_energy(count: int, spec) -> float:
+    """Closed-form network energy (the expectation, for ``multi_level``)."""
+    if spec.mode == "multi_level":
+        return count * spec.e0 * (1.0 + spec.alpha_max / 2.0)
+    m, m0, alpha, beta = spec.tiers()
+    return count * spec.e0 * (1.0 + m * (alpha + m0 * beta))
+
+
+def _leach_epoch(round_index: int, p_opt: float) -> int:
+    inverse = 1.0 / p_opt
+    # an overflowing 1 / p_opt means an epoch longer than the whole run
+    return int(inverse) if math.isfinite(inverse) else round_index + 1
+
+
 def leach_threshold(round_index: int, p_opt: float) -> float:
     """Election threshold at a given position inside the rotation epoch."""
-    epoch = int(1.0 / p_opt)
-    return p_opt / (1.0 - p_opt * (round_index % epoch))
+    return p_opt / (1.0 - p_opt * (round_index % _leach_epoch(round_index, p_opt)))
 
 
 def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
@@ -239,7 +257,7 @@ def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Rand
     """
     if history is None:
         history = {}
-    epoch = int(1.0 / p_opt)
+    epoch = _leach_epoch(round_index, p_opt)
     epoch_start = round_index - (round_index % epoch)
     threshold = leach_threshold(round_index, p_opt)
     elected = set()

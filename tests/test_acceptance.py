@@ -93,7 +93,7 @@ def test_c02_head_count_tracks_populated_sectors():
     for seed in SEEDS:
         config = dataclasses.replace(NetworkConfig(), seed=seed)
         rng = Random(config.seed)
-        nodes = list(deploy(config, rng).nodes)
+        nodes = deploy(config, rng)
         links = DistanceCache(nodes, config.radio)
         outer = [n for n in nodes if not n.region.is_inner]
         first_outer_death_seen = False
@@ -135,7 +135,8 @@ def test_c04_energy_conservation(battery_table1, battery_table2):
         for runs in results.values():
             for run in runs:
                 config = run.config
-                previous = deploy(config, Random(config.seed)).total_initial_energy
+                previous = math.fsum(n.initial_energy
+                                     for n in deploy(config, Random(config.seed)))
                 for m in run.per_round:
                     spent = previous - m.total_residual_energy
                     if not math.isclose(spent, m.energy_spent, rel_tol=1e-9, abs_tol=1e-12):
@@ -165,10 +166,10 @@ def test_c05_radio_unit_checks():
 def test_c06_tiered_energy_totals_exact():
     two = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
     three = HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 2.0, 3.0)
-    total_two = deploy(NetworkConfig(heterogeneity=two),
-                       Random(1)).total_initial_energy
-    total_three = deploy(NetworkConfig(heterogeneity=three),
-                         Random(1)).total_initial_energy
+    total_two = math.fsum(n.initial_energy
+                          for n in deploy(NetworkConfig(heterogeneity=two), Random(1)))
+    total_three = math.fsum(n.initial_energy
+                            for n in deploy(NetworkConfig(heterogeneity=three), Random(1)))
     sampled_two = math.fsum(e for e, _ in assign_initial_energy(100, two, Random(5)))
     sampled_three = math.fsum(e for e, _ in assign_initial_energy(100, three, Random(5)))
     ok = (total_two == 60.0 and sampled_two == 60.0
@@ -224,7 +225,7 @@ def test_c09_small_instance_reference_replay():
 
     config = NetworkConfig(n_nodes=9, max_rounds=3)
     engine = run_simulation(config, ProtocolKind("amdiscnt"))
-    nodes = copy.deepcopy(list(deploy(config, Random(config.seed)).nodes))
+    nodes = copy.deepcopy(deploy(config, Random(config.seed)))
     reference = replay_rounds(nodes, config, 3)
     fields = ("round_index", "alive", "dead", "packets_sent_to_bs",
               "packets_received_by_bs", "ch_count", "mean_delay",

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_engine import theoretical_total_energy
 
 from amdiscnt.deployment import (
     DegenerateDeploymentError,
@@ -14,7 +16,6 @@ from amdiscnt.deployment import (
     region_of,
     sample_inner_position,
     sample_outer_position,
-    theoretical_total_energy,
 )
 from amdiscnt.model import (
     DEPLOYMENT_MODES,
@@ -190,17 +191,18 @@ def test_unknown_mode_raises_from_both_energy_functions():
 
 def test_deploy_census_and_region_consistency():
     config = NetworkConfig()
-    result = deploy(config, Random(42))
-    assert len(result.nodes) == 100
-    assert result.per_region_counts[RegionId()] == 11
-    assert result.per_region_counts[RegionId(0)] == 12
+    nodes = deploy(config, Random(42))
+    counts = Counter(node.region for node in nodes)
+    assert len(nodes) == 100
+    assert counts[RegionId()] == 11
+    assert counts[RegionId(0)] == 12
     for sector in range(1, 8):
-        assert result.per_region_counts[RegionId(sector)] == 11
-    for node in result.nodes:
+        assert counts[RegionId(sector)] == 11
+    for node in nodes:
         assert node.region == region_of(node.position, config.geometry)
         assert node.residual_energy == node.initial_energy
         assert node.alive
-    assert [n.id for n in result.nodes] == list(range(100))
+    assert [n.id for n in nodes] == list(range(100))
 
 
 def test_deploy_deterministic():
@@ -214,8 +216,8 @@ def test_deploy_deterministic():
 
 def test_deploy_total_matches_two_level_closed_form():
     config = NetworkConfig()
-    result = deploy(config, Random(9))
-    assert result.total_initial_energy == 60.0
+    nodes = deploy(config, Random(9))
+    assert math.fsum(node.initial_energy for node in nodes) == 60.0
 
 
 @st.composite
@@ -244,7 +246,7 @@ def test_every_node_lies_in_its_intended_region(config, seed):
         return
     geo = config.geometry
     try:
-        result = deploy(config, Random(seed))
+        nodes = deploy(config, Random(seed))
     except DegenerateDeploymentError:
         # a node is lost to rounding about once in 1e16 * width / r_outer draws
         assert geo.r_outer - geo.r_inner < 1e-9 * geo.r_outer
@@ -253,8 +255,8 @@ def test_every_node_lies_in_its_intended_region(config, seed):
     intended = [INNER] * inner
     for sector in range(N_SECTORS):
         intended += [RegionId(sector)] * sectors[sector]
-    assert [node.region for node in result.nodes] == intended
-    for node in result.nodes:
+    assert [node.region for node in nodes] == intended
+    for node in nodes:
         assert node.region == region_of(node.position, geo)
         r = node.position.radius()
         if node.region.is_inner:
@@ -262,7 +264,7 @@ def test_every_node_lies_in_its_intended_region(config, seed):
         else:
             assert geo.r_inner < r <= geo.r_outer
     expected_counts = {INNER: inner, **{RegionId(s): sectors[s] for s in range(N_SECTORS)}}
-    assert result.per_region_counts == expected_counts
+    assert Counter(node.region for node in nodes) == expected_counts
 
 
 def test_annulus_too_thin_for_rounding_is_rejected_by_name():

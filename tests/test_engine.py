@@ -139,7 +139,7 @@ def test_residual_energy_never_increases():
 def test_energy_conservation_round_by_round():
     config = small_config()
     res = run_simulation(config, AMDISCNT)
-    start = deploy(config, Random(config.seed)).total_initial_energy
+    start = math.fsum(n.initial_energy for n in deploy(config, Random(config.seed)))
     previous = start
     for m in res.per_round:
         drop = previous - m.total_residual_energy
@@ -275,7 +275,7 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
              Node(DEAD, Position(90.0, 5.0), RegionId(0), 0.5, 0.0, alive=False),
              Node(OTHER_MEMBER, Position(110.0, 15.0), RegionId(0), 0.5, 0.5),
              Node(DIRECT, Position(5.0, 10.0), RegionId(), 0.5, 0.5)]
-    member_link = nodes[MEMBER].position.distance_to(nodes[HEAD].position)
+    member_link = reference.distance(nodes[MEMBER].position, nodes[HEAD].position)
     node_id, cost = {"member_tx": (MEMBER, tx_cost(bits, member_link, radio)),
                      "head_rx": (HEAD, rx_cost(bits, radio)),
                      "relay_rx": (RELAY, rx_cost(bits, radio)),
@@ -343,7 +343,8 @@ def hand_built_rounds(draw):
                    aggregation_cost(bits, 1, radio), aggregation_cost(bits, 2, radio),
                    rx_cost(bits, radio) + aggregation_cost(bits, 2, radio)]
         if link is not None:
-            budgets.append(tx_cost(bits, node.position.distance_to(nodes[link].position), radio))
+            link_length = reference.distance(node.position, nodes[link].position)
+            budgets.append(tx_cost(bits, link_length, radio))
         energy = draw(st.sampled_from(budgets) | st.floats(1e-6, 2e-3))
         node.residual_energy = energy
         node.alive = energy > 0.0  # a dead node holds exactly 0.0
@@ -400,7 +401,7 @@ def small_configs(draw):
 @settings(deadline=None, max_examples=60)
 @given(config=small_configs(), name=st.sampled_from(PROTOCOL_NAMES))
 def test_ledger_equals_residual_drop_property(config, name):
-    previous = deploy(config, Random(config.seed)).total_initial_energy
+    previous = math.fsum(n.initial_energy for n in deploy(config, Random(config.seed)))
     for m in run_simulation(config, ProtocolKind(name)).per_round:
         drop = previous - m.total_residual_energy
         assert drop == pytest.approx(m.energy_spent, rel=1e-9, abs=1e-15)
@@ -413,7 +414,7 @@ def _check_run_against_replay(config, kind):
         patch.setattr(engine, "Random", lambda *seed: made.append(Random(*seed)) or made[-1])
         result = run_simulation(config, kind)
     rng = Random(config.seed)
-    nodes = list(deploy(config, rng).nodes)
+    nodes = deploy(config, rng)
     rounds, milestones = reference.replay_run(nodes, config, kind.name, kind.p_opt, rng)
     assert [dataclasses.asdict(m) for m in result.per_round] == rounds
     assert (result.first_node_death, result.half_nodes_death,
@@ -446,6 +447,16 @@ def test_deec_with_overflowing_inverse_probability_matches_reference_replay():
     config = small_config(n_nodes=30, max_rounds=200,
                           heterogeneity=HeterogeneitySpec.two_level(0.02, 0.2, 1e307))
     _check_run_against_replay(config, ProtocolKind("deec"))
+
+
+# below about 5.6e-309, 1 / p_opt overflows; leach's one epoch then outlasts the run
+def test_leach_with_overflowing_inverse_p_opt_runs_to_horizon_as_the_replay():
+    config = NetworkConfig(n_nodes=20, max_rounds=30)
+    kind = ProtocolKind("leach", 1e-310)
+    result = run_simulation(config, kind)
+    assert result.rounds == config.max_rounds
+    assert all(m.ch_count == 0 for m in result.per_round)  # a draw under 1e-310 is 0.0
+    _check_run_against_replay(config, kind)
 
 
 @settings(deadline=None, max_examples=60)

@@ -15,7 +15,6 @@ from amdiscnt.experiment import (
     build_spec,
     emit_tables,
     main,
-    parse_config,
     read_settings,
     read_tables,
     run_experiment,
@@ -48,7 +47,7 @@ def test_empty_settings_give_benchmark_defaults():
 def test_empty_file_parses_to_defaults(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")
-    assert parse_config(str(path)) == build_spec({})
+    assert build_spec(read_settings(path.read_text(), str(path))) == build_spec({})
 
 
 def test_table2_preset_overrides():
@@ -423,6 +422,74 @@ def test_main_runs_and_base_seed(tmp_path):
 def test_main_seed_flags_conflict(tmp_path):
     with pytest.raises(SystemExit):
         main(["--seeds", "1,2", "--runs", "3", "--out", str(tmp_path)])
+
+
+# [experiment] entries of a config file, and command-line flags, as key -> text
+PRECEDENCE_FILES = [{}, {"seeds": "3,4"}, {"runs": "3"}, {"base_seed": "10"},
+                    {"runs": "3", "base_seed": "10"}, {"protocols": "leach", "confidence": "0.9"}]
+PRECEDENCE_FLAGS = [{}, {"seeds": "7,8"}, {"runs": "2"}, {"base_seed": "20"},
+                    {"runs": "2", "base_seed": "20"}, {"protocols": "deec"},
+                    {"confidence": "0.8"}]
+
+
+def _main_spec(monkeypatch, tmp_path, file: dict, flags: dict):
+    """Run ``main`` on ``file`` and ``flags`` and return what it would
+    have run and written: (protocol names, seeds, confidence)."""
+    captured = []
+
+    def fake_stream(network, protocols, seeds, confidence):
+        captured.append(([kind.name for kind in protocols], tuple(seeds), confidence))
+        return iter(())
+
+    def fake_emit(stream, out, *, seeds, config):
+        assert list(stream) == [] and seeds == captured[0][1]
+        return []
+
+    monkeypatch.setattr(experiment, "stream_experiment", fake_stream)
+    monkeypatch.setattr(experiment, "emit_tables", fake_emit)
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in file.items()))
+    argv = ["--config", str(config), "--out", str(tmp_path / "o")]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    assert main(argv) == 0
+    return captured[0]
+
+
+@pytest.mark.parametrize("flags", PRECEDENCE_FLAGS, ids=lambda f: "+".join(f) or "no-flag")
+@pytest.mark.parametrize("file", PRECEDENCE_FILES, ids=lambda f: "+".join(f) or "no-key")
+def test_main_flags_override_the_file_by_the_seed_rule(monkeypatch, tmp_path, file, flags):
+    names, seeds, confidence = _main_spec(monkeypatch, tmp_path, file, flags)
+    if "seeds" in flags:  # --seeds drops the file's runs and base_seed
+        expected = (7, 8)
+    elif "seeds" in file and "runs" not in flags and "base_seed" not in flags:
+        expected = (3, 4)
+    else:  # --runs or --base-seed drops the file's seeds; a file base_seed survives --runs
+        runs = int(flags.get("runs", file.get("runs", 5)))
+        base = int(flags.get("base_seed", file.get("base_seed", 42)))
+        expected = tuple(range(base, base + runs))
+    assert seeds == expected
+    assert names == flags.get("protocols", file.get("protocols", "amdiscnt,leach,deec")).split(",")
+    assert confidence == float(flags.get("confidence", file.get("confidence", 0.95)))
+
+
+@pytest.mark.parametrize("flags", [{"seeds": "1,2", "runs": "3"},
+                                   {"seeds": "1,2", "base_seed": "3"}], ids="+".join)
+@pytest.mark.parametrize("file", PRECEDENCE_FILES, ids=lambda f: "+".join(f) or "no-key")
+def test_main_rejects_seeds_with_runs_or_base_seed_flags(monkeypatch, tmp_path, file, flags):
+    with pytest.raises(SystemExit):
+        _main_spec(monkeypatch, tmp_path, file, flags)
+
+
+def test_main_runs_leach_with_overflowing_inverse_p_opt(tmp_path):
+    # deec runs it and amdiscnt ignores p_opt, so the config stays valid
+    config = tmp_path / "tiny.ini"
+    config.write_text("[network]\nn_nodes = 20\nmax_rounds = 30\n\n"
+                      "[experiment]\nseeds = 1\np_opt = 1e-310\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["amdiscnt.csv", "deec.csv", "leach.csv", "meta",
+                                       "summary.csv"]
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -19,7 +19,6 @@ from amdiscnt.protocols import (
     elect_chs_amdiscnt,
     elect_chs_deec,
     elect_chs_leach,
-    leach_threshold,
     select_relay,
 )
 
@@ -85,10 +84,10 @@ class TestSectorElection:
 
 class TestRotatingElection:
     def test_threshold_at_epoch_start(self):
-        assert leach_threshold(0, 0.1) == pytest.approx(0.1, rel=1e-12)
+        assert reference.leach_threshold(0, 0.1) == pytest.approx(0.1, rel=1e-12)
 
     def test_threshold_at_epoch_end(self):
-        assert leach_threshold(9, 0.1) == pytest.approx(1.0, rel=1e-12)
+        assert reference.leach_threshold(9, 0.1) == pytest.approx(1.0, rel=1e-12)
 
     def test_every_node_serves_once_per_epoch(self):
         nodes = outer_ring({s: [0.5, 0.5] for s in range(8)})
@@ -203,7 +202,7 @@ def brute_force_relay(ch, nodes):
     for node in nodes:
         if not node.alive or not node.region.is_inner or node.id == ch.id:
             continue
-        cost = (tx_cost(bits, ch.position.distance_to(node.position), RADIO)
+        cost = (tx_cost(bits, reference.distance(ch.position, node.position), RADIO)
                 + tx_cost(bits, node.position.radius(), RADIO))
         if cost < best_cost:
             best_id, best_cost = node.id, cost
@@ -268,7 +267,7 @@ class TestRelaySelection:
             assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
             row = links.distances_from(a.id)
             for b in nodes:
-                assert row[b.id] == a.position.distance_to(b.position)
+                assert row[b.id] == reference.distance(a.position, b.position)
 
     def test_link_rows_hold_each_pair_once(self):
         for n in (9, 100, 400):
@@ -377,7 +376,7 @@ class TestPlans:
                 expected = []
                 for node in nodes:
                     if node.alive and node.id not in heads:
-                        key = lambda h: (node.position.distance_to(nodes[h].position), h)
+                        key = lambda h: (reference.distance(node.position, nodes[h].position), h)
                         expected.append((node.id, min(heads, key=key)))
                 assert plan.members == expected
                 assert plan.routes == [(h, None) for h in sorted(heads)]
