@@ -24,7 +24,7 @@ for sector in range(8):
     print(f"  wedge {sector} ({lo:3d}-{hi:3d} deg): {count} nodes")
 print()
 
-advanced = [n for n in nodes if n.tier_scale > 0]
+advanced = [n for n in nodes if n.initial_energy > config.heterogeneity.e0]
 print(f"Battery tiers: {len(nodes) - len(advanced)} normal at "
       f"{config.heterogeneity.e0} J, {len(advanced)} advanced at "
       f"{config.heterogeneity.e0 * (1 + config.heterogeneity.alpha)} J")
@@ -46,7 +46,8 @@ def plot(x, y, mark):
 
 
 for node in nodes:
-    plot(node.position.x, node.position.y, "A" if node.tier_scale > 0 else "o")
+    mark = "A" if node.initial_energy > config.heterogeneity.e0 else "o"
+    plot(node.position.x, node.position.y, mark)
 plot(0.0, 0.0, "+")
 
 for row in grid:

@@ -92,13 +92,12 @@ def region_node_counts(n_nodes: int, inner_fraction: float) -> tuple[int, list[i
     return inner, sectors
 
 
-def assign_initial_energy(count: int, spec: HeterogeneitySpec,
-                          rng: Random) -> list[tuple[float, float]]:
-    """Return ``(initial_energy, tier_scale)`` per node index.
+def assign_initial_energy(count: int, spec: HeterogeneitySpec, rng: Random) -> list[float]:
+    """Return the initial energy per node index.
 
-    ``tier_scale`` is the extra-energy ratio: a node's battery is
-    ``e0 * (1 + tier_scale)``. Discrete modes sample their upper tier from the
-    node indices; its first ``m * m0 * count`` are super nodes, stacking
+    A node's battery is ``e0 * (1 + scale)`` for its extra-energy ratio
+    ``scale``. Discrete modes sample their upper tier from the node
+    indices; its first ``m * m0 * count`` are super nodes, stacking
     ``beta`` on ``alpha``, so the realised total matches the closed form.
     """
     if spec.mode == "multi_level":
@@ -110,7 +109,7 @@ def assign_initial_energy(count: int, spec: HeterogeneitySpec,
         scales = [0.0] * count
         for rank, i in enumerate(chosen):
             scales[i] = alpha + beta if rank < n_super else alpha
-    return [(spec.e0 * (1.0 + scale), scale) for scale in scales]
+    return [spec.e0 * (1.0 + scale) for scale in scales]
 
 
 def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
@@ -139,8 +138,5 @@ def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
                 f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)
-    return [
-        Node(id=i, position=pos, region=region,
-             initial_energy=e, residual_energy=e, alive=True, tier_scale=scale)
-        for i, ((region, pos), (e, scale)) in enumerate(zip(placed, energies))
-    ]
+    return [Node(id=i, position=pos, region=region, initial_energy=e, residual_energy=e)
+            for i, ((region, pos), e) in enumerate(zip(placed, energies))]

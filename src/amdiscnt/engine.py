@@ -158,7 +158,8 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     e_elec, e_fs, e_mp = radio.e_elec, radio.e_fs, radio.e_mp
     drop_p = config.link_drop_probability
     lossy = drop_p > 0.0  # a loss-free run never draws from the RNG
-    link_delay = config.delay.link_delay
+    delay = config.delay  # a link of length d takes hop + d / speed, and d / inf == 0.0
+    hop, speed = (1.0, math.inf) if delay.mode == "hops" else (delay.per_hop, delay.speed)
     rows = links.rows
     to_bs = links.to_bs
     tx_to_bs = links.tx_to_bs
@@ -203,8 +204,8 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
         signals = arrivals[ch_id] + 1  # members plus the head's own reading
         if not _charge(nodes[ch_id], aggregation_cost(bits, signals, radio), ledger, deaths):
             continue
-        # link_delay never decreases with distance, so the longest link gives the max
-        packet_delay = link_delay(longest[ch_id]) if signals > 1 else 0.0
+        # a link's delay never decreases with distance, so the longest link gives the max
+        packet_delay = hop + longest[ch_id] / speed if signals > 1 else 0.0
         sender_id = ch_id
         if relay_id is not None:
             d = rows[ch_id][relay_id] if relay_id < ch_id else rows[relay_id][ch_id]
@@ -214,14 +215,14 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
                 continue
             if not _charge(nodes[relay_id], rx, ledger, deaths):
                 continue
-            packet_delay += link_delay(d)
+            packet_delay += hop + d / speed
             sender_id = relay_id
         if not _charge(nodes[sender_id], tx_to_bs[sender_id], ledger, deaths):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
             received += 1
-            delivered_delays.append(packet_delay + link_delay(to_bs[sender_id]))
+            delivered_delays.append(packet_delay + (hop + to_bs[sender_id] / speed))
 
     # phase 3: direct senders transmit their own readings
     for node_id in plan.direct:
@@ -236,7 +237,7 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
         sent += 1
         if not lossy or rng.random() >= drop_p:
             received += 1
-            delivered_delays.append(link_delay(to_bs[node_id]))
+            delivered_delays.append(hop + to_bs[node_id] / speed)
 
     survivors = len(alive) - len(deaths)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0

@@ -98,10 +98,36 @@ SUMMARY_HEADER = ("protocol", "fnd_mean", "hnd_mean", "lnd_mean", "sent_mean", "
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A runnable experiment: it states every rule on what may run, so a bad one fails
+    here, before any run, with a ``ConfigurationError`` naming each broken rule's key."""
+
     network: NetworkConfig
     protocols: tuple[ProtocolKind, ...]
     seeds: tuple[int, ...]
     confidence: float = DEFAULTS["experiment.confidence"]
+
+    def __post_init__(self):
+        problems = []
+        names = [kind.name for kind in self.protocols]
+        if not names:
+            problems.append("experiment.protocols: an experiment needs at least one protocol")
+        elif len(set(names)) != len(names):
+            problems.append(f"experiment.protocols lists a protocol twice: {names}")
+        if not self.seeds:
+            problems.append("experiment.seeds: an experiment needs at least one seed")
+        elif any(isinstance(s, bool) or not isinstance(s, int) for s in self.seeds):
+            problems.append(f"experiment.seeds: expected integers, got {list(self.seeds)!r}")
+        else:  # Random(s) and Random(-s) draw the same stream
+            ordered = sorted(self.seeds, key=abs)
+            twins = [f"{a} and {b}" for a, b in zip(ordered, ordered[1:]) if abs(a) == abs(b)]
+            if twins:
+                problems.append("experiment.seeds lists a seed twice (s and -s seed the same "
+                                f"stream): {', '.join(twins)}")
+        if not (isinstance(self.confidence, (int, float)) and 0.0 < self.confidence < 1.0):
+            problems.append(f"experiment.confidence must lie in (0, 1), got {self.confidence!r}")
+        problems += validate_config(self.network, runs=len(self.seeds))
+        if problems:
+            raise ConfigurationError("; ".join(problems))
 
 
 def read_settings(text: str, source: str = "<config>") -> dict[str, str]:
@@ -162,18 +188,12 @@ def _split_list(raw: str, key: str) -> list[str]:
 
 
 def build_spec(settings: dict[str, str]) -> ExperimentSpec:
-    """Turn flat settings into a validated experiment description."""
+    """Turn flat settings into an experiment description, which checks itself."""
     network = NetworkConfig()
     for key, path in NETWORK_KEYS:
         network = _replace_path(network, path, _parse(settings, key))
-    problems = validate_config(network)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-
     p_opt = _parse(settings, "experiment.p_opt")
     names = _split_list(_parse(settings, "experiment.protocols"), "experiment.protocols")
-    if len(set(names)) != len(names):
-        raise ConfigurationError(f"experiment.protocols lists a protocol twice: {names}")
     try:
         protocols = tuple(ProtocolKind(name, p_opt) for name in names)
     except ValueError as exc:
@@ -190,20 +210,14 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
             raise ConfigurationError(
                 f"experiment.seeds: expected integers, got {settings['experiment.seeds']!r}"
             ) from None
-        if len(set(seeds)) != len(seeds):
-            raise ConfigurationError(f"experiment.seeds lists a seed twice: {list(seeds)}")
     else:
         runs = _parse(settings, "experiment.runs")
         if runs < 1:
             raise ConfigurationError(f"experiment.runs must be at least 1, got {runs}")
         base_seed = _parse(settings, "experiment.base_seed")
         seeds = tuple(base_seed + i for i in range(runs))
-
-    confidence = _parse(settings, "experiment.confidence")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"experiment.confidence must lie in (0, 1), got {confidence}")
     return ExperimentSpec(network=network, protocols=protocols, seeds=seeds,
-                          confidence=confidence)
+                          confidence=_parse(settings, "experiment.confidence"))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -248,34 +262,24 @@ def stream_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
                       seeds: list[int],
                       confidence: float = DEFAULTS["experiment.confidence"]
                       ) -> Iterator[tuple[str, MultiRunStats]]:
-    """Check the inputs now, then return a stream of ``(protocol name,
-    MultiRunStats)`` pairs in request order.
+    """Check the inputs now, as an :class:`ExperimentSpec`, then return a
+    stream of ``(protocol name, MultiRunStats)`` pairs in request order.
 
     The stream is protocol-major: it runs one protocol's seeds when the
     next pair is asked for, and each protocol's histories are freed once
-    aggregated, so only one protocol's histories are ever held. A config
-    that cannot run, or whose aggregated sums over ``seeds`` would
-    overflow, raises ``ConfigurationError`` before any run. Each run
-    deploys its own seed's field, except that a single seed's field is
-    placed once and shared by all the protocols: holding every seed's
-    placement would cost O(seeds * n**2) memory.
+    aggregated, so only one protocol's histories are ever held. Inputs
+    the spec refuses, such as a config whose aggregated sums over
+    ``seeds`` would overflow, raise ``ConfigurationError`` before any
+    run. Each run deploys its own seed's field, except that a single
+    seed's field is placed once and shared by all the protocols: holding
+    every seed's placement would cost O(seeds * n**2) memory.
     """
-    if not protocols:
-        raise ValueError("an experiment needs at least one protocol")
-    if not seeds:
-        raise ValueError("an experiment needs at least one seed")
-    if len({kind.name for kind in protocols}) != len(protocols):
-        raise ValueError("protocol list contains duplicates")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seed list contains duplicates")
-    problems = validate_config(config, runs=len(seeds))
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    spec = ExperimentSpec(config, tuple(protocols), tuple(seeds), confidence)
+    configs = [dataclasses.replace(config, seed=seed) for seed in spec.seeds]
     shared = place(configs[0]) if len(configs) == 1 else None
     return ((kind.name, aggregate_runs([run_simulation(run_config, kind, shared)
-                                        for run_config in configs], confidence))
-            for kind in protocols)
+                                        for run_config in configs], spec.confidence))
+            for kind in spec.protocols)
 
 
 def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],

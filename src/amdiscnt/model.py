@@ -143,7 +143,6 @@ class Node:
     initial_energy: float
     residual_energy: float
     alive: bool = True
-    tier_scale: float = 0.0  # extra-energy ratio granted at deployment
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,6 @@ class DelayModel:
     mode: str = "hops"
     speed: float = 1.0
     per_hop: float = 0.0
-
-    def link_delay(self, distance: float) -> float:
-        if self.mode == "hops":
-            return 1.0
-        return self.per_hop + distance / self.speed
 
 
 @dataclass(frozen=True)

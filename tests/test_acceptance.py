@@ -9,6 +9,7 @@ in an "acceptance criteria" section after the run.
 
 import copy
 import dataclasses
+import hashlib
 import math
 import time
 from random import Random
@@ -77,6 +78,9 @@ def _mean_received(runs):
     return math.fsum(float(r.cumulative_received) for r in runs) / len(runs)
 
 
+# C1 and C10 check mean milestones over seeds 42-46 only. The README's table of which
+# claims are reproduced shows that first death against deec holds on these seeds, not
+# in general: over seeds 0-99 amdiscnt's first death came later on about half of them.
 def test_c01_stability_ordering_and_runtime(battery_table1):
     results, elapsed = battery_table1
     fnd = {name: _mean_fnd(runs) for name, runs in results.items()}
@@ -170,8 +174,8 @@ def test_c06_tiered_energy_totals_exact():
                           for n in deploy(NetworkConfig(heterogeneity=two), Random(1)))
     total_three = math.fsum(n.initial_energy
                             for n in deploy(NetworkConfig(heterogeneity=three), Random(1)))
-    sampled_two = math.fsum(e for e, _ in assign_initial_energy(100, two, Random(5)))
-    sampled_three = math.fsum(e for e, _ in assign_initial_energy(100, three, Random(5)))
+    sampled_two = math.fsum(assign_initial_energy(100, two, Random(5)))
+    sampled_three = math.fsum(assign_initial_energy(100, three, Random(5)))
     ok = (total_two == 60.0 and sampled_two == 60.0
           and total_three == 85.0 and sampled_three == 85.0)
     _report("C6", ok,
@@ -204,6 +208,16 @@ def test_c07_statistics_oracle_and_affine_property():
             f"spread fixtures exact; affine equivariance held on 1000 sample sets")
 
 
+# SHA-256 of each file the default 5-seed CLI battery writes
+CLI_BATTERY_SHA256 = {
+    "amdiscnt.csv": "5c6aaee1aa0c93db95a8d9bae8b1661657c0f9d651250cfe2f77e60db980fc1f",
+    "leach.csv": "512e220b2d8decd661ac80e64ed427bd9c739a0ef260808aeab8f012480ea8bf",
+    "deec.csv": "7a51fe09386b9b7ea9c71e863ce1de8d2c8592c03392795874c2bd16659f5c45",
+    "summary.csv": "fdb7e3261991be35dc8642482efca4a0e4285ae78693fff17345f06e4eff406c",
+    "meta": "ae79e648f660975873bfc73d691d2f410ac4ac0867f1925fc7edda1a8b86a128",
+}
+
+
 def test_c08_cli_battery_is_byte_identical(tmp_path):
     out_a = tmp_path / "first"
     out_b = tmp_path / "second"
@@ -211,10 +225,12 @@ def test_c08_cli_battery_is_byte_identical(tmp_path):
     code_b = main(["--out", str(out_b)])
     names = ["amdiscnt.csv", "leach.csv", "deec.csv", "summary.csv", "meta"]
     identical = all((out_a / n).read_bytes() == (out_b / n).read_bytes() for n in names)
-    ok = code_a == 0 and code_b == 0 and identical
+    pinned = {n: hashlib.sha256((out_a / n).read_bytes()).hexdigest()
+              for n in names} == CLI_BATTERY_SHA256
+    ok = code_a == 0 and code_b == 0 and identical and pinned
     _report("C8", ok,
             f"two executions with identical flags wrote byte-identical "
-            f"{len(names)} files")
+            f"{len(names)} files, each with its pinned SHA-256")
 
 
 def test_c09_small_instance_reference_replay():
@@ -238,6 +254,8 @@ def test_c09_small_instance_reference_replay():
             "rounds bit-exactly on the 9-node instance")
 
 
+# as for C1: the first-death ordering against deec holds on seeds 42-46, not in general
+# (see the README's table of which claims are reproduced)
 def test_c10_alternate_parameter_set_keeps_orderings(battery_table2):
     results, _ = battery_table2
     fnd = {name: _mean_fnd(runs) for name, runs in results.items()}

@@ -120,30 +120,30 @@ def test_deploy_eight_nodes_degenerate():
 def test_two_level_total_energy_exact():
     spec = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
     energies = assign_initial_energy(100, spec, Random(3))
-    assert math.fsum(e for e, _ in energies) == 60.0
+    assert math.fsum(energies) == 60.0
     assert theoretical_total_energy(100, spec) == 60.0
-    assert sum(1 for _, scale in energies if scale == 1.0) == 20
+    assert sum(1 for e in energies if e == 0.5 * (1.0 + 1.0)) == 20  # alpha 1.0
 
 
 def test_three_level_total_energy_exact():
     spec = HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 2.0, 3.0)
     energies = assign_initial_energy(100, spec, Random(3))
     # the realised sum is exact; the closed-form float evaluation is 1 ulp off 85
-    assert math.fsum(e for e, _ in energies) == 85.0
+    assert math.fsum(energies) == 85.0
     assert theoretical_total_energy(100, spec) == pytest.approx(85.0, rel=1e-12)
-    assert sum(1 for _, scale in energies if scale == 5.0) == 10
-    assert sum(1 for _, scale in energies if scale == 2.0) == 10
+    assert sum(1 for e in energies if e == 0.5 * (1.0 + 5.0)) == 10  # alpha + beta
+    assert sum(1 for e in energies if e == 0.5 * (1.0 + 2.0)) == 10  # alpha
 
 
 def test_multi_level_mean_total_matches_expectation():
     spec = HeterogeneitySpec.multi_level(0.5, 1.0)
     totals = [
-        math.fsum(e for e, _ in assign_initial_energy(100, spec, Random(seed)))
+        math.fsum(assign_initial_energy(100, spec, Random(seed)))
         for seed in range(1000)
     ]
     assert math.fsum(totals) / len(totals) == pytest.approx(75.0, abs=1.0)
     assert theoretical_total_energy(100, spec) == 75.0
-    assert all(0.5 < e <= 1.0 for e, _ in assign_initial_energy(100, spec, Random(5)))
+    assert all(0.5 < e <= 1.0 for e in assign_initial_energy(100, spec, Random(5)))
 
 
 # the fields each mode does not read; setting them must change nothing
@@ -176,7 +176,7 @@ def test_homogeneous_draws_nothing():
     rng = Random(7)
     state = rng.getstate()
     spec = HeterogeneitySpec(mode="homogeneous", e0=0.25, m=0.5, m0=0.5, alpha=2.0, beta=3.0)
-    assert assign_initial_energy(50, spec, rng) == [(0.25, 0.0)] * 50
+    assert assign_initial_energy(50, spec, rng) == [0.25] * 50
     assert rng.getstate() == state
     assert theoretical_total_energy(50, spec) == 12.5
 

@@ -5,7 +5,7 @@ import tempfile
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amdiscnt import experiment
@@ -108,6 +108,13 @@ def test_duplicate_seeds_rejected_by_name():
         build_spec({"experiment.seeds": "1, 2, 1"})
 
 
+def test_opposite_seeds_rejected_by_name():
+    # Random(s) and Random(-s) draw the same stream: two runs would be one run counted twice
+    with pytest.raises(ConfigurationError, match="experiment.seeds lists a seed twice") as raised:
+        build_spec({"experiment.seeds": "3,-3"})
+    assert "3 and -3" in str(raised.value)
+
+
 def test_explicit_seed_list():
     spec = build_spec({"experiment.seeds": "7, 8, 11"})
     assert spec.seeds == (7, 8, 11)
@@ -165,11 +172,13 @@ def valid_specs(draw):
     )
     p_opt = draw(_open_unit())
     names = draw(st.lists(st.sampled_from(PROTOCOL_NAMES), min_size=1, unique=True))
+    # s and -s seed the same stream, so they count as one seed
+    seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6, unique_by=abs))
+    assume(validate_config(network, runs=len(seeds)) == [])
     return ExperimentSpec(
         network=network,
         protocols=tuple(ProtocolKind(name, p_opt) for name in names),
-        seeds=tuple(draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6,
-                                  unique=True))),
+        seeds=tuple(seeds),
         confidence=draw(_open_unit()),
     )
 
@@ -321,6 +330,20 @@ def test_run_experiment_rejects_duplicates():
         run_experiment(config, [ProtocolKind("leach")], [1, 1])
 
 
+@pytest.mark.parametrize("seeds, confidence", [
+    ([1, 2], 1.0), ([1, 2], float("nan")), ([1, 2], "0.9"),
+    ([1, 2.5], 0.95), ([1, "3"], 0.95), ([3, -3], 0.95),
+], ids=["confidence-1", "confidence-nan", "confidence-text", "seed-2.5", "seed-text",
+        "seeds-3,-3"])
+def test_every_input_is_checked_before_any_run(monkeypatch, seeds, confidence):
+    calls = []
+    monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    kinds = [ProtocolKind("leach"), ProtocolKind("amdiscnt")]
+    with pytest.raises(ConfigurationError, match="experiment.(seeds|confidence)"):
+        dict(stream_experiment(NetworkConfig(), kinds, seeds, confidence))
+    assert calls == []
+
+
 def test_emit_census_and_round_trip(tmp_path):
     spec = build_spec(small_settings())
     stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds),
@@ -344,7 +367,7 @@ def short_batteries(draw):
         delay=DelayModel(draw(st.sampled_from(DELAY_MODES)), draw(st.floats(1.0, 1e3)),
                          draw(_non_negative(1.0))),
     )
-    seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=3, unique_by=abs))
     confidence = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]), _open_unit()))
     return network, seeds, confidence
 
@@ -502,6 +525,14 @@ def test_main_reports_config_errors(tmp_path, capsys):
 def test_main_rejects_duplicate_seeds(tmp_path, capsys):
     assert main(["--seeds", "1,1", "--out", str(tmp_path / "o")]) == 1
     assert "experiment.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_rejects_runs_that_reach_a_seed_and_its_negation(tmp_path, capsys):
+    # seeds -2..2 hold -2 and 2, and -1 and 1
+    assert main(["--runs", "5", "--base-seed", "-2", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "-2 and 2" in err
     assert not (tmp_path / "o").exists()
 
 

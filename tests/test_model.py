@@ -9,19 +9,20 @@ from reference_engine import distance
 from test_golden_histories import history_digest
 
 from amdiscnt.deployment import deploy
-from amdiscnt.engine import place, run_simulation
+from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.model import (
     ConfigurationError,
     DelayModel,
     Geometry,
     HeterogeneitySpec,
     NetworkConfig,
+    Node,
     Position,
     RadioParams,
     RegionId,
     validate_config,
 )
-from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
+from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache, ProtocolKind, TransmissionPlan
 
 
 def test_default_config_is_valid():
@@ -53,9 +54,17 @@ def test_geometry_annulus_width():
 
 
 def test_delay_model_modes():
-    assert DelayModel().link_delay(123.0) == 1.0
-    d = DelayModel(mode="distance", speed=2.0, per_hop=0.5)
-    assert d.link_delay(10.0) == 5.5
+    # one direct sender, the round's only delivered packet: hops counts its one link
+    # however long, distance charges per_hop + d / speed for its 10 m
+    for delay, position, expected in (
+            (DelayModel(), Position(123.0, 0.0), 1.0),
+            (DelayModel(mode="distance", speed=2.0, per_hop=0.5), Position(6.0, 8.0), 5.5)):
+        nodes = [Node(0, position, RegionId(), 10.0, 10.0)]
+        config = NetworkConfig(delay=delay)
+        metrics = run_round(nodes, list(nodes), TransmissionPlan([], [], [0]), config,
+                            Random(0), DistanceCache(nodes, config.radio))
+        assert metrics.packets_received_by_bs == 1
+        assert metrics.mean_delay == expected
 
 
 def test_heterogeneity_constructors():
