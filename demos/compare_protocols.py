@@ -1,15 +1,15 @@
 """Race the three protocols over a five-seed ensemble and summarise
 lifetime, throughput, and the confidence bands on the alive curve."""
 
-from amdiscnt import NetworkConfig, ProtocolKind, run_experiment
+from amdiscnt import ExperimentSpec, NetworkConfig, ProtocolKind, run_experiment
 
 config = NetworkConfig()
-seeds = [42, 43, 44, 45, 46]
-protocols = [ProtocolKind(name) for name in ("amdiscnt", "leach", "deec")]
+seeds = (42, 43, 44, 45, 46)
+protocols = tuple(ProtocolKind(name) for name in ("amdiscnt", "leach", "deec"))
 
 print(f"{len(protocols)} protocols x {len(seeds)} seeds, "
       f"{config.n_nodes} nodes, horizon {config.max_rounds} rounds")
-stats = run_experiment(config, protocols, seeds, confidence=0.95)
+stats = run_experiment(ExperimentSpec(config, protocols, seeds, confidence=0.95))
 print()
 
 print(f"{'protocol':>9} {'first death':>12} {'half dead':>10} {'all dead':>9} "

@@ -10,7 +10,7 @@ and multi-run aggregation with confidence bands.
 from .deployment import deploy
 from .energy import crossover_distance, rx_cost, tx_cost
 from .engine import run_simulation
-from .experiment import run_experiment
+from .experiment import ExperimentSpec, run_experiment
 from .model import NetworkConfig, RadioParams, RegionId
 from .protocols import ProtocolKind
 from .stats import aggregate_runs
@@ -18,6 +18,7 @@ from .stats import aggregate_runs
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExperimentSpec",
     "NetworkConfig",
     "ProtocolKind",
     "RadioParams",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import os
@@ -194,10 +195,14 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
         network = _replace_path(network, path, _parse(settings, key))
     p_opt = _parse(settings, "experiment.p_opt")
     names = _split_list(_parse(settings, "experiment.protocols"), "experiment.protocols")
+    try:  # p_opt alone first, so each error names the key that holds the fault
+        ProtocolKind(PROTOCOL_NAMES[0], p_opt)
+    except ValueError as exc:
+        raise ConfigurationError(f"experiment.p_opt: {exc}") from None
     try:
         protocols = tuple(ProtocolKind(name, p_opt) for name in names)
     except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+        raise ConfigurationError(f"experiment.protocols: {exc}") from None
 
     if "experiment.seeds" in settings:
         if "experiment.runs" in settings or "experiment.base_seed" in settings:
@@ -258,38 +263,29 @@ def write_config(spec: ExperimentSpec) -> str:
     return "\n".join(lines)
 
 
-def stream_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
-                      seeds: list[int],
-                      confidence: float = DEFAULTS["experiment.confidence"]
-                      ) -> Iterator[tuple[str, MultiRunStats]]:
-    """Check the inputs now, as an :class:`ExperimentSpec`, then return a
-    stream of ``(protocol name, MultiRunStats)`` pairs in request order.
+def stream_experiment(spec: ExperimentSpec) -> Iterator[tuple[str, MultiRunStats]]:
+    """Return the stream of ``(protocol name, MultiRunStats)`` pairs of a
+    checked experiment, in request order.
 
     The stream is protocol-major: it runs one protocol's seeds when the
     next pair is asked for, and each protocol's histories are freed once
-    aggregated, so only one protocol's histories are ever held. Inputs
-    the spec refuses, such as a config whose aggregated sums over
-    ``seeds`` would overflow, raise ``ConfigurationError`` before any
-    run. Each run deploys its own seed's field, except that a single
-    seed's field is placed once and shared by all the protocols: holding
-    every seed's placement would cost O(seeds * n**2) memory.
+    aggregated, so only one protocol's histories are ever held. Each run
+    deploys its own seed's field, except that a single seed's field is
+    placed once and shared by all the protocols: holding every seed's
+    placement would cost O(seeds * n**2) memory.
     """
-    spec = ExperimentSpec(config, tuple(protocols), tuple(seeds), confidence)
-    configs = [dataclasses.replace(config, seed=seed) for seed in spec.seeds]
+    configs = [dataclasses.replace(spec.network, seed=seed) for seed in spec.seeds]
     shared = place(configs[0]) if len(configs) == 1 else None
     return ((kind.name, aggregate_runs([run_simulation(run_config, kind, shared)
                                         for run_config in configs], spec.confidence))
             for kind in spec.protocols)
 
 
-def run_experiment(config: NetworkConfig, protocols: list[ProtocolKind],
-                   seeds: list[int],
-                   confidence: float = DEFAULTS["experiment.confidence"]
-                   ) -> dict[str, MultiRunStats]:
+def run_experiment(spec: ExperimentSpec) -> dict[str, MultiRunStats]:
     """Run every (protocol, seed) pair and aggregate per protocol: the
     :func:`stream_experiment` stream collected into a dict keyed by
     protocol name in request order."""
-    return dict(stream_experiment(config, protocols, seeds, confidence))
+    return dict(stream_experiment(spec))
 
 
 def _series_header() -> list[str]:
@@ -299,20 +295,23 @@ def _series_header() -> list[str]:
     return header
 
 
-def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str, *,
-                seeds: tuple[int, ...], config: NetworkConfig) -> list[str]:
+def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
+                spec: ExperimentSpec) -> list[str]:
     """Write per-protocol series, the milestone summary, and the meta file.
 
-    ``stats`` is an iterable of ``(protocol name, MultiRunStats)`` pairs,
-    such as a dict's ``items()`` or a :func:`stream_experiment` stream.
-    Each ``<name>.csv`` is written as its pair arrives, and only the
-    names, milestones and confidence are kept. ``summary.csv`` follows,
-    and ``meta`` is written last, so a directory without it is
-    incomplete. Returns the list of paths written. Output contains
-    nothing volatile (no timestamps), so identical inputs give identical
-    bytes.
+    ``stats`` is an iterable of ``(protocol name, MultiRunStats)`` pairs
+    of ``spec``, such as a :func:`run_experiment` dict's ``items()`` or a
+    :func:`stream_experiment` stream. Each ``<name>.csv`` is written as
+    its pair arrives, and only the names and milestones are kept.
+    ``summary.csv`` follows, and ``meta`` is written last; an old
+    ``meta`` is deleted before the first file is opened, so a directory
+    without it is incomplete even after a failed rewrite. Returns the
+    list of paths written. Output contains nothing volatile (no
+    timestamps), so identical inputs give identical bytes.
     """
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "meta"))
     manifest: list[str] = []
 
     def _open(name: str):
@@ -333,7 +332,7 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str, *,
             # no cell holds a comma, quote or newline, so csv.writer would quote nothing
             handle.write(",".join(_series_header()) + "\n")
             handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
-        milestones[name], confidence = bundle.milestones, bundle.confidence
+        milestones[name] = bundle.milestones
         del bundle, columns  # free these bands before the stream makes the next protocol's
     if not milestones:
         raise ValueError("emit_tables needs at least one protocol")
@@ -345,12 +344,12 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str, *,
 
     with _open("meta") as handle:
         handle.write(f"protocols = {','.join(milestones)}\n")
-        handle.write(f"seeds = {','.join(str(seed) for seed in seeds)}\n")
-        handle.write(f"runs = {len(seeds)}\n")
-        handle.write(f"confidence = {repr(confidence)}\n")
-        handle.write(f"delay_mode = {config.delay.mode}\n")
-        handle.write(f"deployment_mode = {config.deployment_mode}\n")
-        handle.write(f"max_rounds = {config.max_rounds}\n")
+        handle.write(f"seeds = {','.join(str(seed) for seed in spec.seeds)}\n")
+        handle.write(f"runs = {len(spec.seeds)}\n")
+        handle.write(f"confidence = {repr(spec.confidence)}\n")
+        handle.write(f"delay_mode = {spec.network.delay.mode}\n")
+        handle.write(f"deployment_mode = {spec.network.deployment_mode}\n")
+        handle.write(f"max_rounds = {spec.network.max_rounds}\n")
         handle.write("ci_formula = mean +/- z(alpha/2) * sigma / sqrt(n), "
                      "sigma with the population normaliser (divide by n)\n")
         handle.write("milestone_convention = completed rounds starting at 1; "
@@ -445,9 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             settings.pop("experiment.seeds", None)
         settings.update(flags)
         spec = build_spec(settings)
-        stream = stream_experiment(spec.network, list(spec.protocols), list(spec.seeds),
-                                   spec.confidence)
-        manifest = emit_tables(stream, args.out, seeds=spec.seeds, config=spec.network)
+        manifest = emit_tables(stream_experiment(spec), args.out, spec)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from amdiscnt import engine
 from amdiscnt.deployment import deploy
 from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
 from amdiscnt.engine import place, run_round, run_simulation
-from amdiscnt.experiment import run_experiment
+from amdiscnt.experiment import ExperimentSpec, run_experiment
 from amdiscnt.model import (
     DEPLOYMENT_MODES,
     ConfigurationError,
@@ -485,14 +485,14 @@ def placed(monkeypatch):
 
 
 def test_protocols_on_one_placement_build_one_table(placed):
-    protocols = [ProtocolKind(name) for name in PROTOCOL_NAMES]
-    run_experiment(small_config(max_rounds=20), protocols, [42])
+    protocols = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
+    run_experiment(ExperimentSpec(small_config(max_rounds=20), protocols, (42,)))
     assert placed == {"deploy": 1, "DistanceCache": 1}
 
 
 def test_each_run_of_a_many_seed_experiment_places_its_own_field(placed):
-    protocols = [ProtocolKind(name) for name in PROTOCOL_NAMES]
-    run_experiment(small_config(max_rounds=20), protocols, [42, 43, 44])
+    protocols = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
+    run_experiment(ExperimentSpec(small_config(max_rounds=20), protocols, (42, 43, 44)))
     assert placed == {"deploy": 9, "DistanceCache": 9}
 
 
@@ -522,7 +522,8 @@ def test_old_table_is_freed_before_the_next_is_built(monkeypatch):
         return links
 
     monkeypatch.setattr(engine, "DistanceCache", watching)
-    run_experiment(small_config(max_rounds=5), [AMDISCNT, ProtocolKind("leach")], [42, 43])
+    run_experiment(ExperimentSpec(small_config(max_rounds=5), (AMDISCNT, ProtocolKind("leach")),
+                                  (42, 43)))
     assert old_alive_at_build == [False, False, False]
 
 

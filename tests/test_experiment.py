@@ -209,7 +209,7 @@ def small_settings(extra=None):
 def test_single_pair_means_equal_raw_run():
     spec = build_spec(small_settings({"experiment.protocols": "amdiscnt",
                                       "experiment.runs": "1"}))
-    stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds))
+    stats = run_experiment(spec)
     from amdiscnt.engine import run_simulation
     raw = run_simulation(spec.network, spec.protocols[0])
     bundle = stats["amdiscnt"]
@@ -233,8 +233,9 @@ def test_histories_are_freed_before_the_next_protocol_runs(monkeypatch):
         return result
 
     monkeypatch.setattr(experiment, "run_simulation", recording)
-    stats = run_experiment(NetworkConfig(n_nodes=20, max_rounds=5),
-                           [ProtocolKind("amdiscnt"), ProtocolKind("leach")], [1, 2])
+    stats = run_experiment(ExperimentSpec(NetworkConfig(n_nodes=20, max_rounds=5),
+                                          (ProtocolKind("amdiscnt"), ProtocolKind("leach")),
+                                          (1, 2)))
     assert first_alive_at_switch == [False, False]
     assert stats["leach"].runs == 2
 
@@ -290,11 +291,11 @@ def test_sums_over_the_seeds_that_overflow_are_rejected_before_any_run(monkeypat
                                                                         runs, fields):
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
-    kinds = [ProtocolKind(name) for name in PROTOCOL_NAMES]
+    kinds = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
     assert validate_config(network) == []  # one seed keeps the one-run rule
-    stream_experiment(network, kinds, [0])
+    ExperimentSpec(network, kinds, (0,))
     with pytest.raises(ConfigurationError, match=f"summed over {runs} seeds") as raised:
-        stream_experiment(network, kinds, list(range(runs)))
+        ExperimentSpec(network, kinds, tuple(range(runs)))
     assert all(field in str(raised.value) for field in fields)
     assert calls == []
 
@@ -317,17 +318,17 @@ def test_main_rejects_an_overflowing_seed_sum_before_any_run(monkeypatch, tmp_pa
 def test_run_experiment_rejects_empty_inputs():
     config = NetworkConfig()
     with pytest.raises(ValueError):
-        run_experiment(config, [], [1])
+        ExperimentSpec(config, (), (1,))
     with pytest.raises(ValueError):
-        run_experiment(config, [ProtocolKind("leach")], [])
+        ExperimentSpec(config, (ProtocolKind("leach"),), ())
 
 
 def test_run_experiment_rejects_duplicates():
     config = NetworkConfig()
     with pytest.raises(ValueError, match="protocol"):
-        run_experiment(config, [ProtocolKind("leach"), ProtocolKind("leach")], [1])
+        ExperimentSpec(config, (ProtocolKind("leach"), ProtocolKind("leach")), (1,))
     with pytest.raises(ValueError, match="seed"):
-        run_experiment(config, [ProtocolKind("leach")], [1, 1])
+        ExperimentSpec(config, (ProtocolKind("leach"),), (1, 1))
 
 
 @pytest.mark.parametrize("seeds, confidence", [
@@ -338,18 +339,36 @@ def test_run_experiment_rejects_duplicates():
 def test_every_input_is_checked_before_any_run(monkeypatch, seeds, confidence):
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
-    kinds = [ProtocolKind("leach"), ProtocolKind("amdiscnt")]
+    kinds = (ProtocolKind("leach"), ProtocolKind("amdiscnt"))
     with pytest.raises(ConfigurationError, match="experiment.(seeds|confidence)"):
-        dict(stream_experiment(NetworkConfig(), kinds, seeds, confidence))
+        ExperimentSpec(NetworkConfig(), kinds, tuple(seeds), confidence)
     assert calls == []
+
+
+def test_a_failed_rewrite_leaves_no_meta(tmp_path):
+    network = NetworkConfig(n_nodes=20, max_rounds=5)
+    kinds = (ProtocolKind("amdiscnt"), ProtocolKind("leach"))
+    first, second = ExperimentSpec(network, kinds, (1,)), ExperimentSpec(network, kinds, (2,))
+    emit_tables(stream_experiment(first), str(tmp_path), first)
+    assert "seeds = 1\n" in (tmp_path / "meta").read_text()
+
+    def failing_after_the_first_pair(stream):
+        yield next(stream)
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        emit_tables(failing_after_the_first_pair(stream_experiment(second)), str(tmp_path),
+                    second)
+    assert not (tmp_path / "meta").exists()
+    with pytest.raises(FileNotFoundError):
+        read_tables(str(tmp_path))
 
 
 def test_emit_census_and_round_trip(tmp_path):
     spec = build_spec(small_settings())
-    stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds),
-                           spec.confidence)
+    stats = run_experiment(spec)
     out = tmp_path / "tables"
-    manifest = emit_tables(stats.items(), str(out), seeds=spec.seeds, config=spec.network)
+    manifest = emit_tables(stats.items(), str(out), spec)
     names = sorted(os.path.basename(p) for p in manifest)
     assert names == ["amdiscnt.csv", "deec.csv", "leach.csv", "meta", "summary.csv"]
     assert read_tables(str(out)) == stats
@@ -369,24 +388,23 @@ def short_batteries(draw):
     )
     seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=3, unique_by=abs))
     confidence = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]), _open_unit()))
-    return network, seeds, confidence
+    return ExperimentSpec(network, tuple(ProtocolKind(name) for name in PROTOCOL_NAMES),
+                          tuple(seeds), confidence)
 
 
 @settings(deadline=None, max_examples=40)
-@given(battery=short_batteries())
-def test_emit_read_round_trip_property(battery):
-    network, seeds, confidence = battery
-    stats = run_experiment(network, [ProtocolKind(name) for name in PROTOCOL_NAMES], seeds,
-                           confidence)
+@given(spec=short_batteries())
+def test_emit_read_round_trip_property(spec):
+    stats = run_experiment(spec)
     with tempfile.TemporaryDirectory() as out:
-        emit_tables(stats.items(), out, seeds=tuple(seeds), config=network)
+        emit_tables(stats.items(), out, spec)
         assert read_tables(out) == stats
 
 
 def test_summary_rows_follow_request_order(tmp_path):
     spec = build_spec(small_settings({"experiment.protocols": "deec,leach"}))
-    stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds))
-    emit_tables(stats.items(), str(tmp_path), seeds=spec.seeds, config=spec.network)
+    stats = run_experiment(spec)
+    emit_tables(stats.items(), str(tmp_path), spec)
     with open(tmp_path / "summary.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert [r[0] for r in rows[1:]] == ["deec", "leach"]
@@ -394,8 +412,8 @@ def test_summary_rows_follow_request_order(tmp_path):
 
 def test_round_zero_alive_equals_population(tmp_path):
     spec = build_spec(small_settings())
-    stats = run_experiment(spec.network, list(spec.protocols), list(spec.seeds))
-    emit_tables(stats.items(), str(tmp_path), seeds=spec.seeds, config=spec.network)
+    stats = run_experiment(spec)
+    emit_tables(stats.items(), str(tmp_path), spec)
     for name in ("amdiscnt", "leach", "deec"):
         with open(tmp_path / f"{name}.csv", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -460,12 +478,12 @@ def _main_spec(monkeypatch, tmp_path, file: dict, flags: dict):
     have run and written: (protocol names, seeds, confidence)."""
     captured = []
 
-    def fake_stream(network, protocols, seeds, confidence):
-        captured.append(([kind.name for kind in protocols], tuple(seeds), confidence))
+    def fake_stream(spec):
+        captured.append(([kind.name for kind in spec.protocols], spec.seeds, spec.confidence))
         return iter(())
 
-    def fake_emit(stream, out, *, seeds, config):
-        assert list(stream) == [] and seeds == captured[0][1]
+    def fake_emit(stream, out, spec):
+        assert list(stream) == [] and spec.seeds == captured[0][1]
         return []
 
     monkeypatch.setattr(experiment, "stream_experiment", fake_stream)
@@ -515,6 +533,21 @@ def test_main_runs_leach_with_overflowing_inverse_p_opt(tmp_path):
                                        "summary.csv"]
 
 
+def test_main_checks_the_experiment_once(monkeypatch, tmp_path):
+    check, calls = experiment.validate_config, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "validate_config", counting)
+    config = tmp_path / "small.ini"
+    config.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
+    assert main(["--config", str(config), "--runs", "2", "--protocols", "amdiscnt,leach",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[network]\nn_nodes = 3\n")
@@ -538,7 +571,15 @@ def test_main_rejects_runs_that_reach_a_seed_and_its_negation(tmp_path, capsys):
 
 def test_main_rejects_unknown_protocol(tmp_path, capsys):
     assert main(["--protocols", "gossip", "--out", str(tmp_path / "o")]) == 1
-    assert "gossip" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "gossip" in err and "experiment.protocols" in err
+    config = tmp_path / "p_opt.ini"
+    for p_opt in ("1.5", "nan"):
+        config.write_text(f"[experiment]\np_opt = {p_opt}\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"experiment.p_opt: p_opt must lie in (0, 1), got {p_opt}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_missing_config_file(tmp_path, capsys):
