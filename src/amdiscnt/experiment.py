@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import csv
 import dataclasses
 import os
 import sys
@@ -361,6 +360,8 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
 
 def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
     """Rebuild per-protocol stats from an output directory, exactly."""
+    import csv  # only reading needs it, and a battery never reads
+
     meta: dict[str, str] = {}
     with open(os.path.join(out_dir, "meta"), "r", encoding="utf-8") as handle:
         for line in handle:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 N_SECTORS = 8
@@ -217,6 +218,9 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if config.n_nodes < N_SECTORS + 1:
         problems.append(
             f"n_nodes must be at least {N_SECTORS + 1} (one per region), got {config.n_nodes}")
+    elif config.n_nodes > sys.float_info.max:  # every node count is rounded from a float
+        problems.append(f"n_nodes must be at most the largest float, got a "
+                        f"{config.n_nodes.bit_length()}-bit integer")
     if not (math.isfinite(geo.r_inner) and math.isfinite(geo.r_outer)):
         problems.append("geometry radii must be finite")
     elif not 0 < geo.r_inner < geo.r_outer:
@@ -255,6 +259,14 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if not 0 < config.inner_fraction < 1:
         problems.append(
             f"inner_fraction must lie in (0, 1), got {config.inner_fraction}")
+    elif N_SECTORS + 1 <= config.n_nodes <= sys.float_info.max:
+        from .deployment import region_node_counts  # deployment imports this module
+
+        inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)
+        if inner <= 0 or min(sectors) <= 0:
+            problems.append(
+                f"n_nodes = {config.n_nodes} with inner_fraction = {config.inner_fraction} "
+                f"leaves a region empty (inner={inner}, sectors={sectors})")
     if not 0 <= config.link_drop_probability <= 1:
         problems.append(
             f"link_drop_probability must lie in [0, 1], got {config.link_drop_probability}")
@@ -279,15 +291,21 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     whose total initial energy or largest packet delay, squared, is not
     once aggregation sums it over ``runs`` seeds: every deviation from a
     round's mean is at most that bound, and one seed's is exactly 0."""
-    from fractions import Fraction
-
     from .energy import tx_cost  # energy imports this module
 
     def bound(compute) -> float:
         try:
             return float(compute())
-        except OverflowError:  # a float power, an infinite Fraction, or an int too large
+        except OverflowError:  # a float power, an infinite battery, or an int too large
             return math.inf
+
+    def exact_sum(tiers) -> float:
+        """``sum(k * e)`` over ``(k, e)`` tiers, exactly, rounded once: each
+        battery is a dyadic ratio, so the largest denominator scales them
+        all to integers, and ``int / int`` rounds correctly."""
+        ratios = [(k, *e.as_integer_ratio()) for k, e in tiers if k]
+        scale = max(den for _, _, den in ratios)
+        return sum(k * num * (scale // den) for k, num, den in ratios) / scale
 
     problems = []
     n, radio, het, delay = config.n_nodes, config.radio, config.heterogeneity, config.delay
@@ -305,7 +323,7 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
         extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
         tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
                  (n_super, het.e0 * (1.0 + (alpha + beta)))]
-        energy = bound(lambda: sum(k * Fraction(e) for k, e in tiers if k))
+        energy = bound(lambda: exact_sum(tiers))
     terms = "".join(f" + heterogeneity.{f}" for f in extra)
     factor = f" * (1{terms})" if extra else ""
     energy_text = f"total initial energy of n_nodes batteries of at most heterogeneity.e0{factor}"

@@ -1,5 +1,6 @@
 import csv
 import os
+import subprocess
 import sys
 import tempfile
 import weakref
@@ -553,6 +554,39 @@ def test_main_reports_config_errors(tmp_path, capsys):
     bad.write_text("[network]\nn_nodes = 3\n")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "n_nodes" in capsys.readouterr().err
+
+
+def test_main_rejects_an_empty_region_before_any_file_is_touched(tmp_path, capsys):
+    # with two seeds placement happens inside the stream emit_tables consumes,
+    # after it has removed an old meta, so validation must catch this first
+    bad, small = tmp_path / "bad.ini", tmp_path / "small.ini"
+    bad.write_text("[network]\nn_nodes = 9\ninner_fraction = 0.5\n")
+    small.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
+    out = tmp_path / "o"
+    battery = ["--runs", "2", "--protocols", "amdiscnt", "--out", str(out), "--config"]
+    assert main([*battery, str(bad)]) == 1
+    assert "n_nodes = 9 with inner_fraction = 0.5 leaves a region empty" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert main([*battery, str(small)]) == 0
+    meta = (out / "meta").read_text()
+    assert main([*battery, str(bad)]) == 1
+    assert (out / "meta").read_text() == meta
+
+
+def test_a_battery_loads_no_module_it_does_not_use(tmp_path):
+    # pytest and Hypothesis load these here, so the battery runs in its own interpreter
+    unused = ("csv", "decimal", "fractions", "numbers", "statistics")
+    config = tmp_path / "small.ini"
+    config.write_text("[network]\nn_nodes = 20\nmax_rounds = 20\n")
+    argv = ["--runs", "1", "--config", str(config), "--out", str(tmp_path / "o")]
+    script = ("import sys\nfrom amdiscnt.experiment import main\n"
+              f"status = main({argv!r})\n"
+              f"print(status, sorted(set({unused!r}) & set(sys.modules)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_main_rejects_duplicate_seeds(tmp_path, capsys):

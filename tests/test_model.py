@@ -1,9 +1,10 @@
 import math
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_engine import distance
 from test_golden_histories import history_digest
@@ -20,6 +21,7 @@ from amdiscnt.model import (
     Position,
     RadioParams,
     RegionId,
+    round_half_up,
     validate_config,
 )
 from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache, ProtocolKind, TransmissionPlan
@@ -193,6 +195,64 @@ def test_discrete_energy_accepted_exactly_when_deploy_total_is_finite(
     except OverflowError:  # fsum's intermediate overflow
         deployed = False
     assert (validate_config(config) == []) == deployed
+
+
+def fraction_energy_overflows(config):
+    """The oracle: deploy's tier counts and batteries, summed as Fractions."""
+    n, het = config.n_nodes, config.heterogeneity
+    m, m0, alpha, beta = het.tiers()
+    n_upper, n_super = round_half_up(m * n), round_half_up(m * m0 * n)
+    tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
+             (n_super, het.e0 * (1.0 + (alpha + beta)))]
+    try:
+        return not math.isfinite(float(sum(k * Fraction(e) for k, e in tiers if k)))
+    except OverflowError:  # an infinite battery, or a sum too large for a float
+        return True
+
+
+@settings(deadline=None, max_examples=300)
+# totals within an ulp of the float limit, where summing rounded products
+# would overflow a finite total (66 nodes) or keep an overflowing one (87)
+@example(mode="two_level", n_nodes=87, e0=1.5769238025108033e+306, m=0.1, m0=0.0,
+         alpha=3.0, beta=0.0)
+@example(mode="two_level", n_nodes=66, e0=1.8158516513760765e+306, m=0.5, m0=0.0,
+         alpha=1.0, beta=0.0)
+# the largest node count accepted, and one past every float
+@example(mode="two_level", n_nodes=int(DBL_MAX), e0=0.5, m=0.2, m0=0.0, alpha=1.0, beta=0.0)
+@example(mode="two_level", n_nodes=10**400, e0=0.5, m=0.2, m0=0.0, alpha=1.0, beta=0.0)
+@given(mode=st.sampled_from(["homogeneous", "two_level", "three_level"]),
+       n_nodes=st.integers(1, 400).flatmap(lambda digits: st.integers(9, 10 ** digits)),
+       e0=st.floats(5e-324, DBL_MAX) | st.floats(0.0, 60.0).map(lambda k: DBL_MAX * 2.0 ** -k),
+       m=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       m0=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), alpha=_ratios, beta=_ratios)
+def test_discrete_energy_rejected_exactly_when_the_fraction_sum_overflows(
+        mode, n_nodes, e0, m, m0, alpha, beta):
+    config = NetworkConfig(n_nodes=n_nodes, heterogeneity=HeterogeneitySpec(
+        mode=mode, e0=e0, m=m, m0=m0, alpha=alpha, beta=beta))
+    problems = validate_config(config)
+    if n_nodes > DBL_MAX:  # every node count is rounded from a float product with it
+        assert problems == [f"n_nodes must be at most the largest float, got a "
+                            f"{n_nodes.bit_length()}-bit integer"]
+        return
+    if fraction_energy_overflows(config):
+        assert len(problems) == 1
+        assert problems[0].startswith("total initial energy of n_nodes batteries")
+        assert problems[0].endswith(" must be finite")
+    else:
+        assert problems == []
+
+
+@pytest.mark.parametrize("n_nodes, inner_fraction, counts", [
+    (9, 0.5, "inner=5, sectors=[1, 1, 1, 1, 0, 0, 0, 0]"),
+    (9, 0.01, "inner=0, sectors=[2, 1, 1, 1, 1, 1, 1, 1]"),
+])
+def test_empty_region_rejected_by_name(n_nodes, inner_fraction, counts):
+    config = NetworkConfig(n_nodes=n_nodes, inner_fraction=inner_fraction)
+    assert validate_config(config) == [
+        f"n_nodes = {n_nodes} with inner_fraction = {inner_fraction} leaves a region empty "
+        f"({counts})"]
+    with pytest.raises(ConfigurationError, match="leaves a region empty"):
+        place(config)
 
 
 @pytest.mark.parametrize("field, config", [

@@ -2,14 +2,19 @@ import gc
 import math
 import tracemalloc
 from random import Random
+from statistics import NormalDist
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amdiscnt.engine import RoundHistory, RoundMetrics, SimulationResult, run_simulation
 from amdiscnt.model import NetworkConfig
 from amdiscnt.protocols import ProtocolKind
 from amdiscnt.stats import (
     METRIC_NAMES,
+    _normal_quantile,
+    _standard_normal_inv_cdf,
     aggregate_runs,
     confidence_interval,
     population_stddev,
@@ -76,7 +81,7 @@ class TestConfidenceInterval:
         assert hi - lo < 1e-8
 
     def test_invalid_confidence_rejected(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
+        for bad in (0.0, 1.0, -0.5, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 confidence_interval([1.0, 2.0], bad)
 
@@ -111,6 +116,38 @@ class TestConfidenceInterval:
             klo, khi = confidence_interval([v * scale for v in values], 0.95)
             width = hi - lo
             assert khi - klo == pytest.approx(width * scale, rel=1e-9, abs=1e-12)
+
+
+def normal_dist_quantile(confidence):
+    """The oracle: the standard library's quantile, with the same lower-tail rule."""
+    upper = 0.5 + confidence / 2.0
+    if upper == 1.0:
+        return -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
+    return NormalDist().inv_cdf(upper)
+
+
+# the central branch, both tail branches and their edges, both sides of 0.5
+# for the raw quantile, and 0.5 + c / 2 rounding to 1.0 for the largest c
+_CONFIDENCE_GRID = sorted(
+    {i / 1000 for i in range(1, 1000)} | {0.8 + i * 0.0002 for i in range(1000)}
+    | {1.0 - 10.0 ** -k for k in range(1, 17)} | {10.0 ** -k for k in range(1, 308)}
+    | {0.075, 0.925, 0.85, 0.849999999999999, 0.850000000000001, 2e-11, 3e-11, 1.0 - 6e-11,
+       math.exp(-25.0), math.nextafter(math.exp(-25.0), 0.0), 0.9999999999999999, 5e-324,
+       math.nextafter(1.0, 0.0)})
+
+
+class TestNormalQuantile:
+    def test_equals_normal_dist_bitwise_on_a_grid(self):
+        for confidence in _CONFIDENCE_GRID:
+            assert _normal_quantile(confidence).hex() == normal_dist_quantile(confidence).hex()
+            assert (_standard_normal_inv_cdf(confidence).hex()
+                    == NormalDist().inv_cdf(confidence).hex())
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_equals_normal_dist_bitwise(self, confidence):
+        assert _normal_quantile(confidence).hex() == normal_dist_quantile(confidence).hex()
+        assert (_standard_normal_inv_cdf(confidence).hex()
+                == NormalDist().inv_cdf(confidence).hex())
 
 
 class TestAggregateRuns:
