@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from random import Random
 
@@ -258,9 +258,10 @@ def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
 
 @dataclass(frozen=True)
 class Placement:
-    """A seed's deployed nodes, listed by id, the generator state right
-    after deployment, and the nodes' link table."""
+    """A seed's validated config, its deployed nodes, listed by id, the
+    generator state right after deployment, and the nodes' link table."""
 
+    config: NetworkConfig
     nodes: list[Node]
     rng_state: tuple
     links: DistanceCache
@@ -273,19 +274,19 @@ def place(config: NetworkConfig) -> Placement:
         raise ConfigurationError("; ".join(problems))
     rng = Random(config.seed)
     nodes = deploy(config, rng)
-    return Placement(nodes, rng.getstate(), DistanceCache(nodes, config.radio))
+    return Placement(config, nodes, rng.getstate(), DistanceCache(nodes, config.radio))
 
 
 def run_simulation(config: NetworkConfig, kind: ProtocolKind,
                    placement: Placement | None = None) -> SimulationResult:
-    """Run rounds on ``placement``, which must be ``place(config)``'s
+    """Run rounds on ``placement``, which must be placed from ``config``
     (a fresh one by default), until the horizon or total death."""
     if placement is None:
         placement = place(config)
-    else:
-        problems = validate_config(config)
-        if problems:
-            raise ConfigurationError("; ".join(problems))
+    elif placement.config != config:
+        differ = [f.name for f in fields(config)
+                  if getattr(config, f.name) != getattr(placement.config, f.name)]
+        raise ConfigurationError(f"config differs from the placement's in {', '.join(differ)}")
     nodes = placement.nodes
     for node in nodes:  # a run on a used placement starts from full batteries
         node.residual_energy = node.initial_energy

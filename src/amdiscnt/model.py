@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 N_SECTORS = 8
+MAX_NODES = 1 << 16  # ids 0..MAX_NODES-1 fit the array("H") rows of DistanceCache.neighbour_orders
 SECTOR_ANGLE = math.pi / 4  # angular width of one outer wedge
 
 HETEROGENEITY_MODES = ("homogeneous", "two_level", "three_level", "multi_level")
@@ -218,9 +218,9 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if config.n_nodes < N_SECTORS + 1:
         problems.append(
             f"n_nodes must be at least {N_SECTORS + 1} (one per region), got {config.n_nodes}")
-    elif config.n_nodes > sys.float_info.max:  # every node count is rounded from a float
-        problems.append(f"n_nodes must be at most the largest float, got a "
-                        f"{config.n_nodes.bit_length()}-bit integer")
+    elif config.n_nodes > MAX_NODES:
+        problems.append(f"n_nodes must be at most {MAX_NODES}, so that node ids fit in 16 bits, "
+                        f"got a {(config.n_nodes - 1).bit_length()}-bit largest id")
     if not (math.isfinite(geo.r_inner) and math.isfinite(geo.r_outer)):
         problems.append("geometry radii must be finite")
     elif not 0 < geo.r_inner < geo.r_outer:
@@ -259,7 +259,7 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if not 0 < config.inner_fraction < 1:
         problems.append(
             f"inner_fraction must lie in (0, 1), got {config.inner_fraction}")
-    elif N_SECTORS + 1 <= config.n_nodes <= sys.float_info.max:
+    elif N_SECTORS + 1 <= config.n_nodes <= MAX_NODES:
         from .deployment import region_node_counts  # deployment imports this module
 
         inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)

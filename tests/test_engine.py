@@ -533,6 +533,23 @@ def test_run_on_a_placement_still_validates_its_config():
         run_simulation(dataclasses.replace(config, max_rounds=-1), AMDISCNT, place(config))
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"seed": 43}, "seed"),
+    ({"n_nodes": 10}, "n_nodes"),
+    ({"radio": RadioParams(packet_bits=2000)}, "radio"),
+    ({"max_rounds": 7}, "max_rounds"),
+    ({"seed": 43, "n_nodes": 10}, "n_nodes, seed"),
+], ids=["seed", "n_nodes", "packet_bits", "max_rounds", "n_nodes_and_seed"])
+def test_run_on_a_placement_from_another_config_names_each_field(monkeypatch, change, named):
+    config = small_config(max_rounds=5)
+    placement = place(dataclasses.replace(config, **change))
+    rounds = []
+    monkeypatch.setattr(engine, "run_round", lambda *args: rounds.append(args))
+    with pytest.raises(ConfigurationError, match=f"placement's in {named}$"):
+        run_simulation(config, ProtocolKind("leach"), placement)
+    assert rounds == []
+
+
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_reused_table_gives_the_fresh_history(name):
     # lossy, distance-delayed and wide enough that amdiscnt heads relay

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amdiscnt import experiment
+from amdiscnt import engine, experiment
 from amdiscnt.experiment import (
     PRESETS,
     ExperimentSpec,
@@ -534,18 +534,33 @@ def test_main_runs_leach_with_overflowing_inverse_p_opt(tmp_path):
                                        "summary.csv"]
 
 
-def test_main_checks_the_experiment_once(monkeypatch, tmp_path):
-    check, calls = experiment.validate_config, []
+def count_validate_config(monkeypatch, module) -> list:
+    """The argument tuples of every ``module.validate_config`` call from now on."""
+    check, calls = module.validate_config, []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "validate_config", counting)
+    monkeypatch.setattr(module, "validate_config", counting)
+    return calls
+
+
+def test_main_checks_the_experiment_once(monkeypatch, tmp_path):
+    calls = count_validate_config(monkeypatch, experiment)
     config = tmp_path / "small.ini"
     config.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
     assert main(["--config", str(config), "--runs", "2", "--protocols", "amdiscnt,leach",
                  "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_one_seed_battery_validates_its_network_once_in_the_engine(monkeypatch, tmp_path):
+    # place validates the shared field's config; the three runs on it do not again
+    calls = count_validate_config(monkeypatch, engine)
+    config = tmp_path / "small.ini"
+    config.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
+    assert main(["--config", str(config), "--runs", "1", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+from array import array
 from fractions import Fraction
 from random import Random
 
@@ -12,6 +13,7 @@ from test_golden_histories import history_digest
 from amdiscnt.deployment import deploy
 from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.model import (
+    MAX_NODES,
     ConfigurationError,
     DelayModel,
     Geometry,
@@ -217,7 +219,7 @@ def fraction_energy_overflows(config):
          alpha=3.0, beta=0.0)
 @example(mode="two_level", n_nodes=66, e0=1.8158516513760765e+306, m=0.5, m0=0.0,
          alpha=1.0, beta=0.0)
-# the largest node count accepted, and one past every float
+# past the node limit: the largest float, and one past every float
 @example(mode="two_level", n_nodes=int(DBL_MAX), e0=0.5, m=0.2, m0=0.0, alpha=1.0, beta=0.0)
 @example(mode="two_level", n_nodes=10**400, e0=0.5, m=0.2, m0=0.0, alpha=1.0, beta=0.0)
 @given(mode=st.sampled_from(["homogeneous", "two_level", "three_level"]),
@@ -230,9 +232,9 @@ def test_discrete_energy_rejected_exactly_when_the_fraction_sum_overflows(
     config = NetworkConfig(n_nodes=n_nodes, heterogeneity=HeterogeneitySpec(
         mode=mode, e0=e0, m=m, m0=m0, alpha=alpha, beta=beta))
     problems = validate_config(config)
-    if n_nodes > DBL_MAX:  # every node count is rounded from a float product with it
-        assert problems == [f"n_nodes must be at most the largest float, got a "
-                            f"{n_nodes.bit_length()}-bit integer"]
+    if n_nodes > MAX_NODES:
+        assert problems == [f"n_nodes must be at most {MAX_NODES}, so that node ids fit in "
+                            f"16 bits, got a {(n_nodes - 1).bit_length()}-bit largest id"]
         return
     if fraction_energy_overflows(config):
         assert len(problems) == 1
@@ -240,6 +242,17 @@ def test_discrete_energy_rejected_exactly_when_the_fraction_sum_overflows(
         assert problems[0].endswith(" must be finite")
     else:
         assert problems == []
+
+
+def test_node_limit_is_the_neighbour_orders_id_width():
+    # DistanceCache.neighbour_orders stores node ids as array("H"); no run is started
+    array("H", [MAX_NODES - 1])
+    with pytest.raises(OverflowError):
+        array("H", [MAX_NODES])
+    assert validate_config(NetworkConfig(n_nodes=MAX_NODES)) == []
+    assert validate_config(NetworkConfig(n_nodes=MAX_NODES + 1)) == [
+        f"n_nodes must be at most {MAX_NODES}, so that node ids fit in 16 bits, "
+        f"got a 17-bit largest id"]
 
 
 @pytest.mark.parametrize("n_nodes, inner_fraction, counts", [
