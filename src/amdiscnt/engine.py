@@ -19,8 +19,6 @@ give byte-identical histories. :func:`place` deploys a seed's field once
 and saves the generator's state after deployment; every run on that
 :class:`Placement` resets its nodes, restores that state and reads its link
 table, which holds no randomness, so it is bit-exact with a fresh run.
-The table keeps each distance once, in the row of the higher id: a link
-``a``-``b`` with ``b < a`` reads ``rows[a][b]``, and no node links to itself.
 """
 
 from __future__ import annotations
@@ -160,7 +158,8 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     lossy = drop_p > 0.0  # a loss-free run never draws from the RNG
     delay = config.delay  # a link of length d takes hop + d / speed, and d / inf == 0.0
     hop, speed = (1.0, math.inf) if delay.mode == "hops" else (delay.per_hop, delay.speed)
-    rows = links.rows
+    dist = math.dist
+    points = links.points
     to_bs = links.to_bs
     tx_to_bs = links.tx_to_bs
 
@@ -176,7 +175,7 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     # phases 1 and 3 debit a cost below the budget inline: x - y != 0 for x != y
     # phase 1: members transmit to their cluster heads
     for member_id, ch_id in plan.members:
-        d = rows[member_id][ch_id] if ch_id < member_id else rows[ch_id][member_id]
+        d = dist(points[member_id], points[ch_id])
         # tx_cost's expression with the radio constants hoisted out of the loop
         cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
         node = nodes[member_id]
@@ -208,7 +207,7 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
         packet_delay = hop + longest[ch_id] / speed if signals > 1 else 0.0
         sender_id = ch_id
         if relay_id is not None:
-            d = rows[ch_id][relay_id] if relay_id < ch_id else rows[relay_id][ch_id]
+            d = dist(points[ch_id], points[relay_id])
             if not _charge(nodes[ch_id], tx_cost(bits, d, radio), ledger, deaths):
                 continue
             if lossy and rng.random() < drop_p:

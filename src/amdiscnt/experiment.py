@@ -24,7 +24,6 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 
 from .engine import place, run_simulation
@@ -108,12 +107,19 @@ class ExperimentSpec:
 
     def __post_init__(self):
         problems = []
-        names = [kind.name for kind in self.protocols]
-        if not names:
-            problems.append("experiment.protocols: an experiment needs at least one protocol")
-        elif len(set(names)) != len(names):
-            problems.append(f"experiment.protocols lists a protocol twice: {names}")
-        if not self.seeds:
+        if not (isinstance(self.protocols, tuple)
+                and all(isinstance(kind, ProtocolKind) for kind in self.protocols)):
+            problems.append("experiment.protocols: expected a tuple of ProtocolKind, "
+                            f"got {self.protocols!r}")
+        else:
+            names = [kind.name for kind in self.protocols]
+            if not names:
+                problems.append("experiment.protocols: an experiment needs at least one protocol")
+            elif len(set(names)) != len(names):
+                problems.append(f"experiment.protocols lists a protocol twice: {names}")
+        if not isinstance(self.seeds, tuple):
+            problems.append(f"experiment.seeds: expected a tuple of integers, got {self.seeds!r}")
+        elif not self.seeds:
             problems.append("experiment.seeds: an experiment needs at least one seed")
         elif any(isinstance(s, bool) or not isinstance(s, int) for s in self.seeds):
             problems.append(f"experiment.seeds: expected integers, got {list(self.seeds)!r}")
@@ -125,7 +131,11 @@ class ExperimentSpec:
                                 f"stream): {', '.join(twins)}")
         if not (isinstance(self.confidence, (int, float)) and 0.0 < self.confidence < 1.0):
             problems.append(f"experiment.confidence must lie in (0, 1), got {self.confidence!r}")
-        problems += validate_config(self.network, runs=len(self.seeds))
+        if not isinstance(self.network, NetworkConfig):
+            problems.append(f"network: expected a NetworkConfig, got {self.network!r}")
+        else:
+            runs = len(self.seeds) if isinstance(self.seeds, tuple) else 1
+            problems += validate_config(self.network, runs=runs)
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -234,34 +244,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     return read_settings(text, source=path)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_config(spec: ExperimentSpec) -> str:
-    """Serialise a spec so that :func:`build_spec` reproduces it exactly."""
-    p_opts = {kind.p_opt for kind in spec.protocols}
-    if len(p_opts) > 1:
-        raise ValueError("the config format carries a single p_opt for all protocols")
-    lines = []
-    for section, rows in groupby(NETWORK_KEYS, key=lambda row: row[0].partition(".")[0]):
-        lines.append(f"[{section}]")
-        lines.extend(f"{key.partition('.')[2]} = {_fmt(attrgetter(path)(spec.network))}"
-                     for key, path in rows)
-        lines.append("")
-    lines += [
-        "[experiment]",
-        f"protocols = {','.join(kind.name for kind in spec.protocols)}",
-        f"seeds = {','.join(str(seed) for seed in spec.seeds)}",
-        f"confidence = {_fmt(spec.confidence)}",
-        f"p_opt = {_fmt(spec.protocols[0].p_opt)}",
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def stream_experiment(spec: ExperimentSpec) -> Iterator[tuple[str, MultiRunStats]]:
     """Return the stream of ``(protocol name, MultiRunStats)`` pairs of a
     checked experiment, in request order.
@@ -271,7 +253,8 @@ def stream_experiment(spec: ExperimentSpec) -> Iterator[tuple[str, MultiRunStats
     aggregated, so only one protocol's histories are ever held. Each run
     deploys its own seed's field, except that a single seed's field is
     placed once and shared by all the protocols: holding every seed's
-    placement would cost O(seeds * n**2) memory.
+    placement would hold each seed's n**2 neighbour orders once a
+    baseline has built them.
     """
     configs = [dataclasses.replace(spec.network, seed=seed) for seed in spec.seeds]
     shared = place(configs[0]) if len(configs) == 1 else None

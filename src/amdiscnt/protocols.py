@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from random import Random
 
 from .energy import tx_cost
@@ -32,8 +32,8 @@ class ProtocolKind:
     def __post_init__(self):
         if self.name not in PROTOCOL_NAMES:
             raise ValueError(f"unknown protocol {self.name!r}; expected one of {PROTOCOL_NAMES}")
-        if not 0.0 < self.p_opt < 1.0:
-            raise ValueError(f"p_opt must lie in (0, 1), got {self.p_opt}")
+        if not (isinstance(self.p_opt, (int, float)) and 0.0 < self.p_opt < 1.0):
+            raise ValueError(f"p_opt must lie in (0, 1), got {self.p_opt!r}")
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,18 @@ class TransmissionPlan:
 class DistanceCache:
     """Link table of one fixed placement.
 
-    Holds the pairwise distances as a lower triangle: ``rows[a]`` is an
-    ``array('d')`` of node ``a``'s distances to the lower ids ``0..a-1``,
-    so the distance between ``a`` and ``b < a`` is ``rows[a][b]``, stored
-    once, and :meth:`distances_from` lists one node's distances to all.
-    It also holds each node's distance and transmit cost to the base
-    station, and each cluster head's relay order: the inner nodes whose
-    two-leg cost to the base station is strictly below the head's direct
-    cost, sorted by (cost, id). A relay order is built the first time its
-    node heads a cluster. The neighbour orders list, for each node, every
-    node id sorted by (distance from it, id), as compact ``array`` rows;
-    they are built all at once, the first time a baseline plan asks for
-    them, so runs that never join members to the nearest head never pay
-    for them.
+    Holds each node's coordinates as ``points``, one ``(x, y)`` tuple per
+    id; a link's length is ``math.dist(points[a], points[b])``, computed
+    when needed from the absolute coordinate differences, so it is the
+    same from either end and bit-equal to ``math.hypot``. It also
+    holds each node's distance and transmit cost to the base station, and
+    each cluster head's relay order: the inner nodes whose two-leg cost to
+    the base station is strictly below the head's direct cost, sorted by
+    (cost, id), built the first time its node heads a cluster. The
+    neighbour orders list, for each node, every node id sorted by
+    (distance from it, id), as compact ``array`` rows; they are built all
+    at once, the first time a baseline plan asks for them, so runs that
+    never join members to the nearest head never pay for them.
     ``nodes`` must be listed by id, 0..n-1 (deployment order).
     """
 
@@ -82,32 +81,22 @@ class DistanceCache:
         if [node.id for node in nodes] != list(range(len(nodes))):
             raise ValueError("node ids must be 0..n-1 in list order")
         self.radio = radio
-        xs = [node.position.x for node in nodes]
-        ys = [node.position.y for node in nodes]
-        self.to_bs = list(map(math.hypot, xs, ys))
+        self.points = [(node.position.x, node.position.y) for node in nodes]
+        self.to_bs = [math.hypot(x, y) for x, y in self.points]
         self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
         self.inner = [node.id for node in nodes if node.region.is_inner]
-        # hypot(-u, -v) == hypot(u, v) exactly, so one entry serves both directions;
-        # an array made from a list is allocated at its exact size
-        self.rows = [array("d", list(map(math.hypot, [x - xj for xj in xs[:i]],
-                                         [y - yj for yj in ys[:i]])))
-                     for i, (x, y) in enumerate(zip(xs, ys))]
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
         self._neighbour_orders: list[array] | None = None
-
-    def distances_from(self, i: int) -> list[float]:
-        """Node ``i``'s distance to every node, by id (``0.0`` to itself)."""
-        return self.rows[i].tolist() + [0.0] + list(map(itemgetter(i), self.rows[i + 1:]))
 
     def relay_order(self, ch_id: int) -> list[int]:
         """Inner nodes cheaper than going direct, by (two-leg cost, id)."""
         order = self._relay_orders[ch_id]
         if order is None:
             bits = self.radio.packet_bits
-            row = self.distances_from(ch_id)
+            here = self.points[ch_id]
             direct = self.tx_to_bs[ch_id]
-            costs = sorted((tx_cost(bits, row[i], self.radio) + self.tx_to_bs[i], i)
-                           for i in self.inner)
+            costs = sorted((tx_cost(bits, math.dist(here, self.points[i]), self.radio)
+                            + self.tx_to_bs[i], i) for i in self.inner)
             order = [i for cost, i in costs if cost < direct]
             self._relay_orders[ch_id] = order
         return order
@@ -116,9 +105,11 @@ class DistanceCache:
         """Every node id by (distance, id), one row per node."""
         orders = self._neighbour_orders
         if orders is None:
-            ids = range(len(self.rows))
+            points = self.points
+            ids = range(len(points))
             # sorted is stable, so equal distances keep ascending id
-            orders = [array("H", sorted(ids, key=self.distances_from(i).__getitem__)) for i in ids]
+            orders = [array("H", sorted(ids, key=[math.dist(p, q) for q in points].__getitem__))
+                      for p in points]
             self._neighbour_orders = orders
         return orders
 

@@ -1,9 +1,12 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import weakref
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from amdiscnt import engine, experiment
 from amdiscnt.experiment import (
+    NETWORK_KEYS,
     PRESETS,
     ExperimentSpec,
     build_spec,
@@ -20,7 +24,6 @@ from amdiscnt.experiment import (
     read_tables,
     run_experiment,
     stream_experiment,
-    write_config,
 )
 from amdiscnt.model import (
     DELAY_MODES,
@@ -35,6 +38,34 @@ from amdiscnt.model import (
     validate_config,
 )
 from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_config(spec: ExperimentSpec) -> str:
+    """Serialise a spec so that :func:`build_spec` reproduces it exactly."""
+    p_opts = {kind.p_opt for kind in spec.protocols}
+    if len(p_opts) > 1:
+        raise ValueError("the config format carries a single p_opt for all protocols")
+    lines = []
+    for section, rows in groupby(NETWORK_KEYS, key=lambda row: row[0].partition(".")[0]):
+        lines.append(f"[{section}]")
+        lines.extend(f"{key.partition('.')[2]} = {_fmt(attrgetter(path)(spec.network))}"
+                     for key, path in rows)
+        lines.append("")
+    lines += [
+        "[experiment]",
+        f"protocols = {','.join(kind.name for kind in spec.protocols)}",
+        f"seeds = {','.join(str(seed) for seed in spec.seeds)}",
+        f"confidence = {_fmt(spec.confidence)}",
+        f"p_opt = {_fmt(spec.protocols[0].p_opt)}",
+        "",
+    ]
+    return "\n".join(lines)
 
 
 def test_empty_settings_give_benchmark_defaults():
@@ -343,6 +374,21 @@ def test_every_input_is_checked_before_any_run(monkeypatch, seeds, confidence):
     kinds = (ProtocolKind("leach"), ProtocolKind("amdiscnt"))
     with pytest.raises(ConfigurationError, match="experiment.(seeds|confidence)"):
         ExperimentSpec(NetworkConfig(), kinds, tuple(seeds), confidence)
+    assert calls == []
+
+
+@pytest.mark.parametrize("network, protocols, seeds, key", [
+    (NetworkConfig(), ("amdiscnt",), (1,), "experiment.protocols"),
+    (NetworkConfig(), [ProtocolKind("leach")], (1,), "experiment.protocols"),
+    (None, (ProtocolKind("leach"),), (1,), "network"),
+    (NetworkConfig(), (ProtocolKind("leach"),), 42, "experiment.seeds"),
+    (NetworkConfig(), (ProtocolKind("leach"),), [1, 2], "experiment.seeds"),
+], ids=["protocol-name", "protocol-list", "network-none", "seeds-int", "seeds-list"])
+def test_wrongly_typed_inputs_are_rejected_by_key(monkeypatch, network, protocols, seeds, key):
+    calls = []
+    monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    with pytest.raises(ConfigurationError, match=rf"(^|; ){re.escape(key)}: expected"):
+        ExperimentSpec(network, protocols, seeds)
     assert calls == []
 
 

@@ -1,7 +1,6 @@
 import gc
 import math
 import tracemalloc
-from array import array
 from random import Random
 
 import pytest
@@ -265,29 +264,35 @@ class TestRelaySelection:
         for a in nodes:
             assert links.to_bs[a.id] == a.position.radius()
             assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
-            row = links.distances_from(a.id)
             for b in nodes:
-                assert row[b.id] == reference.distance(a.position, b.position)
+                d = math.dist(links.points[a.id], links.points[b.id])
+                assert d == reference.distance(a.position, b.position)
 
-    def test_link_rows_hold_each_pair_once(self):
+    def test_link_table_holds_one_point_per_node(self):
         for n in (9, 100, 400):
-            links = place(NetworkConfig(n_nodes=n)).links
-            assert [len(row) for row in links.rows] == list(range(n))
-            assert sum(len(row) for row in links.rows) == n * (n - 1) // 2
+            placement = place(NetworkConfig(n_nodes=n))
+            links = placement.links
+            assert links.points == [(node.position.x, node.position.y)
+                                    for node in placement.nodes]
+            assert len(links.to_bs) == len(links.tx_to_bs) == n
 
-    def test_link_table_of_400_nodes_retains_under_800_kb(self):
-        nodes = place(NetworkConfig(n_nodes=400)).nodes
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            links = DistanceCache(nodes, RADIO)
+    def test_link_table_grows_linearly_with_the_node_count(self):
+        retained = {}
+        for n in (400, 4000):
+            nodes = place(NetworkConfig(n_nodes=n)).nodes
             gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(links.rows) == 400
-        assert retained < 800_000
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                links = DistanceCache(nodes, RADIO)
+                gc.collect()
+                retained[n] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(links.points) == n
+        # the n**2 / 2 distances of 400 nodes alone take 640 KB as doubles
+        assert retained[400] < 100_000
+        assert retained[4000] < 11 * retained[400]
 
 
 @st.composite
@@ -303,16 +308,18 @@ def mirrored_fields(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(nodes=mirrored_fields())
-def test_link_rows_are_symmetric_hypot_arrays(nodes):
-    # each pair's distance is computed once, from the higher id, and serves both orders
+def test_link_distances_are_symmetric_hypot(nodes):
+    # a link's length is the same from either end, and ties between mirror images are exact
     links = DistanceCache(nodes, RADIO)
-    assert all(type(row) is array and row.typecode == "d" for row in links.rows)
-    assert [len(row) for row in links.rows] == list(range(len(nodes)))
-    full = [links.distances_from(node.id) for node in nodes]
+    orders = links.neighbour_orders()
     for a in nodes:
+        row = []
         for b in nodes:
             d = math.hypot(a.position.x - b.position.x, a.position.y - b.position.y)
-            assert full[a.id][b.id] == full[b.id][a.id] == d
+            assert math.dist(links.points[a.id], links.points[b.id]) == d
+            assert math.dist(links.points[b.id], links.points[a.id]) == d
+            row.append(d)
+        assert list(orders[a.id]) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
 
 
 class TestPlans:
@@ -392,11 +399,12 @@ class TestPlans:
                  make_node(2, 20.0, -1.0)] + random_field(3)[3:]
         links = DistanceCache(nodes, RADIO)
         orders = links.neighbour_orders()
-        assert links.distances_from(0)[1] == links.distances_from(0)[2]
+        assert reference.distance(nodes[0].position, nodes[1].position) == \
+            reference.distance(nodes[0].position, nodes[2].position)
         first = orders[0].index(1)
         assert orders[0][first + 1] == 2
         for i, order in enumerate(orders):
-            row = links.distances_from(i)
+            row = [reference.distance(nodes[i].position, b.position) for b in nodes]
             assert list(order) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
         assert links.neighbour_orders() is orders
 
@@ -489,6 +497,11 @@ class TestProtocolKind:
     def test_rejects_bad_p_opt(self):
         with pytest.raises(ValueError):
             ProtocolKind("leach", p_opt=0.0)
+
+    @pytest.mark.parametrize("p_opt", ["0.1", None, [0.1]])
+    def test_rejects_non_number_p_opt(self, p_opt):
+        with pytest.raises(ValueError, match="p_opt must lie in"):
+            ProtocolKind("leach", p_opt=p_opt)
 
     def test_distance_cache_rejects_gapped_ids(self):
         nodes = [make_node(0, 1.0, 0.0), make_node(2, 2.0, 0.0)]
