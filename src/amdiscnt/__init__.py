@@ -13,7 +13,6 @@ from .engine import run_simulation
 from .experiment import ExperimentSpec, run_experiment
 from .model import NetworkConfig, RadioParams, RegionId
 from .protocols import ProtocolKind
-from .stats import aggregate_runs
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,6 @@ __all__ = [
     "ProtocolKind",
     "RadioParams",
     "RegionId",
-    "aggregate_runs",
     "crossover_distance",
     "deploy",
     "run_experiment",

@@ -25,7 +25,7 @@ from .model import (
     Node,
     Position,
     RegionId,
-    round_half_up,
+    region_node_counts,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -82,16 +82,6 @@ def sample_outer_position(rng: Random, geometry: Geometry, sector: int,
     return Position(r * math.cos(theta), r * math.sin(theta))
 
 
-def region_node_counts(n_nodes: int, inner_fraction: float) -> tuple[int, list[int]]:
-    """Split the node budget: the inner region takes its rounded share and
-    the rest spreads as evenly as possible over the sectors, any leftover
-    going one per sector starting at sector 0."""
-    inner = round_half_up(inner_fraction * n_nodes)
-    base, leftover = divmod(n_nodes - inner, N_SECTORS)
-    sectors = [base + 1 if s < leftover else base for s in range(N_SECTORS)]
-    return inner, sectors
-
-
 def assign_initial_energy(count: int, spec: HeterogeneitySpec, rng: Random) -> list[float]:
     """Return the initial energy per node index.
 
@@ -103,9 +93,8 @@ def assign_initial_energy(count: int, spec: HeterogeneitySpec, rng: Random) -> l
     if spec.mode == "multi_level":
         scales = [(1.0 - rng.random()) * spec.alpha_max for _ in range(count)]  # (0, alpha_max]
     else:
-        m, m0, alpha, beta = spec.tiers()
-        chosen = rng.sample(range(count), round_half_up(m * count))  # k = 0 draws nothing
-        n_super = round_half_up(m * m0 * count)
+        n_upper, n_super, alpha, beta = spec.tiers(count)
+        chosen = rng.sample(range(count), n_upper)  # k = 0 draws nothing
         scales = [0.0] * count
         for rank, i in enumerate(chosen):
             scales[i] = alpha + beta if rank < n_super else alpha

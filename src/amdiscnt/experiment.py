@@ -429,8 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         settings.update(flags)
         spec = build_spec(settings)
         manifest = emit_tables(stream_experiment(spec), args.out, spec)
-    except (ConfigurationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for path in manifest:
         print(path)

@@ -29,6 +29,16 @@ def round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def region_node_counts(n_nodes: int, inner_fraction: float) -> tuple[int, list[int]]:
+    """Split the node budget: the inner region takes its rounded share and
+    the rest spreads as evenly as possible over the sectors, any leftover
+    going one per sector starting at sector 0."""
+    inner = round_half_up(inner_fraction * n_nodes)
+    base, leftover = divmod(n_nodes - inner, N_SECTORS)
+    sectors = [base + 1 if s < leftover else base for s in range(N_SECTORS)]
+    return inner, sectors
+
+
 @dataclass(frozen=True, slots=True)
 class Position:
     """A point in the plane; the base station sits at the origin."""
@@ -104,31 +114,17 @@ class HeterogeneitySpec:
     beta: float = 0.0
     alpha_max: float = 0.0
 
-    @classmethod
-    def homogeneous(cls, e0: float) -> "HeterogeneitySpec":
-        return cls(mode="homogeneous", e0=e0)
-
-    @classmethod
-    def two_level(cls, e0: float, m: float, alpha: float) -> "HeterogeneitySpec":
-        return cls(mode="two_level", e0=e0, m=m, alpha=alpha)
-
-    @classmethod
-    def three_level(cls, e0: float, m: float, m0: float, alpha: float,
-                    beta: float) -> "HeterogeneitySpec":
-        return cls(mode="three_level", e0=e0, m=m, m0=m0, alpha=alpha, beta=beta)
-
-    @classmethod
-    def multi_level(cls, e0: float, alpha_max: float) -> "HeterogeneitySpec":
-        return cls(mode="multi_level", e0=e0, alpha_max=alpha_max)
-
-    def tiers(self) -> tuple[float, float, float, float]:
-        """The discrete modes' ``(m, m0, alpha, beta)``, ``0.0`` where a mode has no tier."""
+    def tiers(self, n: int) -> tuple[int, int, float, float]:
+        """A discrete mode's ``(n_upper, n_super, alpha, beta)`` for ``n`` nodes:
+        ``n_upper`` batteries carry ``alpha`` extra and ``n_super`` of them
+        ``beta`` on top; a tier the mode lacks has no nodes and ratio ``0.0``."""
         if self.mode == "homogeneous":
-            return 0.0, 0.0, 0.0, 0.0
+            return 0, 0, 0.0, 0.0
         if self.mode == "two_level":
-            return self.m, 0.0, self.alpha, 0.0
+            return round_half_up(self.m * n), 0, self.alpha, 0.0
         if self.mode == "three_level":
-            return self.m, self.m0, self.alpha, self.beta
+            return (round_half_up(self.m * n), round_half_up(self.m * self.m0 * n),
+                    self.alpha, self.beta)
         raise ValueError(f"{self.mode!r} is not a discrete heterogeneity mode")
 
 
@@ -167,7 +163,8 @@ class NetworkConfig:
     n_nodes: int = 100
     geometry: Geometry = Geometry()
     radio: RadioParams = RadioParams()
-    heterogeneity: HeterogeneitySpec = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
+    heterogeneity: HeterogeneitySpec = HeterogeneitySpec(
+        mode="two_level", e0=0.5, m=0.2, alpha=1.0)
     max_rounds: int = 5000
     seed: int = 42
     deployment_mode: str = "uniform_area"
@@ -260,8 +257,6 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
         problems.append(
             f"inner_fraction must lie in (0, 1), got {config.inner_fraction}")
     elif N_SECTORS + 1 <= config.n_nodes <= MAX_NODES:
-        from .deployment import region_node_counts  # deployment imports this module
-
         inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)
         if inner <= 0 or min(sectors) <= 0:
             problems.append(
@@ -318,8 +313,7 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
         extra = ("alpha_max",)
         energy = bound(lambda: n * het.e0 * (1.0 + het.alpha_max))
     else:  # deploy's tier counts and batteries, summed exactly and rounded once like its fsum
-        m, m0, alpha, beta = het.tiers()
-        n_upper, n_super = round_half_up(m * n), round_half_up(m * m0 * n)
+        n_upper, n_super, alpha, beta = het.tiers(n)
         extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
         tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
                  (n_super, het.e0 * (1.0 + (alpha + beta)))]

@@ -227,11 +227,22 @@ def distance(p, q) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
+def tier_fractions(spec) -> tuple[float, float, float, float]:
+    """A discrete mode's ``(m, m0, alpha, beta)``, ``0.0`` where the mode has no tier."""
+    if spec.mode == "homogeneous":
+        return 0.0, 0.0, 0.0, 0.0
+    if spec.mode == "two_level":
+        return spec.m, 0.0, spec.alpha, 0.0
+    if spec.mode == "three_level":
+        return spec.m, spec.m0, spec.alpha, spec.beta
+    raise ValueError(f"{spec.mode!r} is not a discrete heterogeneity mode")
+
+
 def theoretical_total_energy(count: int, spec) -> float:
     """Closed-form network energy (the expectation, for ``multi_level``)."""
     if spec.mode == "multi_level":
         return count * spec.e0 * (1.0 + spec.alpha_max / 2.0)
-    m, m0, alpha, beta = spec.tiers()
+    m, m0, alpha, beta = tier_fractions(spec)
     return count * spec.e0 * (1.0 + m * (alpha + m0 * beta))
 
 

@@ -36,7 +36,7 @@ PROTOCOLS = ("amdiscnt", "leach", "deec")
 
 TABLE2 = NetworkConfig(
     geometry=Geometry(r_inner=25.0, r_outer=40.0),
-    heterogeneity=HeterogeneitySpec.two_level(0.8, 0.2, 1.0),
+    heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.8, m=0.2, alpha=1.0),
 )
 
 
@@ -168,8 +168,8 @@ def test_c05_radio_unit_checks():
 
 
 def test_c06_tiered_energy_totals_exact():
-    two = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
-    three = HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 2.0, 3.0)
+    two = HeterogeneitySpec(mode="two_level", e0=0.5, m=0.2, alpha=1.0)
+    three = HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=0.5, alpha=2.0, beta=3.0)
     total_two = math.fsum(n.initial_energy
                           for n in deploy(NetworkConfig(heterogeneity=two), Random(1)))
     total_three = math.fsum(n.initial_energy

@@ -118,7 +118,7 @@ def test_deploy_eight_nodes_degenerate():
 
 
 def test_two_level_total_energy_exact():
-    spec = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
+    spec = HeterogeneitySpec(mode="two_level", e0=0.5, m=0.2, alpha=1.0)
     energies = assign_initial_energy(100, spec, Random(3))
     assert math.fsum(energies) == 60.0
     assert theoretical_total_energy(100, spec) == 60.0
@@ -126,7 +126,7 @@ def test_two_level_total_energy_exact():
 
 
 def test_three_level_total_energy_exact():
-    spec = HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 2.0, 3.0)
+    spec = HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=0.5, alpha=2.0, beta=3.0)
     energies = assign_initial_energy(100, spec, Random(3))
     # the realised sum is exact; the closed-form float evaluation is 1 ulp off 85
     assert math.fsum(energies) == 85.0
@@ -136,7 +136,7 @@ def test_three_level_total_energy_exact():
 
 
 def test_multi_level_mean_total_matches_expectation():
-    spec = HeterogeneitySpec.multi_level(0.5, 1.0)
+    spec = HeterogeneitySpec(mode="multi_level", e0=0.5, alpha_max=1.0)
     totals = [
         math.fsum(assign_initial_energy(100, spec, Random(seed)))
         for seed in range(1000)

@@ -41,7 +41,7 @@ AMDISCNT = ProtocolKind("amdiscnt")
 
 def small_config(**overrides) -> NetworkConfig:
     base = dict(n_nodes=9, max_rounds=100,
-                heterogeneity=HeterogeneitySpec.homogeneous(0.003))
+                heterogeneity=HeterogeneitySpec(mode="homogeneous", e0=0.003))
     base.update(overrides)
     return NetworkConfig(**base)
 
@@ -380,10 +380,10 @@ def small_configs(draw):
     delay mode; batteries are low enough that nodes die within 50 rounds."""
     e0 = draw(st.floats(0.001, 0.02))
     heterogeneity = draw(st.sampled_from([
-        HeterogeneitySpec.homogeneous(e0),
-        HeterogeneitySpec.two_level(e0, 0.2, 1.0),
-        HeterogeneitySpec.three_level(e0, 0.3, 0.5, 1.5, 2.0),
-        HeterogeneitySpec.multi_level(e0, 2.0),
+        HeterogeneitySpec(mode="homogeneous", e0=e0),
+        HeterogeneitySpec(mode="two_level", e0=e0, m=0.2, alpha=1.0),
+        HeterogeneitySpec(mode="three_level", e0=e0, m=0.3, m0=0.5, alpha=1.5, beta=2.0),
+        HeterogeneitySpec(mode="multi_level", e0=e0, alpha_max=2.0),
     ]))
     return NetworkConfig(
         n_nodes=draw(st.integers(9, 30)),
@@ -406,6 +406,19 @@ def test_ledger_equals_residual_drop_property(config, name):
         drop = previous - m.total_residual_energy
         assert drop == pytest.approx(m.energy_spent, rel=1e-9, abs=1e-15)
         previous = m.total_residual_energy
+
+
+# a round's energy_spent is one math.fsum over its charges; fsum rounds the exact
+# sum once, so charges kept in per-category lists and chained give the same float
+@settings(max_examples=300)
+@given(charges=st.lists(st.tuples(st.floats(0.0, 1e300, exclude_min=True),
+                                  st.integers(0, 6))))
+def test_fsum_of_charges_split_by_category_is_unchanged(charges):
+    categories = [[] for _ in range(7)]
+    for charge, kind in charges:
+        categories[kind].append(charge)
+    assert math.fsum(c for category in categories for c in category) == \
+        math.fsum(charge for charge, _ in charges)
 
 
 def _check_run_against_replay(config, kind):
@@ -435,7 +448,8 @@ def test_baseline_run_matches_reference_replay(config, name, p_opt):
 # falls below 1 / DBL_MAX and 1 / p_i overflows; its epoch then outlasts the run
 @pytest.mark.parametrize("alpha", [1e305, 1e307])
 def test_deec_runs_to_horizon_when_inverse_probability_overflows(alpha):
-    config = NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, alpha))
+    config = NetworkConfig(heterogeneity=HeterogeneitySpec(
+        mode="two_level", e0=0.5, m=0.2, alpha=alpha))
     result = run_simulation(config, ProtocolKind("deec"))
     assert result.rounds == config.max_rounds
     assert result.first_node_death == 2233
@@ -445,7 +459,8 @@ def test_deec_runs_to_horizon_when_inverse_probability_overflows(alpha):
 
 def test_deec_with_overflowing_inverse_probability_matches_reference_replay():
     config = small_config(n_nodes=30, max_rounds=200,
-                          heterogeneity=HeterogeneitySpec.two_level(0.02, 0.2, 1e307))
+                          heterogeneity=HeterogeneitySpec(
+                              mode="two_level", e0=0.02, m=0.2, alpha=1e307))
     _check_run_against_replay(config, ProtocolKind("deec"))
 
 
@@ -554,8 +569,9 @@ def test_run_on_a_placement_from_another_config_names_each_field(monkeypatch, ch
 def test_reused_table_gives_the_fresh_history(name):
     # lossy, distance-delayed and wide enough that amdiscnt heads relay
     config = NetworkConfig(n_nodes=40, geometry=Geometry(120.0, 150.0), max_rounds=300,
-                           heterogeneity=HeterogeneitySpec.two_level(0.05, 0.2, 1.0), seed=8,
-                           link_drop_probability=0.1,
+                           heterogeneity=HeterogeneitySpec(
+                               mode="two_level", e0=0.05, m=0.2, alpha=1.0),
+                           seed=8, link_drop_probability=0.1,
                            delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
     placement = place(config)
     # the others drain batteries, kill nodes and add relay and neighbour orders to the table

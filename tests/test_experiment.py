@@ -298,13 +298,14 @@ def test_bands_are_freed_once_written(monkeypatch, tmp_path):
     assert earlier_alive == [False] * 6
 
 
-BIG_TWO_LEVEL = HeterogeneitySpec.two_level(1e306, 0.2, 1.0)  # 1.2e308 J in all per run
+# 1.2e308 J in all per run
+BIG_TWO_LEVEL = HeterogeneitySpec(mode="two_level", e0=1e306, m=0.2, alpha=1.0)
 
 
 @pytest.mark.parametrize("network, runs, fields", [
     (NetworkConfig(heterogeneity=BIG_TWO_LEVEL), 5,
      ("heterogeneity.e0", "heterogeneity.alpha")),
-    (NetworkConfig(heterogeneity=HeterogeneitySpec.homogeneous(1e305)), 20,
+    (NetworkConfig(heterogeneity=HeterogeneitySpec(mode="homogeneous", e0=1e305)), 20,
      ("heterogeneity.e0",)),
     # a round of 9 packets stays finite; 20 seeds' mean delays may not
     (NetworkConfig(n_nodes=9, delay=DelayModel("distance", 3.0, sys.float_info.max / 40)), 20,
@@ -313,10 +314,12 @@ BIG_TWO_LEVEL = HeterogeneitySpec.two_level(1e306, 0.2, 1.0)  # 1.2e308 J in all
     # leach and deec raised OverflowError on the first, all three protocols on the second
     (NetworkConfig(delay=DelayModel("distance", 1.0, 1e160)), 5,
      ("delay.per_hop", "delay.speed")),
-    (NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(1e160, 1.0)), 5,
+    (NetworkConfig(heterogeneity=HeterogeneitySpec(
+        mode="multi_level", e0=1e160, alpha_max=1.0)), 5,
      ("heterogeneity.e0", "heterogeneity.alpha_max")),
     # equal totals on every seed made these deviations 0, but no bound can tell
-    (NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e200, 0.2, 1.0)), 5,
+    (NetworkConfig(heterogeneity=HeterogeneitySpec(
+        mode="two_level", e0=1e200, m=0.2, alpha=1.0)), 5,
      ("heterogeneity.e0", "heterogeneity.alpha")),
 ])
 def test_sums_over_the_seeds_that_overflow_are_rejected_before_any_run(monkeypatch, network,
@@ -426,8 +429,8 @@ def short_batteries(draw):
     """Small fields on small batteries, so nodes die and milestones fall inside the horizon."""
     network = NetworkConfig(
         n_nodes=draw(st.integers(9, 30)),
-        heterogeneity=HeterogeneitySpec.multi_level(draw(st.floats(2e-4, 0.02)),
-                                                    draw(_non_negative(3.0))),
+        heterogeneity=HeterogeneitySpec(mode="multi_level", e0=draw(st.floats(2e-4, 0.02)),
+                                        alpha_max=draw(_non_negative(3.0))),
         max_rounds=draw(st.integers(0, 40)),
         link_drop_probability=draw(_non_negative(0.5)),
         delay=DelayModel(draw(st.sampled_from(DELAY_MODES)), draw(st.floats(1.0, 1e3)),
@@ -675,6 +678,16 @@ def test_main_rejects_unknown_protocol(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"experiment.p_opt: p_opt must lie in (0, 1), got {p_opt}" in err
     assert not (tmp_path / "o").exists()
+
+
+def test_main_reports_running_out_of_memory(monkeypatch, tmp_path, capsys):
+    # a field too large for the baselines' neighbour orders fails this way
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(experiment, "run_simulation", exhausted)
+    assert main(["--runs", "1", "--protocols", "leach", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -18,7 +18,7 @@ from amdiscnt.model import DelayModel, Geometry, HeterogeneitySpec, NetworkConfi
 from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
 
 ROUND = struct.Struct("<6q3d")
-LOW = HeterogeneitySpec.two_level(0.03, 0.2, 1.0)
+LOW = HeterogeneitySpec(mode="two_level", e0=0.03, m=0.2, alpha=1.0)
 DISTANCE = DelayModel(mode="distance", speed=3.0, per_hop=0.25)
 
 CASES = {
@@ -28,17 +28,21 @@ CASES = {
                                     delay=DISTANCE),
     "three_level": NetworkConfig(
         n_nodes=30, max_rounds=400, seed=5,
-        heterogeneity=HeterogeneitySpec.three_level(0.03, 0.3, 0.5, 1.5, 2.0)),
+        heterogeneity=HeterogeneitySpec(
+            mode="three_level", e0=0.03, m=0.3, m0=0.5, alpha=1.5, beta=2.0)),
     "multi_level": NetworkConfig(n_nodes=30, max_rounds=400, seed=6,
-                                 heterogeneity=HeterogeneitySpec.multi_level(0.03, 2.0)),
+                                 heterogeneity=HeterogeneitySpec(
+                                     mode="multi_level", e0=0.03, alpha_max=2.0)),
     "uniform_radius": NetworkConfig(n_nodes=30, heterogeneity=LOW, max_rounds=400, seed=7,
                                     deployment_mode="uniform_radius"),
     # past the radio crossover, so far heads route through inner relays
     "wide_relay": NetworkConfig(n_nodes=40, geometry=Geometry(120.0, 150.0), max_rounds=300,
-                                heterogeneity=HeterogeneitySpec.two_level(0.05, 0.2, 1.0),
+                                heterogeneity=HeterogeneitySpec(
+                                    mode="two_level", e0=0.05, m=0.2, alpha=1.0),
                                 seed=8, link_drop_probability=0.1, delay=DISTANCE),
     "wide_lossless": NetworkConfig(n_nodes=40, geometry=Geometry(120.0, 150.0), max_rounds=300,
-                                   heterogeneity=HeterogeneitySpec.two_level(0.05, 0.2, 1.0),
+                                   heterogeneity=HeterogeneitySpec(
+                                       mode="two_level", e0=0.05, m=0.2, alpha=1.0),
                                    seed=9),
 }
 

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engine import distance
+from reference_engine import distance, tier_fractions
 from test_golden_histories import history_digest
 
 from amdiscnt.deployment import deploy
@@ -71,16 +71,6 @@ def test_delay_model_modes():
         assert metrics.mean_delay == expected
 
 
-def test_heterogeneity_constructors():
-    assert HeterogeneitySpec.homogeneous(0.5).mode == "homogeneous"
-    two = HeterogeneitySpec.two_level(0.5, 0.2, 1.0)
-    assert (two.mode, two.m, two.alpha) == ("two_level", 0.2, 1.0)
-    three = HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 2.0, 3.0)
-    assert (three.m0, three.beta) == (0.5, 3.0)
-    multi = HeterogeneitySpec.multi_level(0.5, 1.0)
-    assert multi.alpha_max == 1.0
-
-
 def test_inverted_radii_rejected():
     config = NetworkConfig(geometry=Geometry(r_inner=35.0, r_outer=20.0))
     problems = validate_config(config)
@@ -123,9 +113,9 @@ def test_nan_radius_rejected():
     (["geometry.r_outer"], NetworkConfig(geometry=Geometry(20.0, 1e90))),
     (["radio.packet_bits"], NetworkConfig(radio=RadioParams(packet_bits=10**400))),
     (["heterogeneity.e0", "heterogeneity.alpha"],
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e308, 0.2, 1.0))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=1e308, m=0.2, alpha=1.0))),
     (["heterogeneity.e0", "heterogeneity.alpha_max"],
-     NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(0.5, 1e308))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="multi_level", e0=0.5, alpha_max=1e308))),
     (["delay.per_hop", "delay.speed"],
      NetworkConfig(delay=DelayModel(mode="distance", per_hop=1e308))),
     (["delay.per_hop", "delay.speed"],
@@ -153,7 +143,8 @@ _NEAR_LIMIT = dict(n_nodes=30, max_rounds=20, seed=11)
      ("a7658c2ff3faf36e43917660449476c44c3c7937ce69085173662f071b8a950d",
       "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71",
       "431e8c1bbc0e7f5f120d8537d79a2a9d6524ef36d5eda344e4d7ae183ea9fd71")),
-    (NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e305, 0.2, 1.0), **_NEAR_LIMIT),
+    (NetworkConfig(heterogeneity=HeterogeneitySpec(
+        mode="two_level", e0=1e305, m=0.2, alpha=1.0), **_NEAR_LIMIT),
      ("c5990d3f25f37f4b8e2d83ffd87a7e300255b088e5d75485c76bf40ffb56e4ff",
       "388587a0fdf06ce71f166b97b3753b92f6b617a3fd1cb58409438d37ede4a89a",
       "991bbb2d896c0553b1d9b88b38fa2b2c997d494a2306623d3dffce395f689a98")),
@@ -167,7 +158,8 @@ def test_large_finite_values_still_run_with_recorded_histories(config, digests):
 def test_exact_energy_bound_runs_a_total_near_the_float_limit():
     # 80 batteries of 1e306 and 20 of 2e306: 1.2e308, finite, though
     # n_nodes times the largest battery is not
-    config = NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(1e306, 0.2, 1.0),
+    config = NetworkConfig(heterogeneity=HeterogeneitySpec(
+        mode="two_level", e0=1e306, m=0.2, alpha=1.0),
                            max_rounds=20)
     assert validate_config(config) == []
     for name in PROTOCOL_NAMES:
@@ -202,7 +194,7 @@ def test_discrete_energy_accepted_exactly_when_deploy_total_is_finite(
 def fraction_energy_overflows(config):
     """The oracle: deploy's tier counts and batteries, summed as Fractions."""
     n, het = config.n_nodes, config.heterogeneity
-    m, m0, alpha, beta = het.tiers()
+    m, m0, alpha, beta = tier_fractions(het)
     n_upper, n_super = round_half_up(m * n), round_half_up(m * m0 * n)
     tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
              (n_super, het.e0 * (1.0 + (alpha + beta)))]
@@ -270,15 +262,20 @@ def test_empty_region_rejected_by_name(n_nodes, inner_fraction, counts):
 
 @pytest.mark.parametrize("field, config", [
     ("heterogeneity.e0",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(math.inf, 0.2, 1.0))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(
+         mode="two_level", e0=math.inf, m=0.2, alpha=1.0))),
     ("heterogeneity.alpha",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, math.nan))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(
+         mode="two_level", e0=0.5, m=0.2, alpha=math.nan))),
     ("heterogeneity.alpha",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, math.inf))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(
+         mode="two_level", e0=0.5, m=0.2, alpha=math.inf))),
     ("heterogeneity.beta",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.three_level(0.5, 0.2, 0.5, 1.0, math.nan))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(
+         mode="three_level", e0=0.5, m=0.2, m0=0.5, alpha=1.0, beta=math.nan))),
     ("heterogeneity.alpha_max",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.multi_level(0.5, math.nan))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(
+         mode="multi_level", e0=0.5, alpha_max=math.nan))),
     ("delay.per_hop", NetworkConfig(delay=DelayModel(mode="distance", per_hop=math.nan))),
     ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed=math.inf))),
 ])
@@ -308,9 +305,9 @@ def test_non_integer_value_rejected_by_name(field, config):
     ("inner_fraction", NetworkConfig(inner_fraction=None)),
     ("radio.e_elec", NetworkConfig(radio=RadioParams(e_elec="5e-8"))),
     ("heterogeneity.m",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, "0.2", 1.0))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m="0.2", alpha=1.0))),
     ("heterogeneity.alpha",
-     NetworkConfig(heterogeneity=HeterogeneitySpec.two_level(0.5, 0.2, True))),
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m=0.2, alpha=True))),
     ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed="1"))),
 ])
 def test_non_number_value_rejected_by_name(field, config):
@@ -321,7 +318,7 @@ def test_non_number_value_rejected_by_name(field, config):
 
 def test_int_in_float_field_is_valid():
     config = NetworkConfig(geometry=Geometry(20, 35), link_drop_probability=0,
-                           heterogeneity=HeterogeneitySpec.two_level(1, 0, 2),
+                           heterogeneity=HeterogeneitySpec(mode="two_level", e0=1, m=0, alpha=2),
                            delay=DelayModel(mode="distance", speed=3, per_hop=1))
     assert validate_config(config) == []
 

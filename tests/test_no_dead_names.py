@@ -6,6 +6,12 @@ A ``def``, ``class`` or assigned name at the top level of a module in
 A name that nothing reads is dead code and should be deleted. Dunder
 names such as ``__all__`` and ``__version__`` are read by the import
 system and by tools, not by name in the code, so they are exempt.
+
+A ``def`` in a class body must be read as an attribute, ``.name``,
+somewhere in ``src/``, ``demos/``, ``perfbench/`` or ``README.md``: a
+method only tests call is a test helper and belongs in ``tests/``. The
+dot keeps a mode string such as ``"two_level"`` from counting as a use
+of a method of the same name.
 """
 
 import ast
@@ -16,9 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amdiscnt"
 
 
-def _corpus() -> dict[Path, list[str]]:
+def _corpus(folders=("src", "tests", "demos")) -> dict[Path, list[str]]:
     paths = [ROOT / "README.md"]
-    for folder in ("src", "tests", "demos"):
+    for folder in folders:
         paths += sorted((ROOT / folder).rglob("*.py"))
     return {path: path.read_text(encoding="utf-8").splitlines() for path in paths}
 
@@ -50,4 +56,24 @@ def test_every_module_level_name_is_used():
                        if (path, number) != (module, lineno))
             if not used:
                 dead.append(f"{module.name}:{lineno} {name}")
+    assert dead == []
+
+
+def _methods(path: Path):
+    """(class.name, name) of every def in the body of a top-level class."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{stmt.name}.{member.name}", member.name
+
+
+def test_every_method_is_used_outside_the_tests():
+    text = "\n".join(line for lines in _corpus(("src", "demos", "perfbench")).values()
+                     for line in lines)
+    dead = [f"{module.name} {qualified}"
+            for module in sorted(PACKAGE.glob("*.py"))
+            for qualified, name in _methods(module)
+            if not (name.startswith("__") and name.endswith("__"))
+            and not re.search(rf"\.{re.escape(name)}\b", text)]
     assert dead == []
