@@ -147,7 +147,8 @@ def read_settings(text: str, source: str = "<config>") -> dict[str, str]:
     the parser's line numbers. ``;`` and ``#`` start a comment, on a line
     of its own or after a value.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True,
+    # no header names the empty section, so [DEFAULT] is an ordinary (unknown) one
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="",
                                        inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text, source=source)

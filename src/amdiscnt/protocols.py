@@ -124,9 +124,8 @@ def elect_chs_amdiscnt(alive: list[Node]) -> set[int]:
         if sector is None:
             continue
         current = best.get(sector)
-        if (current is None
-                or node.residual_energy > current.residual_energy
-                or (node.residual_energy == current.residual_energy and node.id < current.id)):
+        # strictly more, so on a tie the earlier (lower) id stays
+        if current is None or node.residual_energy > current.residual_energy:
             best[sector] = node
     return {node.id for node in best.values()}
 

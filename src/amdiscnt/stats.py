@@ -2,13 +2,13 @@
 
 Spread is the population standard deviation (divide by N, not N-1), and
 the band is ``mean +/- z * sigma / sqrt(n)`` with the two-sided normal
-quantile for the requested confidence. That quantile is Wichura's AS241
-rational approximation, written as the ``statistics`` module writes it,
-so z is bit-identical to ``statistics.NormalDist().inv_cdf`` and a run
-never loads that module. Runs of different lengths are aligned by
-padding the shorter histories with their terminal state: the alive/dead
-census and residual energy freeze at their final values while per-round
-traffic, head counts and delay pad as zero.
+quantile for the requested confidence. That quantile comes from the C
+function that ``statistics.NormalDist().inv_cdf`` itself calls, so z is
+bit-identical to it and a run never loads the ``statistics`` module.
+Runs of different lengths are aligned by padding the shorter histories
+with their terminal state: the alive/dead census and residual energy
+freeze at their final values while per-round traffic, head counts and
+delay pad as zero.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
+
+# statistics.NormalDist.inv_cdf calls this same C function
+from _statistics import _normal_dist_inv_cdf
 
 from .engine import SimulationResult
 
@@ -55,82 +58,13 @@ def confidence_interval(values: list[float], confidence: float = 0.95) -> tuple[
     return (mean - half, mean + half)
 
 
-def _standard_normal_inv_cdf(p: float) -> float:
-    """The standard normal quantile of ``p`` in (0, 1), by Wichura's AS241.
-
-    Wichura, M.J. (1988). "Algorithm AS241: The Percentage Points of the
-    Normal Distribution". Applied Statistics 37 (3): 477-484. The
-    arithmetic is ``statistics.NormalDist().inv_cdf``'s, step for step,
-    so the result is the same float.
-    """
-    q = p - 0.5
-    if math.fabs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.50908_09287_30122_6727e+3 * r +
-                     3.34305_75583_58812_8105e+4) * r +
-                     6.72657_70927_00870_0853e+4) * r +
-                     4.59219_53931_54987_1457e+4) * r +
-                     1.37316_93765_50946_1125e+4) * r +
-                     1.97159_09503_06551_4427e+3) * r +
-                     1.33141_66789_17843_7745e+2) * r +
-                     3.38713_28727_96366_6080e+0) * q
-        den = (((((((5.22649_52788_52854_5610e+3 * r +
-                     2.87290_85735_72194_2674e+4) * r +
-                     3.93078_95800_09271_0610e+4) * r +
-                     2.12137_94301_58659_5867e+4) * r +
-                     5.39419_60214_24751_1077e+3) * r +
-                     6.87187_00749_20579_0830e+2) * r +
-                     4.23133_30701_60091_1252e+1) * r +
-                     1.0)
-        return num / den
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    if r <= 5.0:
-        r = r - 1.6
-        num = (((((((7.74545_01427_83414_07640e-4 * r +
-                     2.27238_44989_26918_45833e-2) * r +
-                     2.41780_72517_74506_11770e-1) * r +
-                     1.27045_82524_52368_38258e+0) * r +
-                     3.64784_83247_63204_60504e+0) * r +
-                     5.76949_72214_60691_40550e+0) * r +
-                     4.63033_78461_56545_29590e+0) * r +
-                     1.42343_71107_49683_57734e+0)
-        den = (((((((1.05075_00716_44416_84324e-9 * r +
-                     5.47593_80849_95344_94600e-4) * r +
-                     1.51986_66563_61645_71966e-2) * r +
-                     1.48103_97642_74800_74590e-1) * r +
-                     6.89767_33498_51000_04550e-1) * r +
-                     1.67638_48301_83803_84940e+0) * r +
-                     2.05319_16266_37758_82187e+0) * r +
-                     1.0)
-    else:
-        r = r - 5.0
-        num = (((((((2.01033_43992_92288_13265e-7 * r +
-                     2.71155_55687_43487_57815e-5) * r +
-                     1.24266_09473_88078_43860e-3) * r +
-                     2.65321_89526_57612_30930e-2) * r +
-                     2.96560_57182_85048_91230e-1) * r +
-                     1.78482_65399_17291_33580e+0) * r +
-                     5.46378_49111_64114_36990e+0) * r +
-                     6.65790_46435_01103_77720e+0)
-        den = (((((((2.04426_31033_89939_78564e-15 * r +
-                     1.42151_17583_16445_88870e-7) * r +
-                     1.84631_83175_10054_68180e-5) * r +
-                     7.86869_13114_56132_59100e-4) * r +
-                     1.48753_61290_85061_48525e-2) * r +
-                     1.36929_88092_27358_05310e-1) * r +
-                     5.99832_20655_58879_37690e-1) * r +
-                     1.0)
-    x = num / den
-    return -x if q < 0.0 else x
-
-
 def _normal_quantile(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     upper = 0.5 + confidence / 2.0
     if upper == 1.0:  # the largest float below 1 rounds up here; its lower tail is exact
-        return -_standard_normal_inv_cdf((1.0 - confidence) / 2.0)
-    return _standard_normal_inv_cdf(upper)
+        return -_normal_dist_inv_cdf((1.0 - confidence) / 2.0, 0.0, 1.0)
+    return _normal_dist_inv_cdf(upper, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,26 @@ def test_unknown_section_rejected_by_name():
         read_settings("[antenna]\ngain = 3\n")
 
 
+# as configparser's default section, [DEFAULT] alone is ignored and its keys leak into [network]
+_DEFAULT_SECTION_TEXTS = ("[DEFAULT]\nbogus = 1\n", "[DEFAULT]\nn_nodes = 50\n",
+                          "[DEFAULT]\nn_nodes = 50\n[network]\nmax_rounds = 5\n")
+
+
+@pytest.mark.parametrize("text", _DEFAULT_SECTION_TEXTS)
+def test_default_section_rejected_by_name(text):
+    with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+        read_settings(text)
+
+
+@pytest.mark.parametrize("text", _DEFAULT_SECTION_TEXTS)
+def test_main_rejects_a_default_section(tmp_path, capsys, text):
+    config = tmp_path / "default.ini"
+    config.write_text(text)
+    assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_syntax_error_reports_line():
     with pytest.raises(ConfigurationError, match="line"):
         read_settings("[network]\nnot a key value pair\n")
