@@ -127,5 +127,5 @@ def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
                 f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)
-    return [Node(id=i, position=pos, region=region, initial_energy=e, residual_energy=e)
+    return [Node(id=i, position=pos, region=region, initial_energy=e)
             for i, ((region, pos), e) in enumerate(zip(placed, energies))]

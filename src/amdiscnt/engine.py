@@ -3,13 +3,14 @@
 Each round runs three phases in fixed id order: members transmit to their
 cluster heads, heads aggregate and send to the base station, straight or
 through one inner relay, then direct senders transmit to the base station.
-Every energy charge is attempted against the node's remaining budget: a
-node that cannot cover a cost spends what it has, dies, and the packet
-involved is lost; a node left at exactly zero completes the action first
-and then dies. A cost below the budget, the common case, is debited
-inline; only :func:`_charge` kills, and the round counts the deaths it
-records instead of taking a census. A dead node holds ``+0.0`` and every
-validated cost is positive, so charging it fails and adds ``0.0``.
+A run keeps each node's battery in one list, by id. Every charge is
+attempted against the node's remaining budget: a node that cannot cover
+a cost spends what it has, dies, and the packet involved is lost; a node
+left at exactly zero completes the action first and then dies. A cost
+below the budget, the common case, is debited inline; only
+:func:`_charge` kills, and the round counts the deaths it records. A
+node is alive while its entry is non-zero: a dead one holds ``+0.0``, and
+every validated cost is positive, so charging it fails and adds ``0.0``.
 All randomness comes from the single ``Random(seed)`` owned by the run:
 deployment draws the placement and any energy tiers from it, the
 ``leach`` and ``deec`` elections draw once per eligible node each round,
@@ -17,8 +18,9 @@ and a lossy link draws once per paid transmission; ``amdiscnt`` on
 loss-free links draws nothing after deployment. Equal seeds therefore
 give byte-identical histories. :func:`place` deploys a seed's field once
 and saves the generator's state after deployment; every run on that
-:class:`Placement` resets its nodes, restores that state and reads its link
-table, which holds no randomness, so it is bit-exact with a fresh run.
+:class:`Placement` starts its own full batteries, restores that state and
+reads its link table, which holds no randomness, so it is bit-exact with a
+fresh run. A run writes to none of its placement's nodes.
 """
 
 from __future__ import annotations
@@ -121,33 +123,33 @@ class SimulationResult:
         return sum(self.per_round.column("packets_received_by_bs"))
 
 
-def _charge(node: Node, amount: float, ledger: list[float], deaths: list[Node]) -> bool:
+def _charge(energy: list[float], node_id: int, amount: float, ledger: list[float],
+            deaths: list[int]) -> bool:
     """Debit ``amount``: the charge rule at its boundary, and whole for phase 2.
 
     An exact cover completes the action and kills the node; a larger cost
     drains it, kills it and fails. A node killed is appended to ``deaths``
     once, since a dead node is never alive to be killed again.
     """
-    left = node.residual_energy
+    left = energy[node_id]
     if amount < left:
-        node.residual_energy = left - amount
+        energy[node_id] = left - amount
         ledger.append(amount)
         return True
-    if node.alive:
-        node.alive = False
-        deaths.append(node)
-    node.residual_energy = 0.0
+    if left:
+        deaths.append(node_id)
+    energy[node_id] = 0.0
     ledger.append(left)  # all of it: the cost when it covers exactly, else the drain
     return amount == left
 
 
-def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
+def run_round(energy: list[float], alive: list[Node], plan: TransmissionPlan,
               config: NetworkConfig, rng: Random, links: DistanceCache) -> RoundMetrics:
-    """Execute one transmission round, mutating node energies in place.
+    """Execute one transmission round, debiting ``energy`` (by id) in place.
 
-    ``nodes`` is indexed by id and ``links`` is its table for ``config.radio``.
-    ``alive`` holds exactly the nodes alive at the start of the round;
-    the residual sum is taken over it, since every other node holds 0.0.
+    ``links`` is the nodes' table for ``config.radio``. ``alive`` holds
+    exactly the nodes alive at the start of the round. A dead node holds
+    ``+0.0``, so ``math.fsum(energy)`` is the residual sum over the living.
     """
     radio = config.radio
     bits = radio.packet_bits
@@ -165,12 +167,12 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
 
     ledger: list[float] = []
     spend = ledger.append
-    deaths: list[Node] = []
+    deaths: list[int] = []
     delivered_delays: list[float] = []
     sent = 0
     received = 0
-    arrivals = [0] * len(nodes)
-    longest = [0.0] * len(nodes)  # each head's longest delivered member link
+    arrivals = [0] * len(energy)
+    longest = [0.0] * len(energy)  # each head's longest delivered member link
 
     # phases 1 and 3 debit a cost below the budget inline: x - y != 0 for x != y
     # phase 1: members transmit to their cluster heads
@@ -178,21 +180,19 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
         d = dist(points[member_id], points[ch_id])
         # tx_cost's expression with the radio constants hoisted out of the loop
         cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
-        node = nodes[member_id]
-        left = node.residual_energy
+        left = energy[member_id]
         if cost < left:
-            node.residual_energy = left - cost
+            energy[member_id] = left - cost
             spend(cost)
-        elif not _charge(node, cost, ledger, deaths):
+        elif not _charge(energy, member_id, cost, ledger, deaths):
             continue
         if lossy and rng.random() < drop_p:
             continue
-        node = nodes[ch_id]
-        left = node.residual_energy
+        left = energy[ch_id]
         if rx < left:
-            node.residual_energy = left - rx
+            energy[ch_id] = left - rx
             spend(rx)
-        elif not _charge(node, rx, ledger, deaths):
+        elif not _charge(energy, ch_id, rx, ledger, deaths):
             continue
         arrivals[ch_id] += 1
         if d > longest[ch_id]:
@@ -201,22 +201,22 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     # phase 2: cluster heads aggregate, then send straight or through one relay
     for ch_id, relay_id in plan.routes:
         signals = arrivals[ch_id] + 1  # members plus the head's own reading
-        if not _charge(nodes[ch_id], aggregation_cost(bits, signals, radio), ledger, deaths):
+        if not _charge(energy, ch_id, aggregation_cost(bits, signals, radio), ledger, deaths):
             continue
         # a link's delay never decreases with distance, so the longest link gives the max
         packet_delay = hop + longest[ch_id] / speed if signals > 1 else 0.0
         sender_id = ch_id
         if relay_id is not None:
             d = dist(points[ch_id], points[relay_id])
-            if not _charge(nodes[ch_id], tx_cost(bits, d, radio), ledger, deaths):
+            if not _charge(energy, ch_id, tx_cost(bits, d, radio), ledger, deaths):
                 continue
             if lossy and rng.random() < drop_p:
                 continue
-            if not _charge(nodes[relay_id], rx, ledger, deaths):
+            if not _charge(energy, relay_id, rx, ledger, deaths):
                 continue
             packet_delay += hop + d / speed
             sender_id = relay_id
-        if not _charge(nodes[sender_id], tx_to_bs[sender_id], ledger, deaths):
+        if not _charge(energy, sender_id, tx_to_bs[sender_id], ledger, deaths):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
@@ -226,12 +226,11 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
     # phase 3: direct senders transmit their own readings
     for node_id in plan.direct:
         cost = tx_to_bs[node_id]
-        node = nodes[node_id]
-        left = node.residual_energy
+        left = energy[node_id]
         if cost < left:
-            node.residual_energy = left - cost
+            energy[node_id] = left - cost
             spend(cost)
-        elif not _charge(node, cost, ledger, deaths):
+        elif not _charge(energy, node_id, cost, ledger, deaths):
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
@@ -240,19 +239,17 @@ def run_round(nodes: list[Node], alive: list[Node], plan: TransmissionPlan,
 
     survivors = len(alive) - len(deaths)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
-    return RoundMetrics(plan.round_index, survivors, len(nodes) - survivors, sent, received,
-                        plan.ch_count, mean_delay,
-                        math.fsum(map(attrgetter("residual_energy"), alive)),
-                        math.fsum(ledger))
+    return RoundMetrics(plan.round_index, survivors, len(energy) - survivors, sent, received,
+                        plan.ch_count, mean_delay, math.fsum(energy), math.fsum(ledger))
 
 
-def _elect(alive: list[Node], kind: ProtocolKind, round_index: int, rng: Random,
-           history: dict[int, int]) -> set[int]:
+def _elect(alive: list[Node], energy: list[float], kind: ProtocolKind, round_index: int,
+           rng: Random, history: dict[int, int]) -> set[int]:
     if kind.name == "amdiscnt":
-        return elect_chs_amdiscnt(alive)
+        return elect_chs_amdiscnt(alive, energy)
     if kind.name == "leach":
         return elect_chs_leach(alive, round_index, kind.p_opt, rng, history)
-    return elect_chs_deec(alive, round_index, kind.p_opt, rng, history)
+    return elect_chs_deec(alive, energy, round_index, kind.p_opt, rng, history)
 
 
 @dataclass(frozen=True)
@@ -287,27 +284,24 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
                   if getattr(config, f.name) != getattr(placement.config, f.name)]
         raise ConfigurationError(f"config differs from the placement's in {', '.join(differ)}")
     nodes = placement.nodes
-    for node in nodes:  # a run on a used placement starts from full batteries
-        node.residual_energy = node.initial_energy
-        node.alive = True
+    energy = [node.initial_energy for node in nodes]  # the run's own batteries, by id
     rng = Random()
     rng.setstate(placement.rng_state)
     links = placement.links
     history: dict[int, int] = {}
     n = len(nodes)
-    is_alive = attrgetter("alive")
     alive = list(nodes)  # in id order; elections and plans walk only the alive nodes
 
     per_round = RoundHistory()
     columns = per_round._columns
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        ch_set = _elect(alive, kind, round_index, rng, history)
-        plan = build_plan(nodes, alive, ch_set, kind, links, round_index)
-        metrics = run_round(nodes, alive, plan, config, rng, links)
+        ch_set = _elect(alive, energy, kind, round_index, rng, history)
+        plan = build_plan(nodes, alive, energy, ch_set, kind, links, round_index)
+        metrics = run_round(energy, alive, plan, config, rng, links)
         any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame
         if metrics.alive < len(alive):  # someone died this round
-            alive = list(filter(is_alive, alive))
+            alive = [node for node in alive if energy[node.id]]
         completed = round_index + 1
         if fnd is None and metrics.dead >= 1:
             fnd = completed

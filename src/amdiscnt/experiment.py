@@ -286,18 +286,19 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
     of ``spec``, such as a :func:`run_experiment` dict's ``items()`` or a
     :func:`stream_experiment` stream. Each ``<name>.csv`` is written as
     its pair arrives, and only the names and milestones are kept.
-    ``summary.csv`` follows, and ``meta`` is written last; an old
-    ``meta`` is deleted before the first file is opened, so a directory
-    without it is incomplete even after a failed rewrite. Returns the
-    list of paths written. Output contains nothing volatile (no
-    timestamps), so identical inputs give identical bytes.
+    ``summary.csv`` follows, and ``meta`` is written last. Opening the
+    first file makes the directory and deletes an old ``meta``: a stream
+    failing before that touches nothing, and a directory without ``meta``
+    is incomplete even after a failed rewrite. Returns the paths written.
+    Output has nothing volatile (no timestamps), so equal inputs give equal bytes.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "meta"))
     manifest: list[str] = []
 
     def _open(name: str):
+        if not manifest:
+            os.makedirs(out_dir, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "meta"))
         path = os.path.join(out_dir, name)
         manifest.append(path)
         try:

@@ -128,18 +128,15 @@ class HeterogeneitySpec:
         raise ValueError(f"{self.mode!r} is not a discrete heterogeneity mode")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Node:
-    """One sensor. Only the engine mutates ``residual_energy``/``alive``;
-    a dead node holds exactly ``+0.0``, which the engine's one liveness
-    rule, charging the node, relies on."""
+    """One sensor as deployed. A run keeps its battery levels apart, in a
+    list indexed by ``id`` that starts at each ``initial_energy``."""
 
     id: int
     position: Position
     region: RegionId
     initial_energy: float
-    residual_energy: float
-    alive: bool = True
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
 from random import Random
 
 from .energy import tx_cost
 from .model import Node, RadioParams
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
-
-_residual = attrgetter("residual_energy")
 
 
 @dataclass(frozen=True)
@@ -114,20 +111,20 @@ class DistanceCache:
         return orders
 
 
-def elect_chs_amdiscnt(alive: list[Node]) -> set[int]:
-    """Pick the node with the most residual energy in each outer wedge;
-    ties go to the lower id. ``alive`` lists the alive nodes in id order.
-    Needs no randomness."""
-    best: dict[int, Node] = {}
+def elect_chs_amdiscnt(alive: list[Node], energy: list[float]) -> set[int]:
+    """Pick the node with the most residual ``energy`` (by id) in each outer
+    wedge; ties go to the lower id. ``alive`` lists the alive nodes in id
+    order. Needs no randomness."""
+    best: dict[int, int] = {}
     for node in alive:
         sector = node.region.sector
         if sector is None:
             continue
         current = best.get(sector)
         # strictly more, so on a tie the earlier (lower) id stays
-        if current is None or node.residual_energy > current.residual_energy:
-            best[sector] = node
-    return {node.id for node in best.values()}
+        if current is None or energy[node.id] > energy[current]:
+            best[sector] = node.id
+    return set(best.values())
 
 
 def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Random,
@@ -159,23 +156,23 @@ def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Rand
     return elected
 
 
-def elect_chs_deec(alive: list[Node], round_index: int, p_opt: float, rng: Random,
-                   history: dict[int, int]) -> set[int]:
+def elect_chs_deec(alive: list[Node], energy: list[float], round_index: int, p_opt: float,
+                   rng: Random, history: dict[int, int]) -> set[int]:
     """Energy-weighted rotating election.
 
     Like the classic rotation, but each node's probability
     ``min(1, p_opt * residual / average)`` (and therefore its personal
-    epoch length) scales with residual energy over the exact mean
-    residual energy of ``alive``, the alive nodes in id order.
+    epoch length) scales with residual ``energy`` (by id, ``0.0`` when
+    dead) over its exact mean over ``alive``, the alive nodes in id order.
     """
     if not alive:
         return set()
-    average = math.fsum(map(_residual, alive)) / len(alive)
+    average = math.fsum(energy) / len(alive)
     draw = rng.random
     last_election = history.get
     elected = set()
     for node in alive:
-        x = p_opt * node.residual_energy / average
+        x = p_opt * energy[node.id] / average
         p_i = x if x < 1.0 else 1.0
         if p_i <= 0.0:
             continue
@@ -193,21 +190,21 @@ def elect_chs_deec(alive: list[Node], round_index: int, p_opt: float, rng: Rando
     return elected
 
 
-def select_relay(ch_id: int, nodes: list[Node], links: DistanceCache) -> int | None:
+def select_relay(ch_id: int, energy: list[float], links: DistanceCache) -> int | None:
     """Pick the inner node that relays a cluster head's aggregate.
 
-    The relay is the alive inner node with the lowest two-leg radio cost
-    (lowest id on a cost tie). ``None`` (send direct) is kept whenever
-    direct costs no more than that, and when no inner node is alive.
+    The relay is the inner node alive in ``energy`` (non-zero by id) with
+    the lowest two-leg radio cost (lowest id on a cost tie). ``None`` (send
+    direct) is kept whenever direct costs no more, or no inner node lives.
     """
     for relay in links.relay_order(ch_id):
-        if nodes[relay].alive:
+        if energy[relay]:
             return relay
     return None
 
 
-def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: ProtocolKind,
-               links: DistanceCache, round_index: int = 0) -> TransmissionPlan:
+def build_plan(nodes: list[Node], alive: list[Node], energy: list[float], ch_set: set[int],
+               kind: ProtocolKind, links: DistanceCache, round_index: int = 0) -> TransmissionPlan:
     """Assign every alive node its transmissions for the round.
 
     ``amdiscnt``: inner alive nodes send directly; outer alive non-heads
@@ -216,7 +213,7 @@ def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: Pro
     non-head joins the nearest head (lower id on a distance tie) and heads
     go single-hop to the base station; with no heads at all, everyone
     falls back to direct transmission. ``nodes`` is indexed by id;
-    ``alive`` lists exactly its alive nodes, in id order.
+    ``alive`` lists exactly its alive nodes, in id order; ``energy`` is by id.
     """
     members: list[tuple[int, int]] = []
     direct: list[int] = []
@@ -232,7 +229,7 @@ def build_plan(nodes: list[Node], alive: list[Node], ch_set: set[int], kind: Pro
                 direct.append(node.id)
             elif sector in sector_ch:
                 members.append((node.id, sector_ch[sector]))
-        routes = [(ch_id, select_relay(ch_id, nodes, links)) for ch_id in heads]
+        routes = [(ch_id, select_relay(ch_id, energy, links)) for ch_id in heads]
         return TransmissionPlan(members, routes, direct, round_index)
 
     if not heads:

@@ -3,7 +3,9 @@
 Replays the deterministic sector-clustering protocol on an already
 deployed node list with everything written out inline: election, role
 assignment, relay choice, and every energy charge. No engine code is
-imported; only the shared domain containers are touched.
+imported, and the deployed nodes are only read: each replay keeps every
+node's battery and its liveness in a :class:`Sensor` record of its own,
+and marks a node dead itself when a charge empties it.
 :func:`replay_rounds` runs the whole loss-free, unit-per-hop protocol;
 :func:`replay_round` executes one round of given transmissions, with
 lossy links and either delay mode, and checks liveness explicitly before
@@ -20,9 +22,31 @@ draw for draw.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from random import Random
 
-from amdiscnt.model import Node
+from amdiscnt.model import Node, Position, RegionId
+
+
+@dataclass
+class Sensor:
+    """The replay's mutable record of one node: its place, its battery and
+    whether it is alive."""
+
+    id: int
+    position: Position
+    region: RegionId
+    residual_energy: float
+    alive: bool
+
+
+def sensors(nodes: list[Node], energy: list[float] | None = None) -> list[Sensor]:
+    """One record per node, holding ``energy[node.id]`` (its full battery
+    by default); a node given ``0.0`` starts dead."""
+    if energy is None:
+        energy = {node.id: node.initial_energy for node in nodes}
+    return [Sensor(node.id, node.position, node.region, energy[node.id], energy[node.id] > 0.0)
+            for node in nodes]
 
 
 def _tx(bits, d, radio):
@@ -100,14 +124,14 @@ def _sector_plan(nodes, radio):
 
 
 def replay_rounds(nodes, config, n_rounds):
-    """Run ``n_rounds`` of the sector-clustering protocol, loss-free.
+    """Run ``n_rounds`` of the sector-clustering protocol, loss-free, on
+    the deployed ``nodes`` at full battery.
 
-    Returns one dict of metric fields per round, mutating the given
-    nodes in place.
+    Returns one dict of metric fields per round.
     """
     assert config.link_drop_probability == 0.0
     assert config.delay.mode == "hops"
-    nodes = sorted(nodes, key=lambda n: n.id)
+    nodes = sorted(sensors(nodes), key=lambda n: n.id)
     out = []
     for round_index in range(n_rounds):
         if not any(n.alive for n in nodes):
@@ -132,7 +156,8 @@ def replay_round(nodes, members, routes, direct, config, rng):
     nodes that send their own reading to the sink. Each phase walks its
     ids in ascending order. With lossy links, one draw from ``rng`` is
     made after each paid transmission, in the engine's order; loss-free
-    links never draw. Mutates the given nodes in place.
+    links never draw. ``nodes`` are :class:`Sensor` records, charged in
+    place.
     """
     radio = config.radio
     bits = radio.packet_bits
@@ -257,7 +282,7 @@ def leach_threshold(round_index: int, p_opt: float) -> float:
     return p_opt / (1.0 - p_opt * (round_index % _leach_epoch(round_index, p_opt)))
 
 
-def elect_chs_leach(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+def elect_chs_leach(nodes: list[Sensor], round_index: int, p_opt: float, rng: Random,
                     history: dict[int, int] | None = None) -> set[int]:
     """Classic rotating election.
 
@@ -290,7 +315,7 @@ def deec_probability(residual: float, average: float, p_opt: float) -> float:
     return min(1.0, p_opt * residual / average)
 
 
-def elect_chs_deec(nodes: list[Node], round_index: int, p_opt: float, rng: Random,
+def elect_chs_deec(nodes: list[Sensor], round_index: int, p_opt: float, rng: Random,
                    history: dict[int, int] | None = None) -> set[int]:
     """Energy-weighted rotating election.
 
@@ -342,7 +367,8 @@ def _nearest_head_plan(nodes, heads):
 
 
 def replay_run(nodes, config, protocol, p_opt, rng):
-    """Run one protocol on deployed nodes until the horizon or total death.
+    """Run one protocol on deployed nodes, from full batteries, until the
+    horizon or total death.
 
     ``rng`` is the run's generator just after deployment. Each round
     plans ``amdiscnt`` with :func:`_sector_plan` (``p_opt`` unused), or
@@ -352,7 +378,7 @@ def replay_run(nodes, config, protocol, p_opt, rng):
     ``round_index``) and the first, half and last death milestones in
     completed rounds.
     """
-    nodes = sorted(nodes, key=lambda n: n.id)
+    nodes = sorted(sensors(nodes), key=lambda n: n.id)
     history = {}
     out = []
     milestones = [None, None, None]

@@ -7,7 +7,6 @@ accounting. Each check records one PASS/FAIL line; the verdicts replay
 in an "acceptance criteria" section after the run.
 """
 
-import copy
 import dataclasses
 import hashlib
 import math
@@ -100,17 +99,19 @@ def test_c02_head_count_tracks_populated_sectors():
         nodes = deploy(config, rng)
         links = DistanceCache(nodes, config.radio)
         outer = [n for n in nodes if not n.region.is_inner]
+        energy = [n.initial_energy for n in nodes]  # a node is alive while its entry is not 0
         first_outer_death_seen = False
         for round_index in range(config.max_rounds):
-            if not any(n.alive for n in nodes):
+            if not any(energy):
                 break
-            populated = {n.region.sector for n in outer if n.alive}
-            if not first_outer_death_seen and any(not n.alive for n in outer):
+            populated = {n.region.sector for n in outer if energy[n.id]}
+            if not first_outer_death_seen and not all(energy[n.id] for n in outer):
                 first_outer_death_seen = True
-            alive = [n for n in nodes if n.alive]
-            chs = elect_chs_amdiscnt(alive)
-            plan = build_plan(nodes, alive, chs, ProtocolKind("amdiscnt"), links, round_index)
-            metrics = run_round(nodes, alive, plan, config, rng, links)
+            alive = [n for n in nodes if energy[n.id]]
+            chs = elect_chs_amdiscnt(alive, energy)
+            plan = build_plan(nodes, alive, energy, chs, ProtocolKind("amdiscnt"), links,
+                              round_index)
+            metrics = run_round(energy, alive, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):
                 ok = False
@@ -241,7 +242,7 @@ def test_c09_small_instance_reference_replay():
 
     config = NetworkConfig(n_nodes=9, max_rounds=3)
     engine = run_simulation(config, ProtocolKind("amdiscnt"))
-    nodes = copy.deepcopy(deploy(config, Random(config.seed)))
+    nodes = deploy(config, Random(config.seed))
     reference = replay_rounds(nodes, config, 3)
     fields = ("round_index", "alive", "dead", "packets_sent_to_bs",
               "packets_received_by_bs", "ch_count", "mean_delay",

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import pickle
@@ -180,43 +179,42 @@ def test_baselines_run_to_completion():
         assert res.per_round[-1].alive == 0
 
 
-def _one_round(nodes, ch_set, config):
+def _one_round(nodes, energy, ch_set, config):
     links = DistanceCache(nodes, config.radio)
-    alive = [node for node in nodes if node.alive]
-    plan = build_plan(nodes, alive, ch_set, AMDISCNT, links)
-    return plan, run_round(nodes, alive, plan, config, Random(0), links)
+    alive = [node for node in nodes if energy[node.id]]
+    plan = build_plan(nodes, alive, energy, ch_set, AMDISCNT, links)
+    return plan, run_round(energy, alive, plan, config, Random(0), links)
 
 
 def _direct_sender(residual):
-    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(),
-                initial_energy=residual, residual_energy=residual)
-    _, metrics = _one_round([node], set(), NetworkConfig())
-    return node, metrics
+    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(), initial_energy=residual)
+    energy = [residual]
+    _, metrics = _one_round([node], energy, set(), NetworkConfig())
+    return energy, metrics
 
 
 def test_exact_budget_sends_then_dies():
     cost = tx_cost(4000, 10.0, NetworkConfig().radio)
-    node, metrics = _direct_sender(cost)
+    energy, metrics = _direct_sender(cost)
     assert metrics.packets_sent_to_bs == 1
     assert metrics.packets_received_by_bs == 1
-    assert not node.alive
-    assert node.residual_energy == 0.0
+    assert (metrics.alive, metrics.dead) == (0, 1)
+    assert energy == [0.0]
     assert metrics.energy_spent == cost
 
 
 def test_insufficient_budget_loses_packet_and_drains_node():
     cost = tx_cost(4000, 10.0, NetworkConfig().radio)
-    node, metrics = _direct_sender(cost / 2.0)
+    energy, metrics = _direct_sender(cost / 2.0)
     assert metrics.packets_sent_to_bs == 0
-    assert not node.alive
-    assert node.residual_energy == 0.0
+    assert (metrics.alive, metrics.dead) == (0, 1)
+    assert energy == [0.0]
     assert metrics.energy_spent == cost / 2.0
 
 
 def test_all_idle_round_spends_nothing():
-    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(),
-                initial_energy=0.5, residual_energy=0.0, alive=False)
-    plan, metrics = _one_round([node], set(), NetworkConfig())
+    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(), initial_energy=0.5)
+    plan, metrics = _one_round([node], [0.0], set(), NetworkConfig())
     assert metrics.energy_spent == 0.0
     assert metrics.packets_sent_to_bs == 0
     assert metrics.alive == 0
@@ -225,33 +223,38 @@ def test_all_idle_round_spends_nothing():
 
 def test_dead_cluster_head_loses_member_traffic():
     # member pays its transmission but the dead head never receives
-    ch = Node(id=0, position=Position(30.0, 0.0), region=RegionId(0),
-              initial_energy=0.5, residual_energy=0.0, alive=False)
-    member = Node(id=1, position=Position(25.0, 0.0), region=RegionId(0),
-                  initial_energy=0.5, residual_energy=0.5)
-    plan, metrics = _one_round([ch, member], {0}, NetworkConfig())
+    ch = Node(id=0, position=Position(30.0, 0.0), region=RegionId(0), initial_energy=0.5)
+    member = Node(id=1, position=Position(25.0, 0.0), region=RegionId(0), initial_energy=0.5)
+    energy = [0.0, 0.5]
+    plan, metrics = _one_round([ch, member], energy, {0}, NetworkConfig())
     assert plan.members == [(1, 0)]
     assert metrics.packets_sent_to_bs == 0
-    assert member.residual_energy < 0.5
-    assert ch.residual_energy == 0.0
+    assert energy[1] < 0.5
+    assert energy[0] == 0.0
 
 
 def test_relayed_aggregate_pays_both_legs():
     # past the crossover the head's aggregate goes through the inner node,
     # which also sends its own reading
-    relay = Node(id=0, position=Position(20.0, 0.0), region=RegionId(),
-                 initial_energy=0.5, residual_energy=0.5)
-    ch = Node(id=1, position=Position(100.0, 0.0), region=RegionId(0),
-              initial_energy=0.5, residual_energy=0.5)
+    relay = Node(id=0, position=Position(20.0, 0.0), region=RegionId(), initial_energy=0.5)
+    ch = Node(id=1, position=Position(100.0, 0.0), region=RegionId(0), initial_energy=0.5)
     radio = NetworkConfig().radio
-    plan, metrics = _one_round([relay, ch], {1}, NetworkConfig())
+    energy = [0.5, 0.5]
+    plan, metrics = _one_round([relay, ch], energy, {1}, NetworkConfig())
     assert plan.routes == [(1, 0)]
     assert plan.direct == [0]
     assert metrics.packets_sent_to_bs == metrics.packets_received_by_bs == 2
     assert metrics.mean_delay == 1.5
-    assert ch.residual_energy == 0.5 - aggregation_cost(4000, 1, radio) - tx_cost(4000, 80.0, radio)
-    assert relay.residual_energy == 0.5 - rx_cost(4000, radio) - tx_cost(4000, 20.0, radio) \
+    assert energy[1] == 0.5 - aggregation_cost(4000, 1, radio) - tx_cost(4000, 80.0, radio)
+    assert energy[0] == 0.5 - rx_cost(4000, radio) - tx_cost(4000, 20.0, radio) \
         - tx_cost(4000, 20.0, radio)
+
+
+def _as_records(energy):
+    """Each entry with the liveness it stands for: alive while not 0.0, and
+    a dead entry holds +0.0, never -0.0."""
+    assert all(math.copysign(1.0, e) == 1.0 for e in energy)
+    return [(e, e != 0.0) for e in energy]
 
 
 # The boundary round: an inner relay that also sends its own reading, an
@@ -269,12 +272,13 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
     as the straight-line round, and counts each death once."""
     radio = NetworkConfig().radio
     bits = radio.packet_bits
-    nodes = [Node(RELAY, Position(15.0, 5.0), RegionId(), 0.5, 0.5),
-             Node(HEAD, Position(100.0, 10.0), RegionId(0), 0.5, 0.5),
-             Node(MEMBER, Position(95.0, 20.0), RegionId(0), 0.5, 0.5),
-             Node(DEAD, Position(90.0, 5.0), RegionId(0), 0.5, 0.0, alive=False),
-             Node(OTHER_MEMBER, Position(110.0, 15.0), RegionId(0), 0.5, 0.5),
-             Node(DIRECT, Position(5.0, 10.0), RegionId(), 0.5, 0.5)]
+    nodes = [Node(RELAY, Position(15.0, 5.0), RegionId(), 0.5),
+             Node(HEAD, Position(100.0, 10.0), RegionId(0), 0.5),
+             Node(MEMBER, Position(95.0, 20.0), RegionId(0), 0.5),
+             Node(DEAD, Position(90.0, 5.0), RegionId(0), 0.5),
+             Node(OTHER_MEMBER, Position(110.0, 15.0), RegionId(0), 0.5),
+             Node(DIRECT, Position(5.0, 10.0), RegionId(), 0.5)]
+    energy = [0.0 if node.id == DEAD else 0.5 for node in nodes]
     member_link = reference.distance(nodes[MEMBER].position, nodes[HEAD].position)
     node_id, cost = {"member_tx": (MEMBER, tx_cost(bits, member_link, radio)),
                      "head_rx": (HEAD, rx_cost(bits, radio)),
@@ -282,27 +286,27 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
                      "direct_tx": (DIRECT, tx_cost(bits, nodes[DIRECT].position.radius(), radio)),
                      }[site]
     budget = cost if toward is None else math.nextafter(cost, toward)
-    nodes[node_id].residual_energy = budget
-    twins = copy.deepcopy(nodes)
+    energy[node_id] = budget
+    twins = reference.sensors(nodes, energy)
     members = {MEMBER: HEAD, DEAD: HEAD, OTHER_MEMBER: HEAD}
     direct = [RELAY, DIRECT]
     plan = TransmissionPlan(sorted(members.items()), [(HEAD, RELAY)], direct)
     config = NetworkConfig(link_drop_probability=drop)
-    alive = [node for node in nodes if node.alive]
+    alive = [node for node in nodes if energy[node.id]]
     # seed 7 keeps the packets into the head and the relay and drops two others
     rng = Random(7)
-    metrics = run_round(nodes, alive, plan, config, rng, DistanceCache(nodes, radio))
+    metrics = run_round(energy, alive, plan, config, rng, DistanceCache(nodes, radio))
     reference_rng = Random(7)
     expected = reference.replay_round(twins, members, {HEAD: [RELAY, None]}, direct,
                                       config, reference_rng)
     assert {field: getattr(metrics, field) for field in expected} == expected
-    assert [(n.residual_energy, n.alive) for n in nodes] == \
-        [(n.residual_energy, n.alive) for n in twins]
+    assert _as_records(energy) == [(n.residual_energy, n.alive) for n in twins]
     assert rng.getstate() == reference_rng.getstate()
-    assert metrics.alive == sum(n.alive for n in nodes)
-    assert nodes[node_id].residual_energy < budget  # the site was reached
+    assert metrics.alive == sum(map(bool, energy))
+    assert energy[node_id] < budget  # the site was reached
     if toward != math.inf:  # a step above leaves a remainder a later charge may drain
-        assert not nodes[node_id].alive
+        assert energy[node_id] == 0.0
+        assert not twins[node_id].alive
 
 
 delay_models = st.just(DelayModel()) | st.builds(DelayModel, st.just("distance"),
@@ -325,7 +329,7 @@ def hand_built_rounds(draw):
         region = RegionId() if inner else RegionId(min(int(angle // (math.pi / 4)), 7))
         nodes.append(Node(id=i, position=Position(radius * math.cos(angle),
                                                   radius * math.sin(angle)),
-                          region=region, initial_energy=0.5, residual_energy=0.5))
+                          region=region, initial_energy=0.5))
     inner_ids = [node.id for node in nodes if node.region.is_inner]
     outer_ids = [node.id for node in nodes if not node.region.is_inner]
     heads = sorted(draw(st.sets(st.sampled_from(outer_ids))) if outer_ids else set())
@@ -337,6 +341,7 @@ def hand_built_rounds(draw):
                 members[i] = head
     routes = {h: draw(st.sampled_from([None] + inner_ids)) for h in heads}
     direct = [i for i in inner_ids if draw(st.booleans())]
+    energy = []  # a dead node holds exactly 0.0
     for node in nodes:
         link = members.get(node.id, routes.get(node.id))
         budgets = [0.0, tx_cost(bits, node.position.radius(), radio), rx_cost(bits, radio),
@@ -345,13 +350,11 @@ def hand_built_rounds(draw):
         if link is not None:
             link_length = reference.distance(node.position, nodes[link].position)
             budgets.append(tx_cost(bits, link_length, radio))
-        energy = draw(st.sampled_from(budgets) | st.floats(1e-6, 2e-3))
-        node.residual_energy = energy
-        node.alive = energy > 0.0  # a dead node holds exactly 0.0
+        energy.append(draw(st.sampled_from(budgets) | st.floats(1e-6, 2e-3)))
     drop = draw(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
     delay = draw(delay_models)
     config = NetworkConfig(link_drop_probability=drop, delay=delay)
-    return nodes, members, routes, direct, config, draw(st.integers(0, 2**32 - 1))
+    return nodes, energy, members, routes, direct, config, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(deadline=None, max_examples=400)
@@ -359,18 +362,17 @@ def hand_built_rounds(draw):
 def test_run_round_matches_reference_round(case):
     """run_round spends, delivers and draws exactly as the straight-line
     round, whose explicit liveness checks are the engine's first rule."""
-    nodes, members, routes, direct, config, seed = case
-    twins = copy.deepcopy(nodes)
-    alive = [node for node in nodes if node.alive]
+    nodes, energy, members, routes, direct, config, seed = case
+    twins = reference.sensors(nodes, energy)
+    alive = [node for node in nodes if energy[node.id]]
     plan = TransmissionPlan(sorted(members.items()), sorted(routes.items()), direct)
     rng = Random(seed)
-    metrics = run_round(nodes, alive, plan, config, rng, DistanceCache(nodes, config.radio))
+    metrics = run_round(energy, alive, plan, config, rng, DistanceCache(nodes, config.radio))
     hops = {h: [None] if relay is None else [relay, None] for h, relay in routes.items()}
     reference_rng = Random(seed)
     expected = reference.replay_round(twins, members, hops, direct, config, reference_rng)
     assert {field: getattr(metrics, field) for field in expected} == expected
-    assert [(n.residual_energy, n.alive) for n in nodes] == \
-        [(n.residual_energy, n.alive) for n in twins]
+    assert _as_records(energy) == [(n.residual_energy, n.alive) for n in twins]
     assert rng.getstate() == reference_rng.getstate()
 
 
@@ -574,9 +576,21 @@ def test_reused_table_gives_the_fresh_history(name):
                            seed=8, link_drop_probability=0.1,
                            delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
     placement = place(config)
-    # the others drain batteries, kill nodes and add relay and neighbour orders to the table
+    # the others kill nodes in their own runs and add relay and neighbour orders to the table
     others = [run_simulation(config, ProtocolKind(other), placement)
               for other in PROTOCOL_NAMES if other != name]
     assert any(result.first_node_death is not None for result in others)
     assert run_simulation(config, ProtocolKind(name), placement) == \
         run_simulation(config, ProtocolKind(name))
+
+
+def test_a_placement_is_a_value_its_runs_only_read():
+    # runs to total death, so every battery would be drained if a run wrote to its nodes
+    config = small_config(max_rounds=5000, link_drop_probability=0.1)
+    placement = place(config)
+    kinds = [ProtocolKind(name) for name in PROTOCOL_NAMES]
+    histories = [run_simulation(config, kind, placement) for kind in kinds]
+    assert all(result.last_node_death is not None for result in histories)
+    assert placement.nodes == place(config).nodes
+    copied = pickle.loads(pickle.dumps(placement))
+    assert [run_simulation(config, kind, copied) for kind in kinds] == histories

@@ -641,8 +641,9 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 def test_main_rejects_an_empty_region_before_any_file_is_touched(tmp_path, capsys):
-    # with two seeds placement happens inside the stream emit_tables consumes,
-    # after it has removed an old meta, so validation must catch this first
+    # validation rejects the config before any run; without it, two seeds would
+    # place each run's field inside the stream emit_tables consumes, and only a
+    # failure before the first table leaves the old directory as it was
     bad, small = tmp_path / "bad.ini", tmp_path / "small.ini"
     bad.write_text("[network]\nn_nodes = 9\ninner_fraction = 0.5\n")
     small.write_text("[network]\nn_nodes = 20\nmax_rounds = 5\n")
@@ -708,6 +709,7 @@ def test_main_reports_running_out_of_memory(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(experiment, "run_simulation", exhausted)
     assert main(["--runs", "1", "--protocols", "leach", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from array import array
@@ -53,6 +54,14 @@ def test_region_id_forms():
         RegionId(-1)
 
 
+def test_node_is_a_frozen_record_of_four_fields():
+    node = Node(0, Position(1.0, 2.0), RegionId(), 0.5)
+    assert [f.name for f in dataclasses.fields(Node)] == \
+        ["id", "position", "region", "initial_energy"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.initial_energy = 0.0
+
+
 def test_geometry_annulus_width():
     assert Geometry(20.0, 35.0).annulus_width == 15.0
 
@@ -63,9 +72,9 @@ def test_delay_model_modes():
     for delay, position, expected in (
             (DelayModel(), Position(123.0, 0.0), 1.0),
             (DelayModel(mode="distance", speed=2.0, per_hop=0.5), Position(6.0, 8.0), 5.5)):
-        nodes = [Node(0, position, RegionId(), 10.0, 10.0)]
+        nodes = [Node(0, position, RegionId(), 10.0)]
         config = NetworkConfig(delay=delay)
-        metrics = run_round(nodes, list(nodes), TransmissionPlan([], [], [0]), config,
+        metrics = run_round([10.0], nodes, TransmissionPlan([], [], [0]), config,
                             Random(0), DistanceCache(nodes, config.radio))
         assert metrics.packets_received_by_bs == 1
         assert metrics.mean_delay == expected

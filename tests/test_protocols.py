@@ -24,10 +24,14 @@ from amdiscnt.protocols import (
 RADIO = RadioParams()
 
 
-def make_node(node_id, x, y, sector=None, energy=0.5, alive=True):
-    region = RegionId(sector)
-    return Node(id=node_id, position=Position(x, y), region=region,
-                initial_energy=energy, residual_energy=energy, alive=alive)
+def make_node(node_id, x, y, sector=None, energy=0.5):
+    return Node(id=node_id, position=Position(x, y), region=RegionId(sector),
+                initial_energy=energy)
+
+
+def full(nodes):
+    """Every node's full battery, by id: the energy list a run starts from."""
+    return [node.initial_energy for node in nodes]
 
 
 def ring_position(sector, radius=30.0):
@@ -48,37 +52,37 @@ def outer_ring(energies_by_sector):
 class TestSectorElection:
     def test_one_head_per_sector(self):
         nodes = outer_ring({s: [0.1 * (s + 1), 0.2 * (s + 1)] for s in range(8)})
-        chs = elect_chs_amdiscnt(nodes)
+        chs = elect_chs_amdiscnt(nodes, full(nodes))
         assert len(chs) == 8
         by_id = {n.id: n for n in nodes}
         assert {by_id[c].region.sector for c in chs} == set(range(8))
 
     def test_picks_max_residual(self):
         nodes = outer_ring({0: [0.3, 0.9, 0.5]})
-        assert elect_chs_amdiscnt(nodes) == {1}
+        assert elect_chs_amdiscnt(nodes, full(nodes)) == {1}
 
     def test_dead_sector_gives_seven_heads(self):
         nodes = outer_ring({s: [0.5] for s in range(8)})
+        energy = full(nodes)
+        energy[4] = 0.0
         del nodes[4]  # the engine passes only the alive nodes
-        assert len(elect_chs_amdiscnt(nodes)) == 7
+        assert len(elect_chs_amdiscnt(nodes, energy)) == 7
 
     def test_tie_goes_to_lower_id(self):
         nodes = outer_ring({0: [0.5, 0.5, 0.5]})
-        assert elect_chs_amdiscnt(nodes) == {0}
+        assert elect_chs_amdiscnt(nodes, full(nodes)) == {0}
 
     def test_scaling_residuals_keeps_winners(self):
         nodes = outer_ring({s: [0.2 + 0.01 * i for i in range(3)] for s in range(8)})
-        before = elect_chs_amdiscnt(nodes)
-        for node in nodes:
-            node.residual_energy *= 2.0
-        assert elect_chs_amdiscnt(nodes) == before
+        before = elect_chs_amdiscnt(nodes, full(nodes))
+        assert elect_chs_amdiscnt(nodes, [2.0 * e for e in full(nodes)]) == before
 
     def test_inner_nodes_never_elected(self):
         nodes = [make_node(0, 5.0, 0.0, energy=9.0)] + outer_ring({0: [0.1]})
         # ids shift: rebuild with explicit ids
         nodes = [make_node(0, 5.0, 0.0, energy=9.0),
                  make_node(1, 25.0, 0.0, sector=0, energy=0.1)]
-        assert elect_chs_amdiscnt(nodes) == {1}
+        assert elect_chs_amdiscnt(nodes, full(nodes)) == {1}
 
 
 class TestRotatingElection:
@@ -122,13 +126,14 @@ class TestEnergyAwareElection:
         history = {}
         seen = []
         for round_index in range(10):
-            elected = elect_chs_deec(nodes, round_index, 0.1, Random(round_index), history)
+            elected = elect_chs_deec(nodes, full(nodes), round_index, 0.1, Random(round_index),
+                                     history)
             assert not (set(seen) & elected)
             seen.extend(sorted(elected))
         assert sorted(seen) == [n.id for n in nodes]
 
     def test_no_alive_nodes_returns_empty(self):
-        assert elect_chs_deec([], 0, 0.1, Random(1), {}) == set()
+        assert elect_chs_deec([], [], 0, 0.1, Random(1), {}) == set()
 
 
 # a few shared energy levels make exact ties (and exact averages) common
@@ -153,12 +158,18 @@ def election_inputs(draw):
 @given(inputs=election_inputs())
 def test_elections_match_reference(name, inputs):
     energies, alive, history, round_index, p_opt, seed = inputs
-    nodes = [make_node(i, 30.0, 0.0, sector=0, energy=e, alive=a)
-             for i, (e, a) in enumerate(zip(energies, alive))]
-    elect = {"leach": elect_chs_leach, "deec": elect_chs_deec}[name]
+    nodes = [make_node(i, 30.0, 0.0, sector=0, energy=e) for i, e in enumerate(energies)]
+    energy = [e if a else 0.0 for e, a in zip(energies, alive)]  # a dead node holds 0.0
+
+    def elect(listed, *rest):
+        if name == "leach":
+            return elect_chs_leach(listed, *rest)
+        return elect_chs_deec(listed, energy, *rest)
+
     elect_reference = {"leach": reference.elect_chs_leach, "deec": reference.elect_chs_deec}[name]
     # the reference skips dead nodes itself; the engine passes only the alive ones
-    calls = [(elect_reference, nodes), (elect, [node for node in nodes if node.alive])]
+    calls = [(elect_reference, reference.sensors(nodes, energy)),
+             (elect, [node for node in nodes if energy[node.id]])]
     outcomes = []
     for fn, listed in calls:
         rng = Random(seed)
@@ -170,36 +181,41 @@ def test_elections_match_reference(name, inputs):
     assert outcomes[1] == outcomes[0]
 
 
-def relay_of(nodes, ch_id=0):
-    return select_relay(ch_id, nodes, DistanceCache(nodes, RADIO))
+def relay_of(nodes, energy=None, ch_id=0):
+    return select_relay(ch_id, full(nodes) if energy is None else energy,
+                        DistanceCache(nodes, RADIO))
 
 
-def plan_of(nodes, ch_set, name):
-    alive = [node for node in nodes if node.alive]
-    return build_plan(nodes, alive, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
+def plan_of(nodes, ch_set, name, energy=None):
+    energy = full(nodes) if energy is None else energy
+    alive = [node for node in nodes if energy[node.id]]
+    return build_plan(nodes, alive, energy, ch_set, ProtocolKind(name),
+                      DistanceCache(nodes, RADIO))
 
 
 def random_field(seed, n=40, r_inner=40.0, r_outer=150.0):
-    """Nodes scattered over a field wide enough that some heads relay,
-    with about a quarter of them dead."""
+    """Nodes scattered over a field wide enough that some heads relay, and
+    their energies by id, with about a quarter of them dead (0.0)."""
     rng = Random(seed)
     nodes = []
+    energy = []
     for i in range(n):
         radius = rng.uniform(0.0, r_outer)
         theta = rng.uniform(0.0, 2 * math.pi)
         sector = None if radius < r_inner else int(theta // (math.pi / 4))
         nodes.append(make_node(i, radius * math.cos(theta), radius * math.sin(theta),
-                               sector=sector, alive=rng.random() >= 0.25))
-    return nodes
+                               sector=sector))
+        energy.append(0.5 if rng.random() >= 0.25 else 0.0)
+    return nodes, energy
 
 
-def brute_force_relay(ch, nodes):
+def brute_force_relay(ch, nodes, energy):
     """Strict-< scan of the alive inner nodes in id order, as routing was
     defined before the link table: direct unless a relay is strictly cheaper."""
     bits = RADIO.packet_bits
     best_id, best_cost = None, math.inf
     for node in nodes:
-        if not node.alive or not node.region.is_inner or node.id == ch.id:
+        if not energy[node.id] or not node.region.is_inner or node.id == ch.id:
             continue
         cost = (tx_cost(bits, reference.distance(ch.position, node.position), RADIO)
                 + tx_cost(bits, node.position.radius(), RADIO))
@@ -213,8 +229,8 @@ def brute_force_relay(ch, nodes):
 class TestRelaySelection:
     def test_no_alive_inner_node_means_direct(self):
         ch = make_node(0, 30.0, 0.0, sector=0)
-        dead_inner = make_node(1, 5.0, 0.0, alive=False)
-        assert relay_of([ch, dead_inner]) is None
+        dead_inner = make_node(1, 5.0, 0.0)
+        assert relay_of([ch, dead_inner], [0.5, 0.0]) is None
 
     def test_short_haul_relay_loses_to_direct(self):
         # below the crossover the second electronics charge outweighs the
@@ -235,14 +251,15 @@ class TestRelaySelection:
         ch = make_node(0, 100.0, 0.0, sector=0)
         a = make_node(1, 20.0, 1.0)
         b = make_node(2, 20.0, -1.0)
-        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == 1
-        a.alive = False
-        assert relay_of([ch, a, b]) == brute_force_relay(ch, [ch, a, b]) == 2
+        energy = [0.5, 0.5, 0.5]
+        assert relay_of([ch, a, b], energy) == brute_force_relay(ch, [ch, a, b], energy) == 1
+        energy[a.id] = 0.0
+        assert relay_of([ch, a, b], energy) == brute_force_relay(ch, [ch, a, b], energy) == 2
 
     def test_distance_cache_agrees_with_brute_force(self):
         relayed = 0
         for seed in range(30):
-            nodes = random_field(seed)
+            nodes, energy = random_field(seed)
             links = DistanceCache(nodes, RADIO)
             rng = Random(seed)
             # relay orders are built once and must stay right as nodes die
@@ -250,16 +267,16 @@ class TestRelaySelection:
                 for ch in nodes:
                     if ch.region.is_inner:
                         continue
-                    relay = select_relay(ch.id, nodes, links)
-                    assert relay == brute_force_relay(ch, nodes)
+                    relay = select_relay(ch.id, energy, links)
+                    assert relay == brute_force_relay(ch, nodes, energy)
                     relayed += relay is not None
                 for node in nodes:
                     if rng.random() < 0.2:
-                        node.alive = False
+                        energy[node.id] = 0.0
         assert relayed > 0
 
     def test_table_distances_match_positions_bitwise(self):
-        nodes = random_field(5)
+        nodes, _ = random_field(5)
         links = DistanceCache(nodes, RADIO)
         for a in nodes:
             assert links.to_bs[a.id] == a.position.radius()
@@ -324,19 +341,23 @@ def test_link_distances_are_symmetric_hypot(nodes):
 
 class TestPlans:
     def network(self):
-        return [
+        """Five nodes and their energies by id; node 4 is dead."""
+        nodes = [
             make_node(0, 5.0, 0.0),                      # inner
             make_node(1, 25.0, 2.0, sector=0, energy=0.4),
             make_node(2, 30.0, 1.0, sector=0, energy=0.6),
             make_node(3, *ring_position(1), sector=1, energy=0.5),
-            make_node(4, *ring_position(2), sector=2, energy=0.5, alive=False),
+            make_node(4, *ring_position(2), sector=2, energy=0.5),
         ]
+        energy = full(nodes)
+        energy[4] = 0.0
+        return nodes, energy
 
     def test_sector_plan_census(self):
-        nodes = self.network()
-        chs = elect_chs_amdiscnt([node for node in nodes if node.alive])
+        nodes, energy = self.network()
+        chs = elect_chs_amdiscnt([node for node in nodes if energy[node.id]], energy)
         assert chs == {2, 3}
-        plan = plan_of(nodes, chs, "amdiscnt")
+        plan = plan_of(nodes, chs, "amdiscnt", energy)
         assert plan.members == [(1, 2)]
         assert [ch_id for ch_id, _ in plan.routes] == [2, 3]
         assert all(relay is None for _, relay in plan.routes)  # short hauls go direct
@@ -344,8 +365,8 @@ class TestPlans:
         assert plan.ch_count == 2
 
     def test_sector_without_head_idles_members(self):
-        nodes = self.network()
-        plan = plan_of(nodes, {2}, "amdiscnt")
+        nodes, energy = self.network()
+        plan = plan_of(nodes, {2}, "amdiscnt", energy)
         assert plan.members == [(1, 2)]
         assert [ch_id for ch_id, _ in plan.routes] == [2]
         assert plan.direct == [0]
@@ -372,17 +393,17 @@ class TestPlans:
 
     def test_baseline_nearest_head_agrees_with_brute_force(self):
         for seed in range(30):
-            nodes = random_field(seed)
+            nodes, energy = random_field(seed)
             links = DistanceCache(nodes, RADIO)
             rng = Random(seed)
             # one table serves every round: fresh heads each round, nodes dying between
             for _ in range(4):
-                alive = [node for node in nodes if node.alive]
+                alive = [node for node in nodes if energy[node.id]]
                 heads = set(rng.sample([node.id for node in alive], 1 + len(alive) // 5))
-                plan = build_plan(nodes, alive, heads, ProtocolKind("deec"), links)
+                plan = build_plan(nodes, alive, energy, heads, ProtocolKind("deec"), links)
                 expected = []
                 for node in nodes:
-                    if node.alive and node.id not in heads:
+                    if energy[node.id] and node.id not in heads:
                         key = lambda h: (reference.distance(node.position, nodes[h].position), h)
                         expected.append((node.id, min(heads, key=key)))
                 assert plan.members == expected
@@ -390,13 +411,13 @@ class TestPlans:
                 assert plan.direct == []
                 for node in nodes:
                     if rng.random() < 0.15:
-                        node.alive = False
+                        energy[node.id] = 0.0
 
     def test_neighbour_orders_sort_by_distance_then_id(self):
         # ids 1 and 2 are mirror images about the x axis, so every node on
         # that axis sees them at bitwise-equal distances
         nodes = [make_node(0, 100.0, 0.0, sector=0), make_node(1, 20.0, 1.0),
-                 make_node(2, 20.0, -1.0)] + random_field(3)[3:]
+                 make_node(2, 20.0, -1.0)] + random_field(3)[0][3:]
         links = DistanceCache(nodes, RADIO)
         orders = links.neighbour_orders()
         assert reference.distance(nodes[0].position, nodes[1].position) == \
@@ -426,9 +447,9 @@ class TestPlans:
             run_simulation(config, ProtocolKind("leach"))
 
     def test_baseline_no_heads_falls_back_to_direct(self):
-        nodes = self.network()
-        plan = plan_of(nodes, set(), "deec")
-        assert plan.direct == [node.id for node in nodes if node.alive]
+        nodes, energy = self.network()
+        plan = plan_of(nodes, set(), "deec", energy)
+        assert plan.direct == [node.id for node in nodes if energy[node.id]]
         assert plan.members == []
         assert plan.routes == []
 
@@ -453,8 +474,9 @@ def tied_baseline_rounds(draw):
                                      st.sampled_from(_mirrors).map(lambda f: f(*source)))))
     # about a quarter dead
     alive = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
-    nodes = [make_node(i, x, y, alive=a) for i, ((x, y), a) in enumerate(zip(points, alive))]
-    alive_ids = [node.id for node in nodes if node.alive]
+    nodes = [make_node(i, x, y) for i, (x, y) in enumerate(points)]
+    energy = [0.5 if a else 0.0 for a in alive]
+    alive_ids = [node.id for node in nodes if energy[node.id]]
     count = draw(st.sampled_from(["many", "one", "none"]))
     if count == "none" or not alive_ids:
         heads = set()
@@ -463,16 +485,17 @@ def tied_baseline_rounds(draw):
     else:
         heads = set(draw(st.lists(st.sampled_from(alive_ids), min_size=min(2, len(alive_ids)),
                                   unique=True)))
-    return nodes, heads
+    return nodes, energy, heads
 
 
 @settings(deadline=None, max_examples=200)
 @given(case=tied_baseline_rounds(), name=st.sampled_from(["leach", "deec"]))
 def test_baseline_plan_matches_brute_force_with_ties(case, name):
-    nodes, heads = case
+    nodes, energy, heads = case
     ch_set = set(heads)
-    alive = [node for node in nodes if node.alive]
-    plan = build_plan(nodes, alive, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
+    alive = [node for node in nodes if energy[node.id]]
+    plan = build_plan(nodes, alive, energy, ch_set, ProtocolKind(name),
+                      DistanceCache(nodes, RADIO))
     assert ch_set == heads
 
     def nearest(node):
