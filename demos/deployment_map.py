@@ -47,7 +47,7 @@ def plot(x, y, mark):
 
 for node in nodes:
     mark = "A" if node.initial_energy > config.heterogeneity.e0 else "o"
-    plot(node.position.x, node.position.y, mark)
+    plot(*node.position, mark)
 plot(0.0, 0.0, "+")
 
 for row in grid:

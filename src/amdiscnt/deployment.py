@@ -23,7 +23,6 @@ from .model import (
     HeterogeneitySpec,
     NetworkConfig,
     Node,
-    Position,
     RegionId,
     region_node_counts,
 )
@@ -39,38 +38,39 @@ class DegenerateDeploymentError(ValueError):
     """The node budget leaves a region empty, or the field cannot hold a node."""
 
 
-def region_of(position: Position, geometry: Geometry) -> RegionId:
-    """Map a position to its region.
+def region_of(position: tuple[float, float], geometry: Geometry) -> RegionId:
+    """Map an ``(x, y)`` position, the base station at the origin, to its region.
 
     Raises :class:`OutOfFieldError` beyond ``r_outer``. An angle that lands
     exactly on the full-circle boundary wraps to sector 0.
     """
-    r = position.radius()
+    x, y = position
+    r = math.hypot(x, y)
     if r > geometry.r_outer:
         raise OutOfFieldError(
             f"position at radius {r:.6g} lies outside the field radius {geometry.r_outer:.6g}")
     if r <= geometry.r_inner:
         return INNER
-    theta = math.atan2(position.y, position.x) % TWO_PI
+    theta = math.atan2(y, x) % TWO_PI
     sector = int(theta // SECTOR_ANGLE) % N_SECTORS
     return RegionId(sector)
 
 
 def sample_inner_position(rng: Random, geometry: Geometry,
-                          mode: str = "uniform_area") -> Position:
-    """Draw a position in the inner disk; the radius is never exactly 0."""
+                          mode: str = "uniform_area") -> tuple[float, float]:
+    """Draw an ``(x, y)`` position in the inner disk; the radius is never exactly 0."""
     theta = rng.random() * TWO_PI
     u = 1.0 - rng.random()  # (0, 1]
     if mode == "uniform_radius":
         r = u * geometry.r_inner
     else:
         r = geometry.r_inner * math.sqrt(u)
-    return Position(r * math.cos(theta), r * math.sin(theta))
+    return r * math.cos(theta), r * math.sin(theta)
 
 
 def sample_outer_position(rng: Random, geometry: Geometry, sector: int,
-                          mode: str = "uniform_area") -> Position:
-    """Draw a position in one outer wedge, strictly outside the inner disk."""
+                          mode: str = "uniform_area") -> tuple[float, float]:
+    """Draw an ``(x, y)`` position in one outer wedge, strictly outside the inner disk."""
     if not 0 <= sector < N_SECTORS:
         raise ValueError(f"sector must be in [0, {N_SECTORS - 1}], got {sector}")
     theta = (sector + rng.random()) * SECTOR_ANGLE
@@ -79,7 +79,7 @@ def sample_outer_position(rng: Random, geometry: Geometry, sector: int,
         r = geometry.r_inner + u * geometry.annulus_width
     else:
         r = math.sqrt(geometry.r_inner ** 2 + u * (geometry.r_outer ** 2 - geometry.r_inner ** 2))
-    return Position(r * math.cos(theta), r * math.sin(theta))
+    return r * math.cos(theta), r * math.sin(theta)
 
 
 def assign_initial_energy(count: int, spec: HeterogeneitySpec, rng: Random) -> list[float]:
@@ -102,12 +102,12 @@ def assign_initial_energy(count: int, spec: HeterogeneitySpec, rng: Random) -> l
 
 
 def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
-    """Build the initial network's nodes, listed by id.
+    """Build the initial network's nodes; a node's id is its index in the list.
 
-    Nodes are placed inner region first, then sectors 0..7, with ids
-    assigned sequentially from 0; energies are drawn afterwards in one
-    block. Raises :class:`DegenerateDeploymentError` when any region would
-    receive no node, or when a node drawn for a region rounds outside it.
+    Nodes are placed inner region first, then sectors 0..7; energies are
+    drawn afterwards in one block. Raises :class:`DegenerateDeploymentError`
+    when any region would receive no node, or when a node drawn for a
+    region rounds outside it.
     """
     inner_count, sector_counts = region_node_counts(config.n_nodes, config.inner_fraction)
     if inner_count <= 0 or any(c <= 0 for c in sector_counts):
@@ -122,10 +122,9 @@ def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
                    for _ in range(sector_counts[sector])]
     for region, pos in placed:
         # in an annulus a few float steps wide, rounding can carry a drawn radius out of it
-        if pos.radius() > geometry.r_outer or region_of(pos, geometry) != region:
+        if math.hypot(*pos) > geometry.r_outer or region_of(pos, geometry) != region:
             raise DegenerateDeploymentError(
                 f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)
-    return [Node(id=i, position=pos, region=region, initial_energy=e)
-            for i, ((region, pos), e) in enumerate(zip(placed, energies))]
+    return [Node(pos, region, e) for (region, pos), e in zip(placed, energies)]

@@ -143,12 +143,12 @@ def _charge(energy: list[float], node_id: int, amount: float, ledger: list[float
     return amount == left
 
 
-def run_round(energy: list[float], alive: list[Node], plan: TransmissionPlan,
+def run_round(round_index: int, energy: list[float], alive: list[int], plan: TransmissionPlan,
               config: NetworkConfig, rng: Random, links: DistanceCache) -> RoundMetrics:
-    """Execute one transmission round, debiting ``energy`` (by id) in place.
+    """Execute round ``round_index``, debiting ``energy`` (by id) in place.
 
     ``links`` is the nodes' table for ``config.radio``. ``alive`` holds
-    exactly the nodes alive at the start of the round. A dead node holds
+    exactly the ids alive at the start of the round. A dead node holds
     ``+0.0``, so ``math.fsum(energy)`` is the residual sum over the living.
     """
     radio = config.radio
@@ -239,14 +239,14 @@ def run_round(energy: list[float], alive: list[Node], plan: TransmissionPlan,
 
     survivors = len(alive) - len(deaths)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
-    return RoundMetrics(plan.round_index, survivors, len(energy) - survivors, sent, received,
+    return RoundMetrics(round_index, survivors, len(energy) - survivors, sent, received,
                         plan.ch_count, mean_delay, math.fsum(energy), math.fsum(ledger))
 
 
-def _elect(alive: list[Node], energy: list[float], kind: ProtocolKind, round_index: int,
-           rng: Random, history: dict[int, int]) -> set[int]:
+def _elect(alive: list[int], energy: list[float], kind: ProtocolKind, round_index: int,
+           rng: Random, history: dict[int, int], links: DistanceCache) -> set[int]:
     if kind.name == "amdiscnt":
-        return elect_chs_amdiscnt(alive, energy)
+        return elect_chs_amdiscnt(alive, energy, links.sectors)
     if kind.name == "leach":
         return elect_chs_leach(alive, round_index, kind.p_opt, rng, history)
     return elect_chs_deec(alive, energy, round_index, kind.p_opt, rng, history)
@@ -254,8 +254,9 @@ def _elect(alive: list[Node], energy: list[float], kind: ProtocolKind, round_ind
 
 @dataclass(frozen=True)
 class Placement:
-    """A seed's validated config, its deployed nodes, listed by id, the
-    generator state right after deployment, and the nodes' link table."""
+    """A seed's validated config, its deployed nodes (a node's id is its
+    index), the generator state right after deployment, and the nodes'
+    link table, which shares each node's position tuple."""
 
     config: NetworkConfig
     nodes: list[Node]
@@ -290,18 +291,18 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     links = placement.links
     history: dict[int, int] = {}
     n = len(nodes)
-    alive = list(nodes)  # in id order; elections and plans walk only the alive nodes
+    alive = list(range(n))  # ids in order; elections and plans walk only the alive nodes
 
     per_round = RoundHistory()
     columns = per_round._columns
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        ch_set = _elect(alive, energy, kind, round_index, rng, history)
-        plan = build_plan(nodes, alive, energy, ch_set, kind, links, round_index)
-        metrics = run_round(energy, alive, plan, config, rng, links)
+        ch_set = _elect(alive, energy, kind, round_index, rng, history, links)
+        plan = build_plan(alive, energy, ch_set, kind, links)
+        metrics = run_round(round_index, energy, alive, plan, config, rng, links)
         any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame
         if metrics.alive < len(alive):  # someone died this round
-            alive = [node for node in alive if energy[node.id]]
+            alive = [i for i in alive if energy[i]]
         completed = round_index + 1
         if fnd is None and metrics.dead >= 1:
             fnd = completed

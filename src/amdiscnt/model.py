@@ -40,18 +40,6 @@ def region_node_counts(n_nodes: int, inner_fraction: float) -> tuple[int, list[i
 
 
 @dataclass(frozen=True, slots=True)
-class Position:
-    """A point in the plane; the base station sits at the origin."""
-
-    x: float
-    y: float
-
-    def radius(self) -> float:
-        """Distance to the base station."""
-        return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True, slots=True)
 class RegionId:
     """Either the inner disk (``sector is None``) or one of 8 outer wedges."""
 
@@ -130,11 +118,12 @@ class HeterogeneitySpec:
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """One sensor as deployed. A run keeps its battery levels apart, in a
-    list indexed by ``id`` that starts at each ``initial_energy``."""
+    """One sensor as deployed: its ``(x, y)`` position, the base station
+    at the origin, its region and its full battery. A node's id is its
+    index in the deployed list; a run keeps its battery levels apart, in
+    a list by id that starts at each ``initial_energy``."""
 
-    id: int
-    position: Position
+    position: tuple[float, float]
     region: RegionId
     initial_energy: float
 
@@ -291,14 +280,6 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
         except OverflowError:  # a float power, an infinite battery, or an int too large
             return math.inf
 
-    def exact_sum(tiers) -> float:
-        """``sum(k * e)`` over ``(k, e)`` tiers, exactly, rounded once: each
-        battery is a dyadic ratio, so the largest denominator scales them
-        all to integers, and ``int / int`` rounds correctly."""
-        ratios = [(k, *e.as_integer_ratio()) for k, e in tiers if k]
-        scale = max(den for _, _, den in ratios)
-        return sum(k * num * (scale // den) for k, num, den in ratios) / scale
-
     problems = []
     n, radio, het, delay = config.n_nodes, config.radio, config.heterogeneity, config.delay
     r_outer = config.geometry.r_outer
@@ -309,12 +290,12 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     if het.mode == "multi_level":  # drawn ratios: bound every battery by the largest
         extra = ("alpha_max",)
         energy = bound(lambda: n * het.e0 * (1.0 + het.alpha_max))
-    else:  # deploy's tier counts and batteries, summed exactly and rounded once like its fsum
+    else:  # deploy's tier counts and batteries, one per node, correctly rounded by its fsum
         n_upper, n_super, alpha, beta = het.tiers(n)
         extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
-        tiers = [(n - n_upper, het.e0), (n_upper - n_super, het.e0 * (1.0 + alpha)),
-                 (n_super, het.e0 * (1.0 + (alpha + beta)))]
-        energy = bound(lambda: exact_sum(tiers))
+        batteries = ([het.e0] * (n - n_upper) + [het.e0 * (1.0 + alpha)] * (n_upper - n_super)
+                     + [het.e0 * (1.0 + (alpha + beta))] * n_super)
+        energy = bound(lambda: math.fsum(batteries))
     terms = "".join(f" + heterogeneity.{f}" for f in extra)
     factor = f" * (1{terms})" if extra else ""
     energy_text = f"total initial energy of n_nodes batteries of at most heterogeneity.e0{factor}"

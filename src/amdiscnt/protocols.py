@@ -43,13 +43,13 @@ class TransmissionPlan:
     when the head sends it there itself. ``direct`` lists, in id order,
     the nodes that send their own reading straight to the base station;
     an inner node that relays an aggregate also sends its own packet
-    there. Alive nodes in none of the lists idle for the round.
+    there. Alive nodes in none of the lists idle for the round. Every
+    node is named by its id, its index in the deployed list.
     """
 
     members: list[tuple[int, int]]
     routes: list[tuple[int, int | None]]
     direct: list[int]
-    round_index: int = 0
 
     @property
     def ch_count(self) -> int:
@@ -57,10 +57,11 @@ class TransmissionPlan:
 
 
 class DistanceCache:
-    """Link table of one fixed placement.
+    """Link table of one fixed placement; a node's id is its index in ``nodes``.
 
-    Holds each node's coordinates as ``points``, one ``(x, y)`` tuple per
-    id; a link's length is ``math.dist(points[a], points[b])``, computed
+    Holds each node's ``(x, y)`` position as ``points``, the node's own
+    tuple, by id, and its wedge as ``sectors`` (``None`` for the inner
+    disk); a link's length is ``math.dist(points[a], points[b])``, computed
     when needed from the absolute coordinate differences, so it is the
     same from either end and bit-equal to ``math.hypot``. It also
     holds each node's distance and transmit cost to the base station, and
@@ -71,17 +72,15 @@ class DistanceCache:
     (distance from it, id), as compact ``array`` rows; they are built all
     at once, the first time a baseline plan asks for them, so runs that
     never join members to the nearest head never pay for them.
-    ``nodes`` must be listed by id, 0..n-1 (deployment order).
     """
 
     def __init__(self, nodes: list[Node], radio: RadioParams):
-        if [node.id for node in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must be 0..n-1 in list order")
         self.radio = radio
-        self.points = [(node.position.x, node.position.y) for node in nodes]
+        self.points = [node.position for node in nodes]
+        self.sectors = [node.region.sector for node in nodes]
         self.to_bs = [math.hypot(x, y) for x, y in self.points]
         self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
-        self.inner = [node.id for node in nodes if node.region.is_inner]
+        self.inner = [i for i, sector in enumerate(self.sectors) if sector is None]
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
         self._neighbour_orders: list[array] | None = None
 
@@ -111,27 +110,28 @@ class DistanceCache:
         return orders
 
 
-def elect_chs_amdiscnt(alive: list[Node], energy: list[float]) -> set[int]:
+def elect_chs_amdiscnt(alive: list[int], energy: list[float],
+                       sectors: list[int | None]) -> set[int]:
     """Pick the node with the most residual ``energy`` (by id) in each outer
-    wedge; ties go to the lower id. ``alive`` lists the alive nodes in id
-    order. Needs no randomness."""
+    wedge of ``sectors`` (by id); ties go to the lower id. ``alive`` lists
+    the alive ids in order. Needs no randomness."""
     best: dict[int, int] = {}
-    for node in alive:
-        sector = node.region.sector
+    for i in alive:
+        sector = sectors[i]
         if sector is None:
             continue
         current = best.get(sector)
         # strictly more, so on a tie the earlier (lower) id stays
-        if current is None or energy[node.id] > energy[current]:
-            best[sector] = node.id
+        if current is None or energy[i] > energy[current]:
+            best[sector] = i
     return set(best.values())
 
 
-def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Random,
+def elect_chs_leach(alive: list[int], round_index: int, p_opt: float, rng: Random,
                     history: dict[int, int]) -> set[int]:
     """Classic rotating election.
 
-    Each node of ``alive`` (the alive nodes, in id order) that has not
+    Each node of ``alive`` (the alive ids, in order) that has not
     served during the current epoch draws a uniform number and elects
     itself when the draw falls under the epoch threshold. ``history``
     (node id -> last election round) carries the rotation state between
@@ -146,24 +146,24 @@ def elect_chs_leach(alive: list[Node], round_index: int, p_opt: float, rng: Rand
     draw = rng.random
     last_election = history.get
     elected = set()
-    for node in alive:
-        last = last_election(node.id)
+    for i in alive:
+        last = last_election(i)
         if last is not None and last >= epoch_start:
             continue
         if draw() < threshold:
-            elected.add(node.id)
-            history[node.id] = round_index
+            elected.add(i)
+            history[i] = round_index
     return elected
 
 
-def elect_chs_deec(alive: list[Node], energy: list[float], round_index: int, p_opt: float,
+def elect_chs_deec(alive: list[int], energy: list[float], round_index: int, p_opt: float,
                    rng: Random, history: dict[int, int]) -> set[int]:
     """Energy-weighted rotating election.
 
     Like the classic rotation, but each node's probability
     ``min(1, p_opt * residual / average)`` (and therefore its personal
     epoch length) scales with residual ``energy`` (by id, ``0.0`` when
-    dead) over its exact mean over ``alive``, the alive nodes in id order.
+    dead) over its exact mean over ``alive``, the alive ids in order.
     """
     if not alive:
         return set()
@@ -171,8 +171,8 @@ def elect_chs_deec(alive: list[Node], energy: list[float], round_index: int, p_o
     draw = rng.random
     last_election = history.get
     elected = set()
-    for node in alive:
-        x = p_opt * energy[node.id] / average
+    for i in alive:
+        x = p_opt * energy[i] / average
         p_i = x if x < 1.0 else 1.0
         if p_i <= 0.0:
             continue
@@ -181,12 +181,12 @@ def elect_chs_deec(alive: list[Node], energy: list[float], round_index: int, p_o
         except OverflowError:  # 1 / p_i is inf: an epoch longer than any run
             epoch = round_index + 1
         position = round_index % epoch
-        last = last_election(node.id)
+        last = last_election(i)
         if last is not None and last >= round_index - position:
             continue
         if draw() < p_i / (1.0 - p_i * position):
-            elected.add(node.id)
-            history[node.id] = round_index
+            elected.add(i)
+            history[i] = round_index
     return elected
 
 
@@ -203,8 +203,8 @@ def select_relay(ch_id: int, energy: list[float], links: DistanceCache) -> int |
     return None
 
 
-def build_plan(nodes: list[Node], alive: list[Node], energy: list[float], ch_set: set[int],
-               kind: ProtocolKind, links: DistanceCache, round_index: int = 0) -> TransmissionPlan:
+def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: ProtocolKind,
+               links: DistanceCache) -> TransmissionPlan:
     """Assign every alive node its transmissions for the round.
 
     ``amdiscnt``: inner alive nodes send directly; outer alive non-heads
@@ -212,32 +212,32 @@ def build_plan(nodes: list[Node], alive: list[Node], energy: list[float], ch_set
     round; heads route via :func:`select_relay`. Baselines: every alive
     non-head joins the nearest head (lower id on a distance tie) and heads
     go single-hop to the base station; with no heads at all, everyone
-    falls back to direct transmission. ``nodes`` is indexed by id;
-    ``alive`` lists exactly its alive nodes, in id order; ``energy`` is by id.
+    falls back to direct transmission. ``alive`` lists exactly the alive
+    ids, in order; ``energy`` and the wedges of ``links`` are by id.
     """
     members: list[tuple[int, int]] = []
     direct: list[int] = []
     heads = sorted(ch_set)
 
     if kind.name == "amdiscnt":
-        sector_ch = {nodes[ch_id].region.sector: ch_id for ch_id in ch_set}
-        for node in alive:
-            if node.id in ch_set:
+        sectors = links.sectors
+        sector_ch = {sectors[ch_id]: ch_id for ch_id in ch_set}
+        for i in alive:
+            if i in ch_set:
                 continue
-            sector = node.region.sector
+            sector = sectors[i]
             if sector is None:
-                direct.append(node.id)
+                direct.append(i)
             elif sector in sector_ch:
-                members.append((node.id, sector_ch[sector]))
+                members.append((i, sector_ch[sector]))
         routes = [(ch_id, select_relay(ch_id, energy, links)) for ch_id in heads]
-        return TransmissionPlan(members, routes, direct, round_index)
+        return TransmissionPlan(members, routes, direct)
 
     if not heads:
-        direct = [node.id for node in alive]
+        direct = list(alive)
     else:
         orders = links.neighbour_orders()
         is_head = ch_set.__contains__
         # each member takes the first head in its own (distance, id) order
-        members = [(node.id, next(filter(is_head, orders[node.id])))
-                   for node in alive if node.id not in ch_set]
-    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], direct, round_index)
+        members = [(i, next(filter(is_head, orders[i]))) for i in alive if i not in ch_set]
+    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], direct)

@@ -25,28 +25,29 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from amdiscnt.model import Node, Position, RegionId
+from amdiscnt.model import Node, RegionId
 
 
 @dataclass
 class Sensor:
-    """The replay's mutable record of one node: its place, its battery and
-    whether it is alive."""
+    """The replay's mutable record of one node: its index in the deployed
+    list, its ``(x, y)`` place, its battery and whether it is alive."""
 
     id: int
-    position: Position
+    position: tuple[float, float]
     region: RegionId
     residual_energy: float
     alive: bool
 
 
 def sensors(nodes: list[Node], energy: list[float] | None = None) -> list[Sensor]:
-    """One record per node, holding ``energy[node.id]`` (its full battery
-    by default); a node given ``0.0`` starts dead."""
+    """One record per node, numbered by its index ``i`` and holding
+    ``energy[i]`` (its full battery by default); a node given ``0.0``
+    starts dead."""
     if energy is None:
-        energy = {node.id: node.initial_energy for node in nodes}
-    return [Sensor(node.id, node.position, node.region, energy[node.id], energy[node.id] > 0.0)
-            for node in nodes]
+        energy = [node.initial_energy for node in nodes]
+    return [Sensor(i, node.position, node.region, energy[i], energy[i] > 0.0)
+            for i, node in enumerate(nodes)]
 
 
 def _tx(bits, d, radio):
@@ -102,16 +103,16 @@ def _sector_plan(nodes, radio):
         else:
             members[node.id] = heads[node.region.sector].id
     for ch in sorted(ch_ids):
-        ch_node = next(n for n in nodes if n.id == ch)
-        d_direct = math.hypot(ch_node.position.x, ch_node.position.y)
+        ch_x, ch_y = next(n for n in nodes if n.id == ch).position
+        d_direct = math.hypot(ch_x, ch_y)
         best = None
         best_cost = math.inf
         for cand in nodes:
             if not cand.alive or not cand.region.is_inner or cand.id == ch:
                 continue
-            d1 = math.hypot(ch_node.position.x - cand.position.x,
-                            ch_node.position.y - cand.position.y)
-            d2 = math.hypot(cand.position.x, cand.position.y)
+            x, y = cand.position
+            d1 = math.hypot(ch_x - x, ch_y - y)
+            d2 = math.hypot(x, y)
             cost = _tx(bits, d1, radio) + _tx(bits, d2, radio)
             if cost < best_cost:
                 best_cost = cost
@@ -174,8 +175,7 @@ def replay_round(nodes, members, routes, direct, config, rng):
         if not member.alive:
             continue
         ch = by_id[members[mid]]
-        d = math.hypot(member.position.x - ch.position.x,
-                       member.position.y - ch.position.y)
+        d = distance(member.position, ch.position)
         if not _charge(member, _tx(bits, d, radio), ledger):
             continue
         if drop_p > 0.0 and rng.random() < drop_p:
@@ -200,7 +200,7 @@ def replay_round(nodes, members, routes, direct, config, rng):
             if not sender.alive:
                 break
             if hop is None:
-                d = math.hypot(sender.position.x, sender.position.y)
+                d = math.hypot(*sender.position)
                 if not _charge(sender, _tx(bits, d, radio), ledger):
                     break
                 sent += 1
@@ -208,8 +208,7 @@ def replay_round(nodes, members, routes, direct, config, rng):
                     received += 1
                     delays.append(packet_delay + _link_delay(d, config.delay))
                 break
-            d = math.hypot(sender.position.x - by_id[hop].position.x,
-                           sender.position.y - by_id[hop].position.y)
+            d = distance(sender.position, by_id[hop].position)
             if not _charge(sender, _tx(bits, d, radio), ledger):
                 break
             if drop_p > 0.0 and rng.random() < drop_p:
@@ -226,7 +225,7 @@ def replay_round(nodes, members, routes, direct, config, rng):
         node = by_id[node_id]
         if not node.alive:
             continue
-        d = math.hypot(node.position.x, node.position.y)
+        d = math.hypot(*node.position)
         if not _charge(node, _tx(bits, d, radio), ledger):
             continue
         sent += 1
@@ -248,8 +247,8 @@ def replay_round(nodes, members, routes, direct, config, rng):
 
 
 def distance(p, q) -> float:
-    """Distance between two positions, bit-equal to the engine's link table."""
-    return math.hypot(p.x - q.x, p.y - q.y)
+    """Distance between two ``(x, y)`` positions, bit-equal to the engine's link table."""
+    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def tier_fractions(spec) -> tuple[float, float, float, float]:
@@ -361,8 +360,7 @@ def _nearest_head_plan(nodes, heads):
             direct.append(node.id)
             continue
         members[node.id] = min(heads, key=lambda h: (
-            math.hypot(node.position.x - nodes[h].position.x,
-                       node.position.y - nodes[h].position.y), h))
+            distance(node.position, nodes[h].position), h))
     return members, {h: [None] for h in heads}, direct
 
 

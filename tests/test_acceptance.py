@@ -98,20 +98,19 @@ def test_c02_head_count_tracks_populated_sectors():
         rng = Random(config.seed)
         nodes = deploy(config, rng)
         links = DistanceCache(nodes, config.radio)
-        outer = [n for n in nodes if not n.region.is_inner]
+        outer = [i for i, n in enumerate(nodes) if not n.region.is_inner]
         energy = [n.initial_energy for n in nodes]  # a node is alive while its entry is not 0
         first_outer_death_seen = False
         for round_index in range(config.max_rounds):
             if not any(energy):
                 break
-            populated = {n.region.sector for n in outer if energy[n.id]}
-            if not first_outer_death_seen and not all(energy[n.id] for n in outer):
+            populated = {nodes[i].region.sector for i in outer if energy[i]}
+            if not first_outer_death_seen and not all(energy[i] for i in outer):
                 first_outer_death_seen = True
-            alive = [n for n in nodes if energy[n.id]]
-            chs = elect_chs_amdiscnt(alive, energy)
-            plan = build_plan(nodes, alive, energy, chs, ProtocolKind("amdiscnt"), links,
-                              round_index)
-            metrics = run_round(energy, alive, plan, config, rng, links)
+            alive = [i for i in range(len(nodes)) if energy[i]]
+            chs = elect_chs_amdiscnt(alive, energy, links.sectors)
+            plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+            metrics = run_round(round_index, energy, alive, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):
                 ok = False

@@ -23,7 +23,6 @@ from amdiscnt.model import (
     HeterogeneitySpec,
     NetworkConfig,
     Node,
-    Position,
     RadioParams,
     RegionId,
 )
@@ -181,13 +180,13 @@ def test_baselines_run_to_completion():
 
 def _one_round(nodes, energy, ch_set, config):
     links = DistanceCache(nodes, config.radio)
-    alive = [node for node in nodes if energy[node.id]]
-    plan = build_plan(nodes, alive, energy, ch_set, AMDISCNT, links)
-    return plan, run_round(energy, alive, plan, config, Random(0), links)
+    alive = [i for i in range(len(nodes)) if energy[i]]
+    plan = build_plan(alive, energy, ch_set, AMDISCNT, links)
+    return plan, run_round(0, energy, alive, plan, config, Random(0), links)
 
 
 def _direct_sender(residual):
-    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(), initial_energy=residual)
+    node = Node(position=(10.0, 0.0), region=RegionId(), initial_energy=residual)
     energy = [residual]
     _, metrics = _one_round([node], energy, set(), NetworkConfig())
     return energy, metrics
@@ -213,7 +212,7 @@ def test_insufficient_budget_loses_packet_and_drains_node():
 
 
 def test_all_idle_round_spends_nothing():
-    node = Node(id=0, position=Position(10.0, 0.0), region=RegionId(), initial_energy=0.5)
+    node = Node(position=(10.0, 0.0), region=RegionId(), initial_energy=0.5)
     plan, metrics = _one_round([node], [0.0], set(), NetworkConfig())
     assert metrics.energy_spent == 0.0
     assert metrics.packets_sent_to_bs == 0
@@ -223,8 +222,8 @@ def test_all_idle_round_spends_nothing():
 
 def test_dead_cluster_head_loses_member_traffic():
     # member pays its transmission but the dead head never receives
-    ch = Node(id=0, position=Position(30.0, 0.0), region=RegionId(0), initial_energy=0.5)
-    member = Node(id=1, position=Position(25.0, 0.0), region=RegionId(0), initial_energy=0.5)
+    ch = Node(position=(30.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 0
+    member = Node(position=(25.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 1
     energy = [0.0, 0.5]
     plan, metrics = _one_round([ch, member], energy, {0}, NetworkConfig())
     assert plan.members == [(1, 0)]
@@ -236,8 +235,8 @@ def test_dead_cluster_head_loses_member_traffic():
 def test_relayed_aggregate_pays_both_legs():
     # past the crossover the head's aggregate goes through the inner node,
     # which also sends its own reading
-    relay = Node(id=0, position=Position(20.0, 0.0), region=RegionId(), initial_energy=0.5)
-    ch = Node(id=1, position=Position(100.0, 0.0), region=RegionId(0), initial_energy=0.5)
+    relay = Node(position=(20.0, 0.0), region=RegionId(), initial_energy=0.5)  # id 0
+    ch = Node(position=(100.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 1
     radio = NetworkConfig().radio
     energy = [0.5, 0.5]
     plan, metrics = _one_round([relay, ch], energy, {1}, NetworkConfig())
@@ -272,18 +271,19 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
     as the straight-line round, and counts each death once."""
     radio = NetworkConfig().radio
     bits = radio.packet_bits
-    nodes = [Node(RELAY, Position(15.0, 5.0), RegionId(), 0.5),
-             Node(HEAD, Position(100.0, 10.0), RegionId(0), 0.5),
-             Node(MEMBER, Position(95.0, 20.0), RegionId(0), 0.5),
-             Node(DEAD, Position(90.0, 5.0), RegionId(0), 0.5),
-             Node(OTHER_MEMBER, Position(110.0, 15.0), RegionId(0), 0.5),
-             Node(DIRECT, Position(5.0, 10.0), RegionId(), 0.5)]
-    energy = [0.0 if node.id == DEAD else 0.5 for node in nodes]
+    # listed in id order: RELAY, HEAD, MEMBER, DEAD, OTHER_MEMBER, DIRECT
+    nodes = [Node((15.0, 5.0), RegionId(), 0.5),
+             Node((100.0, 10.0), RegionId(0), 0.5),
+             Node((95.0, 20.0), RegionId(0), 0.5),
+             Node((90.0, 5.0), RegionId(0), 0.5),
+             Node((110.0, 15.0), RegionId(0), 0.5),
+             Node((5.0, 10.0), RegionId(), 0.5)]
+    energy = [0.0 if i == DEAD else 0.5 for i in range(len(nodes))]
     member_link = reference.distance(nodes[MEMBER].position, nodes[HEAD].position)
     node_id, cost = {"member_tx": (MEMBER, tx_cost(bits, member_link, radio)),
                      "head_rx": (HEAD, rx_cost(bits, radio)),
                      "relay_rx": (RELAY, rx_cost(bits, radio)),
-                     "direct_tx": (DIRECT, tx_cost(bits, nodes[DIRECT].position.radius(), radio)),
+                     "direct_tx": (DIRECT, tx_cost(bits, math.hypot(*nodes[DIRECT].position), radio)),
                      }[site]
     budget = cost if toward is None else math.nextafter(cost, toward)
     energy[node_id] = budget
@@ -292,10 +292,10 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
     direct = [RELAY, DIRECT]
     plan = TransmissionPlan(sorted(members.items()), [(HEAD, RELAY)], direct)
     config = NetworkConfig(link_drop_probability=drop)
-    alive = [node for node in nodes if energy[node.id]]
+    alive = [i for i in range(len(nodes)) if energy[i]]
     # seed 7 keeps the packets into the head and the relay and drops two others
     rng = Random(7)
-    metrics = run_round(energy, alive, plan, config, rng, DistanceCache(nodes, radio))
+    metrics = run_round(0, energy, alive, plan, config, rng, DistanceCache(nodes, radio))
     reference_rng = Random(7)
     expected = reference.replay_round(twins, members, {HEAD: [RELAY, None]}, direct,
                                       config, reference_rng)
@@ -327,11 +327,10 @@ def hand_built_rounds(draw):
         radius = draw(st.floats(0.5, 20.0) if inner else st.floats(20.0, 150.0))
         angle = draw(st.floats(0.0, 2 * math.pi, exclude_max=True))
         region = RegionId() if inner else RegionId(min(int(angle // (math.pi / 4)), 7))
-        nodes.append(Node(id=i, position=Position(radius * math.cos(angle),
-                                                  radius * math.sin(angle)),
+        nodes.append(Node(position=(radius * math.cos(angle), radius * math.sin(angle)),
                           region=region, initial_energy=0.5))
-    inner_ids = [node.id for node in nodes if node.region.is_inner]
-    outer_ids = [node.id for node in nodes if not node.region.is_inner]
+    inner_ids = [i for i, node in enumerate(nodes) if node.region.is_inner]
+    outer_ids = [i for i, node in enumerate(nodes) if not node.region.is_inner]
     heads = sorted(draw(st.sets(st.sampled_from(outer_ids))) if outer_ids else set())
     members = {}
     for i in outer_ids:
@@ -342,9 +341,9 @@ def hand_built_rounds(draw):
     routes = {h: draw(st.sampled_from([None] + inner_ids)) for h in heads}
     direct = [i for i in inner_ids if draw(st.booleans())]
     energy = []  # a dead node holds exactly 0.0
-    for node in nodes:
-        link = members.get(node.id, routes.get(node.id))
-        budgets = [0.0, tx_cost(bits, node.position.radius(), radio), rx_cost(bits, radio),
+    for i, node in enumerate(nodes):
+        link = members.get(i, routes.get(i))
+        budgets = [0.0, tx_cost(bits, math.hypot(*node.position), radio), rx_cost(bits, radio),
                    aggregation_cost(bits, 1, radio), aggregation_cost(bits, 2, radio),
                    rx_cost(bits, radio) + aggregation_cost(bits, 2, radio)]
         if link is not None:
@@ -364,10 +363,10 @@ def test_run_round_matches_reference_round(case):
     round, whose explicit liveness checks are the engine's first rule."""
     nodes, energy, members, routes, direct, config, seed = case
     twins = reference.sensors(nodes, energy)
-    alive = [node for node in nodes if energy[node.id]]
+    alive = [i for i in range(len(nodes)) if energy[i]]
     plan = TransmissionPlan(sorted(members.items()), sorted(routes.items()), direct)
     rng = Random(seed)
-    metrics = run_round(energy, alive, plan, config, rng, DistanceCache(nodes, config.radio))
+    metrics = run_round(0, energy, alive, plan, config, rng, DistanceCache(nodes, config.radio))
     hops = {h: [None] if relay is None else [relay, None] for h, relay in routes.items()}
     reference_rng = Random(seed)
     expected = reference.replay_round(twins, members, hops, direct, config, reference_rng)
@@ -593,4 +592,5 @@ def test_a_placement_is_a_value_its_runs_only_read():
     assert all(result.last_node_death is not None for result in histories)
     assert placement.nodes == place(config).nodes
     copied = pickle.loads(pickle.dumps(placement))
+    assert all(point is node.position for point, node in zip(copied.links.points, copied.nodes))
     assert [run_simulation(config, kind, copied) for kind in kinds] == histories

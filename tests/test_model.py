@@ -21,7 +21,6 @@ from amdiscnt.model import (
     HeterogeneitySpec,
     NetworkConfig,
     Node,
-    Position,
     RadioParams,
     RegionId,
     round_half_up,
@@ -35,10 +34,10 @@ def test_default_config_is_valid():
 
 
 def test_position_distances():
-    p = Position(3.0, 4.0)
-    assert p.radius() == 5.0
-    assert distance(p, Position(0.0, 0.0)) == 5.0
-    assert distance(p, Position(3.0, 4.0)) == 0.0
+    p = (3.0, 4.0)
+    assert math.hypot(*p) == 5.0
+    assert distance(p, (0.0, 0.0)) == 5.0
+    assert distance(p, (3.0, 4.0)) == 0.0
 
 
 def test_region_id_forms():
@@ -54,12 +53,15 @@ def test_region_id_forms():
         RegionId(-1)
 
 
-def test_node_is_a_frozen_record_of_four_fields():
-    node = Node(0, Position(1.0, 2.0), RegionId(), 0.5)
-    assert [f.name for f in dataclasses.fields(Node)] == \
-        ["id", "position", "region", "initial_energy"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        node.initial_energy = 0.0
+def test_node_is_a_frozen_record_of_three_fields():
+    node = Node((1.0, 2.0), RegionId(), 0.5)
+    assert [f.name for f in dataclasses.fields(Node)] == ["position", "region", "initial_energy"]
+    assert Node.__slots__ == ("position", "region", "initial_energy")
+    for name, value in (("position", (0.0, 0.0)), ("region", RegionId(1)),
+                        ("initial_energy", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, value)
+    assert node == Node((1.0, 2.0), RegionId(), 0.5)
 
 
 def test_geometry_annulus_width():
@@ -70,11 +72,11 @@ def test_delay_model_modes():
     # one direct sender, the round's only delivered packet: hops counts its one link
     # however long, distance charges per_hop + d / speed for its 10 m
     for delay, position, expected in (
-            (DelayModel(), Position(123.0, 0.0), 1.0),
-            (DelayModel(mode="distance", speed=2.0, per_hop=0.5), Position(6.0, 8.0), 5.5)):
-        nodes = [Node(0, position, RegionId(), 10.0)]
+            (DelayModel(), (123.0, 0.0), 1.0),
+            (DelayModel(mode="distance", speed=2.0, per_hop=0.5), (6.0, 8.0), 5.5)):
+        nodes = [Node(position, RegionId(), 10.0)]
         config = NetworkConfig(delay=delay)
-        metrics = run_round([10.0], nodes, TransmissionPlan([], [], [0]), config,
+        metrics = run_round(0, [10.0], [0], TransmissionPlan([], [], [0]), config,
                             Random(0), DistanceCache(nodes, config.radio))
         assert metrics.packets_received_by_bs == 1
         assert metrics.mean_delay == expected

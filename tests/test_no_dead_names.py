@@ -12,6 +12,11 @@ somewhere in ``src/``, ``demos/``, ``perfbench/`` or ``README.md``: a
 method only tests call is a test helper and belongs in ``tests/``. The
 dot keeps a mode string such as ``"two_level"`` from counting as a use
 of a method of the same name.
+
+A name a module imports at its top level must be read in that module,
+in code or in an annotation, so that an import left behind by an edit
+fails here. ``__init__.py`` imports to re-export, so there the name must
+be listed in ``__all__``.
 """
 
 import ast
@@ -77,3 +82,35 @@ def test_every_method_is_used_outside_the_tests():
             if not (name.startswith("__") and name.endswith("__"))
             and not re.search(rf"\.{re.escape(name)}\b", text)]
     assert dead == []
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line number) of every top-level import but ``__future__``'s."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                yield alias.asname or alias.name.partition(".")[0], stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                yield alias.asname or alias.name, stmt.lineno
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names ``__all__`` lists."""
+    return {name for stmt in tree.body if isinstance(stmt, ast.Assign)
+            for target in stmt.targets if isinstance(target, ast.Name)
+            and target.id == "__all__" for name in ast.literal_eval(stmt.value)}
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    unread = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        if module.name == "__init__.py":
+            read = _exported(tree)
+        else:
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module.name}:{lineno} {name}" for name, lineno in _imports(tree)
+                   if name not in read]
+    assert unread == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference_engine as reference
 from amdiscnt.energy import tx_cost
 from amdiscnt.engine import place, run_simulation
-from amdiscnt.model import NetworkConfig, Node, Position, RadioParams, RegionId
+from amdiscnt.model import NetworkConfig, Node, RadioParams, RegionId
 from amdiscnt.protocols import (
     DistanceCache,
     ProtocolKind,
@@ -24,14 +24,23 @@ from amdiscnt.protocols import (
 RADIO = RadioParams()
 
 
-def make_node(node_id, x, y, sector=None, energy=0.5):
-    return Node(id=node_id, position=Position(x, y), region=RegionId(sector),
-                initial_energy=energy)
+def make_node(x, y, sector=None, energy=0.5):
+    return Node(position=(x, y), region=RegionId(sector), initial_energy=energy)
 
 
 def full(nodes):
     """Every node's full battery, by id: the energy list a run starts from."""
     return [node.initial_energy for node in nodes]
+
+
+def sectors_of(nodes):
+    """Every node's wedge by id, ``None`` for the inner disk, as the link table holds them."""
+    return [node.region.sector for node in nodes]
+
+
+def alive_ids(energy):
+    """The ids a run lists as alive: those whose battery is not empty, in order."""
+    return [i for i, e in enumerate(energy) if e]
 
 
 def ring_position(sector, radius=30.0):
@@ -40,49 +49,51 @@ def ring_position(sector, radius=30.0):
 
 
 def outer_ring(energies_by_sector):
-    """One node per (sector, energy) pair, ids assigned in listing order."""
+    """One node per (sector, energy) pair, listed (so numbered) in that order."""
     nodes = []
     for sector, energies in energies_by_sector.items():
         for energy in energies:
-            x, y = ring_position(sector)
-            nodes.append(make_node(len(nodes), x, y, sector=sector, energy=energy))
+            nodes.append(make_node(*ring_position(sector), sector=sector, energy=energy))
     return nodes
+
+
+def elect_all(nodes, energy=None):
+    """The sector election with every node of ``nodes`` alive."""
+    energy = full(nodes) if energy is None else energy
+    return elect_chs_amdiscnt(list(range(len(nodes))), energy, sectors_of(nodes))
 
 
 class TestSectorElection:
     def test_one_head_per_sector(self):
         nodes = outer_ring({s: [0.1 * (s + 1), 0.2 * (s + 1)] for s in range(8)})
-        chs = elect_chs_amdiscnt(nodes, full(nodes))
-        assert len(chs) == 8
-        by_id = {n.id: n for n in nodes}
-        assert {by_id[c].region.sector for c in chs} == set(range(8))
+        chs = elect_all(nodes)
+        assert chs == {2 * s + 1 for s in range(8)}  # each wedge's second, larger battery
+        assert {nodes[c].region.sector for c in chs} == set(range(8))
 
     def test_picks_max_residual(self):
         nodes = outer_ring({0: [0.3, 0.9, 0.5]})
-        assert elect_chs_amdiscnt(nodes, full(nodes)) == {1}
+        assert elect_all(nodes) == {1}
 
     def test_dead_sector_gives_seven_heads(self):
         nodes = outer_ring({s: [0.5] for s in range(8)})
         energy = full(nodes)
         energy[4] = 0.0
-        del nodes[4]  # the engine passes only the alive nodes
-        assert len(elect_chs_amdiscnt(nodes, energy)) == 7
+        # the engine passes only the alive ids, as a plain list of ints
+        chs = elect_chs_amdiscnt([0, 1, 2, 3, 5, 6, 7], energy, sectors_of(nodes))
+        assert chs == {0, 1, 2, 3, 5, 6, 7}
 
     def test_tie_goes_to_lower_id(self):
         nodes = outer_ring({0: [0.5, 0.5, 0.5]})
-        assert elect_chs_amdiscnt(nodes, full(nodes)) == {0}
+        assert elect_all(nodes) == {0}
 
     def test_scaling_residuals_keeps_winners(self):
         nodes = outer_ring({s: [0.2 + 0.01 * i for i in range(3)] for s in range(8)})
-        before = elect_chs_amdiscnt(nodes, full(nodes))
-        assert elect_chs_amdiscnt(nodes, [2.0 * e for e in full(nodes)]) == before
+        before = elect_all(nodes)
+        assert elect_all(nodes, [2.0 * e for e in full(nodes)]) == before
 
     def test_inner_nodes_never_elected(self):
-        nodes = [make_node(0, 5.0, 0.0, energy=9.0)] + outer_ring({0: [0.1]})
-        # ids shift: rebuild with explicit ids
-        nodes = [make_node(0, 5.0, 0.0, energy=9.0),
-                 make_node(1, 25.0, 0.0, sector=0, energy=0.1)]
-        assert elect_chs_amdiscnt(nodes, full(nodes)) == {1}
+        nodes = [make_node(5.0, 0.0, energy=9.0), make_node(25.0, 0.0, sector=0, energy=0.1)]
+        assert elect_all(nodes) == {1}
 
 
 class TestRotatingElection:
@@ -93,17 +104,17 @@ class TestRotatingElection:
         assert reference.leach_threshold(9, 0.1) == pytest.approx(1.0, rel=1e-12)
 
     def test_every_node_serves_once_per_epoch(self):
-        nodes = outer_ring({s: [0.5, 0.5] for s in range(8)})
+        alive = list(range(16))  # two nodes in each of the eight wedges
         history = {}
         seen = []
         for round_index in range(10):
-            elected = elect_chs_leach(nodes, round_index, 0.1, Random(round_index), history)
+            elected = elect_chs_leach(alive, round_index, 0.1, Random(round_index), history)
             assert not (set(seen) & elected)
             seen.extend(sorted(elected))
-        assert sorted(seen) == [n.id for n in nodes]
+        assert sorted(seen) == alive
 
     def test_dead_nodes_skipped(self):
-        alive = outer_ring({0: [0.5, 0.5]})[1:]  # node 0 is dead, so not listed
+        alive = [1]  # of two nodes, node 0 is dead, so not listed
         for round_index in range(10):
             elected = elect_chs_leach(alive, round_index, 0.1, Random(7), {})
             assert 0 not in elected
@@ -122,15 +133,16 @@ class TestEnergyAwareElection:
         assert reference.deec_probability(100.0, 1.0, 0.1) == 1.0
 
     def test_every_node_serves_once_per_epoch_at_equal_energy(self):
-        nodes = outer_ring({s: [0.5, 0.5] for s in range(8)})
+        energy = full(outer_ring({s: [0.5, 0.5] for s in range(8)}))
+        alive = list(range(16))
         history = {}
         seen = []
         for round_index in range(10):
-            elected = elect_chs_deec(nodes, full(nodes), round_index, 0.1, Random(round_index),
+            elected = elect_chs_deec(alive, energy, round_index, 0.1, Random(round_index),
                                      history)
             assert not (set(seen) & elected)
             seen.extend(sorted(elected))
-        assert sorted(seen) == [n.id for n in nodes]
+        assert sorted(seen) == alive
 
     def test_no_alive_nodes_returns_empty(self):
         assert elect_chs_deec([], [], 0, 0.1, Random(1), {}) == set()
@@ -158,7 +170,7 @@ def election_inputs(draw):
 @given(inputs=election_inputs())
 def test_elections_match_reference(name, inputs):
     energies, alive, history, round_index, p_opt, seed = inputs
-    nodes = [make_node(i, 30.0, 0.0, sector=0, energy=e) for i, e in enumerate(energies)]
+    nodes = [make_node(30.0, 0.0, sector=0, energy=e) for e in energies]
     energy = [e if a else 0.0 for e, a in zip(energies, alive)]  # a dead node holds 0.0
 
     def elect(listed, *rest):
@@ -169,7 +181,7 @@ def test_elections_match_reference(name, inputs):
     elect_reference = {"leach": reference.elect_chs_leach, "deec": reference.elect_chs_deec}[name]
     # the reference skips dead nodes itself; the engine passes only the alive ones
     calls = [(elect_reference, reference.sensors(nodes, energy)),
-             (elect, [node for node in nodes if energy[node.id]])]
+             (elect, alive_ids(energy))]
     outcomes = []
     for fn, listed in calls:
         rng = Random(seed)
@@ -188,8 +200,7 @@ def relay_of(nodes, energy=None, ch_id=0):
 
 def plan_of(nodes, ch_set, name, energy=None):
     energy = full(nodes) if energy is None else energy
-    alive = [node for node in nodes if energy[node.id]]
-    return build_plan(nodes, alive, energy, ch_set, ProtocolKind(name),
+    return build_plan(alive_ids(energy), energy, ch_set, ProtocolKind(name),
                       DistanceCache(nodes, RADIO))
 
 
@@ -199,62 +210,61 @@ def random_field(seed, n=40, r_inner=40.0, r_outer=150.0):
     rng = Random(seed)
     nodes = []
     energy = []
-    for i in range(n):
+    for _ in range(n):
         radius = rng.uniform(0.0, r_outer)
         theta = rng.uniform(0.0, 2 * math.pi)
         sector = None if radius < r_inner else int(theta // (math.pi / 4))
-        nodes.append(make_node(i, radius * math.cos(theta), radius * math.sin(theta),
+        nodes.append(make_node(radius * math.cos(theta), radius * math.sin(theta),
                                sector=sector))
         energy.append(0.5 if rng.random() >= 0.25 else 0.0)
     return nodes, energy
 
 
-def brute_force_relay(ch, nodes, energy):
+def brute_force_relay(ch_id, nodes, energy):
     """Strict-< scan of the alive inner nodes in id order, as routing was
     defined before the link table: direct unless a relay is strictly cheaper."""
     bits = RADIO.packet_bits
+    ch = nodes[ch_id]
     best_id, best_cost = None, math.inf
-    for node in nodes:
-        if not energy[node.id] or not node.region.is_inner or node.id == ch.id:
+    for i, node in enumerate(nodes):
+        if not energy[i] or not node.region.is_inner or i == ch_id:
             continue
         cost = (tx_cost(bits, reference.distance(ch.position, node.position), RADIO)
-                + tx_cost(bits, node.position.radius(), RADIO))
+                + tx_cost(bits, math.hypot(*node.position), RADIO))
         if cost < best_cost:
-            best_id, best_cost = node.id, cost
-    if best_id is None or tx_cost(bits, ch.position.radius(), RADIO) <= best_cost:
+            best_id, best_cost = i, cost
+    if best_id is None or tx_cost(bits, math.hypot(*ch.position), RADIO) <= best_cost:
         return None
     return best_id
 
 
 class TestRelaySelection:
     def test_no_alive_inner_node_means_direct(self):
-        ch = make_node(0, 30.0, 0.0, sector=0)
-        dead_inner = make_node(1, 5.0, 0.0)
+        ch = make_node(30.0, 0.0, sector=0)
+        dead_inner = make_node(5.0, 0.0)
         assert relay_of([ch, dead_inner], [0.5, 0.0]) is None
 
     def test_short_haul_relay_loses_to_direct(self):
         # below the crossover the second electronics charge outweighs the
         # amplifier saving: tx(30) = 2.36e-4 < tx(25) + tx(5) = 4.26e-4
-        ch = make_node(0, 30.0, 0.0, sector=0)
-        inner = make_node(1, 5.0, 0.0)
+        ch = make_node(30.0, 0.0, sector=0)
+        inner = make_node(5.0, 0.0)
         assert relay_of([ch, inner]) is None
 
     def test_long_haul_relay_wins_past_crossover(self):
         # tx(100) = 7.2e-4 (multipath) > tx(80) + tx(20) = 6.72e-4
-        ch = make_node(0, 100.0, 0.0, sector=0)
-        inner = make_node(1, 20.0, 0.0)
+        ch = make_node(100.0, 0.0, sector=0)
+        inner = make_node(20.0, 0.0)
         assert relay_of([ch, inner]) == 1
 
     def test_equal_cost_relays_pick_lower_id(self):
         # mirror images of each other, so the two relayed costs are
         # bitwise equal and the id breaks the tie
-        ch = make_node(0, 100.0, 0.0, sector=0)
-        a = make_node(1, 20.0, 1.0)
-        b = make_node(2, 20.0, -1.0)
+        nodes = [make_node(100.0, 0.0, sector=0), make_node(20.0, 1.0), make_node(20.0, -1.0)]
         energy = [0.5, 0.5, 0.5]
-        assert relay_of([ch, a, b], energy) == brute_force_relay(ch, [ch, a, b], energy) == 1
-        energy[a.id] = 0.0
-        assert relay_of([ch, a, b], energy) == brute_force_relay(ch, [ch, a, b], energy) == 2
+        assert relay_of(nodes, energy) == brute_force_relay(0, nodes, energy) == 1
+        energy[1] = 0.0
+        assert relay_of(nodes, energy) == brute_force_relay(0, nodes, energy) == 2
 
     def test_distance_cache_agrees_with_brute_force(self):
         relayed = 0
@@ -264,33 +274,37 @@ class TestRelaySelection:
             rng = Random(seed)
             # relay orders are built once and must stay right as nodes die
             for _ in range(3):
-                for ch in nodes:
+                for ch_id, ch in enumerate(nodes):
                     if ch.region.is_inner:
                         continue
-                    relay = select_relay(ch.id, energy, links)
-                    assert relay == brute_force_relay(ch, nodes, energy)
+                    relay = select_relay(ch_id, energy, links)
+                    assert relay == brute_force_relay(ch_id, nodes, energy)
                     relayed += relay is not None
-                for node in nodes:
+                for i in range(len(nodes)):
                     if rng.random() < 0.2:
-                        energy[node.id] = 0.0
+                        energy[i] = 0.0
         assert relayed > 0
 
     def test_table_distances_match_positions_bitwise(self):
         nodes, _ = random_field(5)
         links = DistanceCache(nodes, RADIO)
-        for a in nodes:
-            assert links.to_bs[a.id] == a.position.radius()
-            assert links.tx_to_bs[a.id] == tx_cost(RADIO.packet_bits, a.position.radius(), RADIO)
-            for b in nodes:
-                d = math.dist(links.points[a.id], links.points[b.id])
+        for i, a in enumerate(nodes):
+            assert links.to_bs[i] == math.hypot(*a.position)
+            assert links.tx_to_bs[i] == tx_cost(RADIO.packet_bits, math.hypot(*a.position), RADIO)
+            for j, b in enumerate(nodes):
+                d = math.dist(links.points[i], links.points[j])
                 assert d == reference.distance(a.position, b.position)
 
     def test_link_table_holds_one_point_per_node(self):
         for n in (9, 100, 400):
             placement = place(NetworkConfig(n_nodes=n))
             links = placement.links
-            assert links.points == [(node.position.x, node.position.y)
-                                    for node in placement.nodes]
+            # the node's own tuple, not a copy: one (x, y) per node is held
+            assert len(links.points) == n
+            assert all(point is node.position
+                       for point, node in zip(links.points, placement.nodes))
+            assert links.sectors == [node.region.sector for node in placement.nodes]
+            assert links.inner == [i for i, sector in enumerate(links.sectors) if sector is None]
             assert len(links.to_bs) == len(links.tx_to_bs) == n
 
     def test_link_table_grows_linearly_with_the_node_count(self):
@@ -320,7 +334,7 @@ def mirrored_fields(draw):
     for x, y in draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)):
         points.append((x, y))
         points += draw(st.lists(st.sampled_from([(-x, y), (x, -y), (-x, -y)]), max_size=3))
-    return [make_node(i, x, y) for i, (x, y) in enumerate(points)]
+    return [make_node(x, y) for x, y in points]
 
 
 @settings(deadline=None, max_examples=100)
@@ -329,25 +343,25 @@ def test_link_distances_are_symmetric_hypot(nodes):
     # a link's length is the same from either end, and ties between mirror images are exact
     links = DistanceCache(nodes, RADIO)
     orders = links.neighbour_orders()
-    for a in nodes:
+    for i, a in enumerate(nodes):
         row = []
-        for b in nodes:
-            d = math.hypot(a.position.x - b.position.x, a.position.y - b.position.y)
-            assert math.dist(links.points[a.id], links.points[b.id]) == d
-            assert math.dist(links.points[b.id], links.points[a.id]) == d
+        for j, b in enumerate(nodes):
+            d = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+            assert math.dist(links.points[i], links.points[j]) == d
+            assert math.dist(links.points[j], links.points[i]) == d
             row.append(d)
-        assert list(orders[a.id]) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
+        assert list(orders[i]) == sorted(range(len(nodes)), key=lambda j: (row[j], j))
 
 
 class TestPlans:
     def network(self):
         """Five nodes and their energies by id; node 4 is dead."""
         nodes = [
-            make_node(0, 5.0, 0.0),                      # inner
-            make_node(1, 25.0, 2.0, sector=0, energy=0.4),
-            make_node(2, 30.0, 1.0, sector=0, energy=0.6),
-            make_node(3, *ring_position(1), sector=1, energy=0.5),
-            make_node(4, *ring_position(2), sector=2, energy=0.5),
+            make_node(5.0, 0.0),                      # 0: inner
+            make_node(25.0, 2.0, sector=0, energy=0.4),
+            make_node(30.0, 1.0, sector=0, energy=0.6),
+            make_node(*ring_position(1), sector=1, energy=0.5),
+            make_node(*ring_position(2), sector=2, energy=0.5),
         ]
         energy = full(nodes)
         energy[4] = 0.0
@@ -355,9 +369,12 @@ class TestPlans:
 
     def test_sector_plan_census(self):
         nodes, energy = self.network()
-        chs = elect_chs_amdiscnt([node for node in nodes if energy[node.id]], energy)
+        links = DistanceCache(nodes, RADIO)
+        alive = [0, 1, 2, 3]  # a plain list of ints: node 4 is dead
+        chs = elect_chs_amdiscnt(alive, energy, links.sectors)
         assert chs == {2, 3}
-        plan = plan_of(nodes, chs, "amdiscnt", energy)
+        plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+        assert plan == plan_of(nodes, chs, "amdiscnt", energy)
         assert plan.members == [(1, 2)]
         assert [ch_id for ch_id, _ in plan.routes] == [2, 3]
         assert all(relay is None for _, relay in plan.routes)  # short hauls go direct
@@ -373,20 +390,21 @@ class TestPlans:
 
     def test_baseline_members_join_nearest_head(self):
         nodes = [
-            make_node(0, 30.0, 0.0, sector=0),
-            make_node(1, -30.0, 0.0, sector=3),
-            make_node(2, 28.0, 5.0, sector=0),
+            make_node(30.0, 0.0, sector=0),
+            make_node(-30.0, 0.0, sector=3),
+            make_node(28.0, 5.0, sector=0),
         ]
-        plan = plan_of(nodes, {0, 1}, "leach")
+        plan = build_plan([0, 1, 2], full(nodes), {0, 1}, ProtocolKind("leach"),
+                          DistanceCache(nodes, RADIO))
         assert plan.members == [(2, 0)]
         assert plan.routes == [(0, None), (1, None)]
         assert plan.direct == []
 
     def test_baseline_tied_distance_prefers_lower_id(self):
         nodes = [
-            make_node(0, 30.0, 0.0, sector=0),
-            make_node(1, -30.0, 0.0, sector=3),
-            make_node(2, 0.0, 30.0, sector=2),
+            make_node(30.0, 0.0, sector=0),
+            make_node(-30.0, 0.0, sector=3),
+            make_node(0.0, 30.0, sector=2),
         ]
         plan = plan_of(nodes, {0, 1}, "leach")
         assert plan.members == [(2, 0)]
@@ -398,26 +416,26 @@ class TestPlans:
             rng = Random(seed)
             # one table serves every round: fresh heads each round, nodes dying between
             for _ in range(4):
-                alive = [node for node in nodes if energy[node.id]]
-                heads = set(rng.sample([node.id for node in alive], 1 + len(alive) // 5))
-                plan = build_plan(nodes, alive, energy, heads, ProtocolKind("deec"), links)
+                alive = alive_ids(energy)
+                heads = set(rng.sample(alive, 1 + len(alive) // 5))
+                plan = build_plan(alive, energy, heads, ProtocolKind("deec"), links)
                 expected = []
-                for node in nodes:
-                    if energy[node.id] and node.id not in heads:
+                for i, node in enumerate(nodes):
+                    if energy[i] and i not in heads:
                         key = lambda h: (reference.distance(node.position, nodes[h].position), h)
-                        expected.append((node.id, min(heads, key=key)))
+                        expected.append((i, min(heads, key=key)))
                 assert plan.members == expected
                 assert plan.routes == [(h, None) for h in sorted(heads)]
                 assert plan.direct == []
-                for node in nodes:
+                for i in range(len(nodes)):
                     if rng.random() < 0.15:
-                        energy[node.id] = 0.0
+                        energy[i] = 0.0
 
     def test_neighbour_orders_sort_by_distance_then_id(self):
         # ids 1 and 2 are mirror images about the x axis, so every node on
         # that axis sees them at bitwise-equal distances
-        nodes = [make_node(0, 100.0, 0.0, sector=0), make_node(1, 20.0, 1.0),
-                 make_node(2, 20.0, -1.0)] + random_field(3)[0][3:]
+        nodes = [make_node(100.0, 0.0, sector=0), make_node(20.0, 1.0),
+                 make_node(20.0, -1.0)] + random_field(3)[0][3:]
         links = DistanceCache(nodes, RADIO)
         orders = links.neighbour_orders()
         assert reference.distance(nodes[0].position, nodes[1].position) == \
@@ -430,8 +448,8 @@ class TestPlans:
         assert links.neighbour_orders() is orders
 
     def test_mirror_tie_goes_to_lower_head_id(self):
-        nodes = [make_node(0, 100.0, 0.0, sector=0), make_node(1, 20.0, 1.0),
-                 make_node(2, 20.0, -1.0)]
+        nodes = [make_node(100.0, 0.0, sector=0), make_node(20.0, 1.0),
+                 make_node(20.0, -1.0)]
         assert plan_of(nodes, {1, 2}, "leach").members == [(0, 1)]
         assert plan_of(nodes, {2}, "leach").members == [(0, 2), (1, 2)]
 
@@ -449,7 +467,7 @@ class TestPlans:
     def test_baseline_no_heads_falls_back_to_direct(self):
         nodes, energy = self.network()
         plan = plan_of(nodes, set(), "deec", energy)
-        assert plan.direct == [node.id for node in nodes if energy[node.id]]
+        assert plan.direct == [0, 1, 2, 3]
         assert plan.members == []
         assert plan.routes == []
 
@@ -474,16 +492,16 @@ def tied_baseline_rounds(draw):
                                      st.sampled_from(_mirrors).map(lambda f: f(*source)))))
     # about a quarter dead
     alive = draw(st.lists(st.sampled_from([True, True, True, False]), min_size=n, max_size=n))
-    nodes = [make_node(i, x, y) for i, (x, y) in enumerate(points)]
+    nodes = [make_node(x, y) for x, y in points]
     energy = [0.5 if a else 0.0 for a in alive]
-    alive_ids = [node.id for node in nodes if energy[node.id]]
+    living = alive_ids(energy)
     count = draw(st.sampled_from(["many", "one", "none"]))
-    if count == "none" or not alive_ids:
+    if count == "none" or not living:
         heads = set()
     elif count == "one":
-        heads = {draw(st.sampled_from(alive_ids))}
+        heads = {draw(st.sampled_from(living))}
     else:
-        heads = set(draw(st.lists(st.sampled_from(alive_ids), min_size=min(2, len(alive_ids)),
+        heads = set(draw(st.lists(st.sampled_from(living), min_size=min(2, len(living)),
                                   unique=True)))
     return nodes, energy, heads
 
@@ -493,22 +511,21 @@ def tied_baseline_rounds(draw):
 def test_baseline_plan_matches_brute_force_with_ties(case, name):
     nodes, energy, heads = case
     ch_set = set(heads)
-    alive = [node for node in nodes if energy[node.id]]
-    plan = build_plan(nodes, alive, energy, ch_set, ProtocolKind(name),
-                      DistanceCache(nodes, RADIO))
+    alive = alive_ids(energy)
+    plan = build_plan(alive, energy, ch_set, ProtocolKind(name), DistanceCache(nodes, RADIO))
     assert ch_set == heads
 
-    def nearest(node):
-        return min(heads, key=lambda h: (math.hypot(node.position.x - nodes[h].position.x,
-                                                    node.position.y - nodes[h].position.y), h))
+    def nearest(i):
+        x, y = nodes[i].position
+        return min(heads, key=lambda h: (math.hypot(x - nodes[h].position[0],
+                                                    y - nodes[h].position[1]), h))
 
     if heads:
-        assert plan.members == [(node.id, nearest(node)) for node in alive
-                                if node.id not in heads]
+        assert plan.members == [(i, nearest(i)) for i in alive if i not in heads]
         assert plan.direct == []
     else:
         assert plan.members == []
-        assert plan.direct == [node.id for node in alive]
+        assert plan.direct == alive
     assert plan.routes == [(h, None) for h in sorted(heads)]
 
 
@@ -525,8 +542,3 @@ class TestProtocolKind:
     def test_rejects_non_number_p_opt(self, p_opt):
         with pytest.raises(ValueError, match="p_opt must lie in"):
             ProtocolKind("leach", p_opt=p_opt)
-
-    def test_distance_cache_rejects_gapped_ids(self):
-        nodes = [make_node(0, 1.0, 0.0), make_node(2, 2.0, 0.0)]
-        with pytest.raises(ValueError):
-            DistanceCache(nodes, RADIO)
