@@ -19,6 +19,7 @@ from .model import (
     INNER,
     N_SECTORS,
     SECTOR_ANGLE,
+    ConfigurationError,
     Geometry,
     HeterogeneitySpec,
     NetworkConfig,
@@ -32,10 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 class OutOfFieldError(ValueError):
     """A position outside the outer circle has no region."""
-
-
-class DegenerateDeploymentError(ValueError):
-    """The node budget leaves a region empty, or the field cannot hold a node."""
 
 
 def region_of(position: tuple[float, float], geometry: Geometry) -> RegionId:
@@ -105,13 +102,13 @@ def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
     """Build the initial network's nodes; a node's id is its index in the list.
 
     Nodes are placed inner region first, then sectors 0..7; energies are
-    drawn afterwards in one block. Raises :class:`DegenerateDeploymentError`
-    when any region would receive no node, or when a node drawn for a
-    region rounds outside it.
+    drawn afterwards in one block. Raises :class:`ConfigurationError`,
+    as validation would, when any region would receive no node, or when
+    a node drawn for a region rounds outside it.
     """
     inner_count, sector_counts = region_node_counts(config.n_nodes, config.inner_fraction)
     if inner_count <= 0 or any(c <= 0 for c in sector_counts):
-        raise DegenerateDeploymentError(
+        raise ConfigurationError(
             f"{config.n_nodes} nodes with inner fraction {config.inner_fraction:.4g} "
             f"leave at least one region empty (inner={inner_count}, sectors={sector_counts})")
 
@@ -123,7 +120,7 @@ def deploy(config: NetworkConfig, rng: Random) -> list[Node]:
     for region, pos in placed:
         # in an annulus a few float steps wide, rounding can carry a drawn radius out of it
         if math.hypot(*pos) > geometry.r_outer or region_of(pos, geometry) != region:
-            raise DegenerateDeploymentError(
+            raise ConfigurationError(
                 f"a node drawn in {region} rounds out of it: {geometry} is too thin a ring")
 
     energies = assign_initial_energy(config.n_nodes, config.heterogeneity, rng)

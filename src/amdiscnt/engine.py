@@ -243,13 +243,14 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: Tra
                         plan.ch_count, mean_delay, math.fsum(energy), math.fsum(ledger))
 
 
-def _elect(alive: list[int], energy: list[float], kind: ProtocolKind, round_index: int,
-           rng: Random, history: dict[int, int], links: DistanceCache) -> set[int]:
+def _elect(alive: list[int], energy: list[float], kind: ProtocolKind, p_opt: float,
+           round_index: int, rng: Random, history: dict[int, int],
+           links: DistanceCache) -> set[int]:
     if kind.name == "amdiscnt":
         return elect_chs_amdiscnt(alive, energy, links.sectors)
     if kind.name == "leach":
-        return elect_chs_leach(alive, round_index, kind.p_opt, rng, history)
-    return elect_chs_deec(alive, energy, round_index, kind.p_opt, rng, history)
+        return elect_chs_leach(alive, round_index, p_opt, rng, history)
+    return elect_chs_deec(alive, energy, round_index, p_opt, rng, history)
 
 
 @dataclass(frozen=True)
@@ -297,7 +298,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     columns = per_round._columns
     fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        ch_set = _elect(alive, energy, kind, round_index, rng, history, links)
+        ch_set = _elect(alive, energy, kind, config.p_opt, round_index, rng, history, links)
         plan = build_plan(alive, energy, ch_set, kind, links)
         metrics = run_round(round_index, energy, alive, plan, config, rng, links)
         any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame

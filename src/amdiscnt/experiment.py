@@ -31,9 +31,9 @@ from .model import ConfigurationError, NetworkConfig, validate_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind
 from .stats import METRIC_NAMES, MilestoneSummary, MultiRunStats, aggregate_runs
 
-# One row per network, radio, energy and delay key, in file order: the
-# file key and the NetworkConfig attribute it sets. Each key's default, and
-# so the type its text is parsed as, is read from NetworkConfig().
+# One row per network, radio, energy and delay key and for p_opt, in file
+# order: the file key and the NetworkConfig attribute it sets. Each key's
+# default, and so the type its text is parsed as, is read from NetworkConfig().
 NETWORK_KEYS: tuple[tuple[str, str], ...] = (
     ("network.n_nodes", "n_nodes"),
     ("network.r_inner", "geometry.r_inner"),
@@ -57,10 +57,11 @@ NETWORK_KEYS: tuple[tuple[str, str], ...] = (
     ("delay.mode", "delay.mode"),
     ("delay.speed", "delay.speed"),
     ("delay.per_hop", "delay.per_hop"),
+    ("experiment.p_opt", "p_opt"),
 )
 
-# Every file key with its default, in file order. The experiment keys are
-# parsed by hand in build_spec; ``seeds`` has no default because
+# Every file key with its default. The other experiment keys are parsed
+# by hand in build_spec; ``seeds`` has no default because
 # ``runs``/``base_seed`` stand in for it.
 DEFAULTS: dict[str, object] = {
     **{key: attrgetter(path)(NetworkConfig()) for key, path in NETWORK_KEYS},
@@ -69,11 +70,10 @@ DEFAULTS: dict[str, object] = {
     "experiment.base_seed": 42,
     "experiment.seeds": None,
     "experiment.confidence": 0.95,
-    "experiment.p_opt": ProtocolKind.p_opt,
 }
 
 # One row per experiment flag: the key it sets, its metavar and its help.
-# Its value type, and the default its help shows, are read from DEFAULTS.
+# Its text is parsed as the file's is; its help shows the key's DEFAULTS entry.
 FLAGS: tuple[tuple[str, str, str], ...] = (
     ("experiment.protocols", "LIST", "comma-separated protocol names"),
     ("experiment.seeds", "LIST", "comma-separated run seeds"),
@@ -203,14 +203,9 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
     network = NetworkConfig()
     for key, path in NETWORK_KEYS:
         network = _replace_path(network, path, _parse(settings, key))
-    p_opt = _parse(settings, "experiment.p_opt")
     names = _split_list(_parse(settings, "experiment.protocols"), "experiment.protocols")
-    try:  # p_opt alone first, so each error names the key that holds the fault
-        ProtocolKind(PROTOCOL_NAMES[0], p_opt)
-    except ValueError as exc:
-        raise ConfigurationError(f"experiment.p_opt: {exc}") from None
     try:
-        protocols = tuple(ProtocolKind(name, p_opt) for name in names)
+        protocols = tuple(ProtocolKind(name) for name in names)
     except ValueError as exc:
         raise ConfigurationError(f"experiment.protocols: {exc}") from None
 
@@ -402,18 +397,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, metavar, text in FLAGS:
         default = DEFAULTS[key]
         parser.add_argument("--" + key.partition(".")[2].replace("_", "-"), metavar=metavar,
-                            type=str if default is None else type(default),
                             help=text if default is None else f"{text} (default {default})")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.seeds is not None and (args.runs is not None or args.base_seed is not None):
-        parser.error("--seeds cannot be combined with --runs/--base-seed")
-
-    flags = {key: str(value) for key, *_ in FLAGS
+    args = _build_parser().parse_args(argv)
+    flags = {key: value for key, *_ in FLAGS
              if (value := getattr(args, key.partition(".")[2])) is not None}
     settings: dict[str, str] = {}
     try:
@@ -422,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             settings.update(_read_config_file(args.config))
         # a seed flag replaces the file's other way of giving seeds: --seeds
-        # drops runs and base_seed, --runs or --base-seed drops seeds
+        # drops runs and base_seed, --runs or --base-seed drops seeds; flags
+        # of both kinds are all kept, for build_spec to refuse
         if "experiment.seeds" in flags:
             settings.pop("experiment.runs", None)
             settings.pop("experiment.base_seed", None)

@@ -157,6 +157,7 @@ class NetworkConfig:
     inner_fraction: float = 1.0 / 9.0
     link_drop_probability: float = 0.0
     delay: DelayModel = DelayModel()
+    p_opt: float = 0.1  # the baselines' head fraction; amdiscnt elects one head per wedge
 
 
 def _type_problems(obj, prefix: str = "") -> list[str]:
@@ -248,6 +249,8 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
             problems.append(
                 f"n_nodes = {config.n_nodes} with inner_fraction = {config.inner_fraction} "
                 f"leaves a region empty (inner={inner}, sectors={sectors})")
+    if not 0 < config.p_opt < 1:
+        problems.append(f"p_opt must lie in (0, 1), got {config.p_opt}")
     if not 0 <= config.link_drop_probability <= 1:
         problems.append(
             f"link_drop_probability must lie in [0, 1], got {config.link_drop_probability}")

@@ -24,13 +24,10 @@ PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
 @dataclass(frozen=True)
 class ProtocolKind:
     name: str
-    p_opt: float = 0.1
 
     def __post_init__(self):
         if self.name not in PROTOCOL_NAMES:
             raise ValueError(f"unknown protocol {self.name!r}; expected one of {PROTOCOL_NAMES}")
-        if not (isinstance(self.p_opt, (int, float)) and 0.0 < self.p_opt < 1.0):
-            raise ValueError(f"p_opt must lie in (0, 1), got {self.p_opt!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from reference_engine import theoretical_total_energy
 
 from amdiscnt.deployment import (
-    DegenerateDeploymentError,
     OutOfFieldError,
     assign_initial_energy,
     deploy,
@@ -21,6 +20,7 @@ from amdiscnt.model import (
     DEPLOYMENT_MODES,
     INNER,
     N_SECTORS,
+    ConfigurationError,
     Geometry,
     HeterogeneitySpec,
     NetworkConfig,
@@ -112,7 +112,7 @@ def test_region_node_counts_nine():
 def test_deploy_eight_nodes_degenerate():
     config = NetworkConfig(n_nodes=9, inner_fraction=0.2)
     # 2 inner and 7 outer leaves one empty wedge
-    with pytest.raises(DegenerateDeploymentError):
+    with pytest.raises(ConfigurationError):
         deploy(config, Random(1))
 
 
@@ -239,13 +239,13 @@ def deployments(draw):
 def test_every_node_lies_in_its_intended_region(config, seed):
     inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)
     if inner <= 0 or min(sectors) <= 0:
-        with pytest.raises(DegenerateDeploymentError):
+        with pytest.raises(ConfigurationError):
             deploy(config, Random(seed))
         return
     geo = config.geometry
     try:
         nodes = deploy(config, Random(seed))
-    except DegenerateDeploymentError:
+    except ConfigurationError:
         # a node is lost to rounding about once in 1e16 * width / r_outer draws
         assert geo.r_outer - geo.r_inner < 1e-9 * geo.r_outer
         return
@@ -269,5 +269,5 @@ def test_annulus_too_thin_for_rounding_is_rejected_by_name():
     # one float step wide: most outer draws round onto r_inner or past r_outer
     config = NetworkConfig(n_nodes=16, inner_fraction=0.5,
                            geometry=Geometry(4913.0, math.nextafter(4913.0, math.inf)))
-    with pytest.raises(DegenerateDeploymentError, match="too thin"):
+    with pytest.raises(ConfigurationError, match="too thin"):
         deploy(config, Random(0))

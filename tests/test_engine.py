@@ -429,7 +429,7 @@ def _check_run_against_replay(config, kind):
         result = run_simulation(config, kind)
     rng = Random(config.seed)
     nodes = deploy(config, rng)
-    rounds, milestones = reference.replay_run(nodes, config, kind.name, kind.p_opt, rng)
+    rounds, milestones = reference.replay_run(nodes, config, kind.name, config.p_opt, rng)
     assert [dataclasses.asdict(m) for m in result.per_round] == rounds
     assert (result.first_node_death, result.half_nodes_death,
             result.last_node_death) == milestones
@@ -442,7 +442,7 @@ def _check_run_against_replay(config, kind):
 def test_baseline_run_matches_reference_replay(config, name, p_opt):
     """A whole leach or deec run equals the straight-line replay: reference
     election, brute-force nearest head and reference round, draw for draw."""
-    _check_run_against_replay(config, ProtocolKind(name, p_opt))
+    _check_run_against_replay(dataclasses.replace(config, p_opt=p_opt), ProtocolKind(name))
 
 
 # the alive mean is near alpha * e0, so a draining normal node's p_i
@@ -467,8 +467,8 @@ def test_deec_with_overflowing_inverse_probability_matches_reference_replay():
 
 # below about 5.6e-309, 1 / p_opt overflows; leach's one epoch then outlasts the run
 def test_leach_with_overflowing_inverse_p_opt_runs_to_horizon_as_the_replay():
-    config = NetworkConfig(n_nodes=20, max_rounds=30)
-    kind = ProtocolKind("leach", 1e-310)
+    config = NetworkConfig(n_nodes=20, max_rounds=30, p_opt=1e-310)
+    kind = ProtocolKind("leach")
     result = run_simulation(config, kind)
     assert result.rounds == config.max_rounds
     assert all(m.ch_count == 0 for m in result.per_round)  # a draw under 1e-310 is 0.0
@@ -555,7 +555,8 @@ def test_run_on_a_placement_still_validates_its_config():
     ({"radio": RadioParams(packet_bits=2000)}, "radio"),
     ({"max_rounds": 7}, "max_rounds"),
     ({"seed": 43, "n_nodes": 10}, "n_nodes, seed"),
-], ids=["seed", "n_nodes", "packet_bits", "max_rounds", "n_nodes_and_seed"])
+    ({"p_opt": 0.2}, "p_opt"),
+], ids=["seed", "n_nodes", "packet_bits", "max_rounds", "n_nodes_and_seed", "p_opt"])
 def test_run_on_a_placement_from_another_config_names_each_field(monkeypatch, change, named):
     config = small_config(max_rounds=5)
     placement = place(dataclasses.replace(config, **change))
@@ -594,3 +595,30 @@ def test_a_placement_is_a_value_its_runs_only_read():
     copied = pickle.loads(pickle.dumps(placement))
     assert all(point is node.position for point, node in zip(copied.links.points, copied.nodes))
     assert [run_simulation(config, kind, copied) for kind in kinds] == histories
+
+
+def test_inner_nodes_spend_only_their_own_direct_send_on_the_default_field(monkeypatch):
+    """Why "even consumption" does not reproduce: on the default field no
+    head relays, so an inner node never heads, joins or relays, and each
+    round it pays exactly its own send to the base station."""
+    config = NetworkConfig()
+    placement = place(config)
+    tx_to_bs = placement.links.tx_to_bs
+    inner = [i for i, node in enumerate(placement.nodes) if node.region.is_inner]
+    execute = engine.run_round
+    inner_node_rounds = []
+
+    def checking(round_index, energy, alive, plan, *args):
+        before = energy[:]
+        metrics = execute(round_index, energy, alive, plan, *args)
+        assert [relay for _, relay in plan.routes if relay is not None] == []
+        survivors = [i for i in inner if energy[i]]
+        assert [energy[i] for i in survivors] == [before[i] - tx_to_bs[i] for i in survivors]
+        inner_node_rounds.append(len(survivors))
+        return metrics
+
+    monkeypatch.setattr(engine, "run_round", checking)
+    result = run_simulation(config, AMDISCNT, placement)
+    assert len(inner_node_rounds) == result.rounds
+    assert result.last_node_death is not None or result.rounds == config.max_rounds
+    assert sum(inner_node_rounds) > 0

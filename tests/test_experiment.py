@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tempfile
 import weakref
-from itertools import groupby
 from operator import attrgetter
 
 import pytest
@@ -48,24 +47,18 @@ def _fmt(value) -> str:
 
 def write_config(spec: ExperimentSpec) -> str:
     """Serialise a spec so that :func:`build_spec` reproduces it exactly."""
-    p_opts = {kind.p_opt for kind in spec.protocols}
-    if len(p_opts) > 1:
-        raise ValueError("the config format carries a single p_opt for all protocols")
-    lines = []
-    for section, rows in groupby(NETWORK_KEYS, key=lambda row: row[0].partition(".")[0]):
-        lines.append(f"[{section}]")
-        lines.extend(f"{key.partition('.')[2]} = {_fmt(attrgetter(path)(spec.network))}"
-                     for key, path in rows)
-        lines.append("")
-    lines += [
-        "[experiment]",
+    sections: dict[str, list[str]] = {}
+    for key, path in NETWORK_KEYS:
+        section, _, name = key.partition(".")
+        sections.setdefault(section, []).append(
+            f"{name} = {_fmt(attrgetter(path)(spec.network))}")
+    sections.setdefault("experiment", []).extend([
         f"protocols = {','.join(kind.name for kind in spec.protocols)}",
         f"seeds = {','.join(str(seed) for seed in spec.seeds)}",
         f"confidence = {_fmt(spec.confidence)}",
-        f"p_opt = {_fmt(spec.protocols[0].p_opt)}",
-        "",
-    ]
-    return "\n".join(lines)
+    ])
+    return "".join(f"[{section}]\n" + "".join(row + "\n" for row in rows) + "\n"
+                   for section, rows in sections.items())
 
 
 def test_empty_settings_give_benchmark_defaults():
@@ -221,15 +214,15 @@ def valid_specs(draw):
         link_drop_probability=draw(_non_negative(1.0)),
         delay=DelayModel(draw(st.sampled_from(DELAY_MODES)), draw(_positive(1e9)),
                          draw(_non_negative(1e9))),
+        p_opt=draw(_open_unit()),
     )
-    p_opt = draw(_open_unit())
     names = draw(st.lists(st.sampled_from(PROTOCOL_NAMES), min_size=1, unique=True))
     # s and -s seed the same stream, so they count as one seed
     seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=6, unique_by=abs))
     assume(validate_config(network, runs=len(seeds)) == [])
     return ExperimentSpec(
         network=network,
-        protocols=tuple(ProtocolKind(name, p_opt) for name in names),
+        protocols=tuple(ProtocolKind(name) for name in names),
         seeds=tuple(seeds),
         confidence=draw(_open_unit()),
     )
@@ -239,16 +232,6 @@ def valid_specs(draw):
 @given(valid_specs())
 def test_config_round_trip_property(spec):
     assert build_spec(read_settings(write_config(spec))) == spec
-
-
-def test_write_config_requires_uniform_p_opt():
-    spec = ExperimentSpec(
-        network=NetworkConfig(),
-        protocols=(ProtocolKind("leach", 0.1), ProtocolKind("deec", 0.2)),
-        seeds=(1,),
-    )
-    with pytest.raises(ValueError):
-        write_config(spec)
 
 
 def small_settings(extra=None):
@@ -530,9 +513,28 @@ def test_main_runs_and_base_seed(tmp_path):
     assert "seeds = 100,101,102\n" in (out / "meta").read_text()
 
 
-def test_main_seed_flags_conflict(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["--seeds", "1,2", "--runs", "3", "--out", str(tmp_path)])
+SEED_CONFLICT = "error: give either experiment.seeds or experiment.runs/base_seed, not both\n"
+
+
+def test_main_seed_flags_conflict(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--seeds", "1,2", "--runs", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == SEED_CONFLICT
+    assert not out.exists()
+
+
+# a flag's text goes through the file's parse, so its error names the key
+@pytest.mark.parametrize("flag, value, expected", [
+    ("runs", "abc", "an integer"), ("base-seed", "1.5", "an integer"),
+    ("confidence", "high", "a number"),
+])
+def test_main_rejects_a_flag_that_does_not_parse_by_key(tmp_path, capsys, flag, value,
+                                                         expected):
+    out = tmp_path / "o"
+    assert main([f"--{flag}", value, "--out", str(out)]) == 1
+    key = "experiment." + flag.replace("-", "_")
+    assert capsys.readouterr().err == f"error: {key}: expected {expected}, got {value!r}\n"
+    assert not out.exists()
 
 
 # [experiment] entries of a config file, and command-line flags, as key -> text
@@ -541,6 +543,16 @@ PRECEDENCE_FILES = [{}, {"seeds": "3,4"}, {"runs": "3"}, {"base_seed": "10"},
 PRECEDENCE_FLAGS = [{}, {"seeds": "7,8"}, {"runs": "2"}, {"base_seed": "20"},
                     {"runs": "2", "base_seed": "20"}, {"protocols": "deec"},
                     {"confidence": "0.8"}]
+
+
+def _main_argv(tmp_path, file: dict, flags: dict) -> list[str]:
+    """``main``'s arguments for a config file of ``file`` entries and ``flags``."""
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in file.items()))
+    argv = ["--config", str(config), "--out", str(tmp_path / "o")]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    return argv
 
 
 def _main_spec(monkeypatch, tmp_path, file: dict, flags: dict):
@@ -558,12 +570,7 @@ def _main_spec(monkeypatch, tmp_path, file: dict, flags: dict):
 
     monkeypatch.setattr(experiment, "stream_experiment", fake_stream)
     monkeypatch.setattr(experiment, "emit_tables", fake_emit)
-    config = tmp_path / "exp.ini"
-    config.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in file.items()))
-    argv = ["--config", str(config), "--out", str(tmp_path / "o")]
-    for key, value in flags.items():
-        argv += ["--" + key.replace("_", "-"), value]
-    assert main(argv) == 0
+    assert main(_main_argv(tmp_path, file, flags)) == 0
     return captured[0]
 
 
@@ -587,9 +594,10 @@ def test_main_flags_override_the_file_by_the_seed_rule(monkeypatch, tmp_path, fi
 @pytest.mark.parametrize("flags", [{"seeds": "1,2", "runs": "3"},
                                    {"seeds": "1,2", "base_seed": "3"}], ids="+".join)
 @pytest.mark.parametrize("file", PRECEDENCE_FILES, ids=lambda f: "+".join(f) or "no-key")
-def test_main_rejects_seeds_with_runs_or_base_seed_flags(monkeypatch, tmp_path, file, flags):
-    with pytest.raises(SystemExit):
-        _main_spec(monkeypatch, tmp_path, file, flags)
+def test_main_rejects_seeds_with_runs_or_base_seed_flags(tmp_path, capsys, file, flags):
+    assert main(_main_argv(tmp_path, file, flags)) == 1
+    assert capsys.readouterr().err == SEED_CONFLICT
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_runs_leach_with_overflowing_inverse_p_opt(tmp_path):
@@ -697,7 +705,7 @@ def test_main_rejects_unknown_protocol(tmp_path, capsys):
         config.write_text(f"[experiment]\np_opt = {p_opt}\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert f"experiment.p_opt: p_opt must lie in (0, 1), got {p_opt}" in err
+        assert err == f"error: p_opt must lie in (0, 1), got {p_opt}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -327,6 +327,13 @@ def test_non_number_value_rejected_by_name(field, config):
     assert problems[0].startswith(field + " must be a number")
 
 
+# a non-number fails the type check, and a number outside (0, 1) the range check
+@pytest.mark.parametrize("p_opt", [0.0, 1.5, math.nan, "0.1", None, [0.1]])
+def test_p_opt_rejected_by_name(p_opt):
+    rule = "must lie in (0, 1)" if isinstance(p_opt, float) else "must be a number"
+    assert validate_config(NetworkConfig(p_opt=p_opt)) == [f"p_opt {rule}, got {p_opt!r}"]
+
+
 def test_int_in_float_field_is_valid():
     config = NetworkConfig(geometry=Geometry(20, 35), link_drop_probability=0,
                            heterogeneity=HeterogeneitySpec(mode="two_level", e0=1, m=0, alpha=2),

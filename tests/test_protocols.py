@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -534,11 +535,8 @@ class TestProtocolKind:
         with pytest.raises(ValueError):
             ProtocolKind("gossip")
 
-    def test_rejects_bad_p_opt(self):
-        with pytest.raises(ValueError):
-            ProtocolKind("leach", p_opt=0.0)
-
-    @pytest.mark.parametrize("p_opt", ["0.1", None, [0.1]])
-    def test_rejects_non_number_p_opt(self, p_opt):
-        with pytest.raises(ValueError, match="p_opt must lie in"):
-            ProtocolKind("leach", p_opt=p_opt)
+    def test_is_a_checked_name_alone(self):
+        # the head fraction is a run setting, NetworkConfig.p_opt
+        assert [f.name for f in dataclasses.fields(ProtocolKind)] == ["name"]
+        with pytest.raises(TypeError):
+            ProtocolKind("leach", 0.1)
