@@ -247,7 +247,7 @@ def _elect(alive: list[int], energy: list[float], kind: ProtocolKind, p_opt: flo
            round_index: int, rng: Random, history: dict[int, int],
            links: DistanceCache) -> set[int]:
     if kind.name == "amdiscnt":
-        return elect_chs_amdiscnt(alive, energy, links.sectors)
+        return elect_chs_amdiscnt(energy, links.wedges)
     if kind.name == "leach":
         return elect_chs_leach(alive, round_index, p_opt, rng, history)
     return elect_chs_deec(alive, energy, round_index, p_opt, rng, history)

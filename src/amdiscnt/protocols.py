@@ -1,11 +1,12 @@
 """Per-round role assignment and routing for the three protocols.
 
-``amdiscnt`` elects the highest-energy alive node of each outer wedge as
-that wedge's cluster head; inner nodes talk straight to the base station
-and may relay cluster aggregates. ``leach`` rotates cluster headship with
-the classic random threshold; ``deec`` weights that threshold by each
-node's residual energy relative to the alive-network average. Members in
-the baselines join the nearest head anywhere on the field.
+``amdiscnt`` elects the highest-energy alive node of each outer wedge, from
+the link table's ``wedges`` id rows, as that wedge's cluster head; inner
+nodes talk straight to the base station and may relay cluster aggregates.
+``leach`` rotates cluster headship with the classic random threshold;
+``deec`` weights that threshold by each node's residual energy relative to
+the alive-network average. Members in the baselines join the nearest head
+anywhere on the field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .energy import tx_cost
-from .model import Node, RadioParams
+from .model import N_SECTORS, Node, RadioParams
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
 
@@ -58,7 +59,9 @@ class DistanceCache:
 
     Holds each node's ``(x, y)`` position as ``points``, the node's own
     tuple, by id, and its wedge as ``sectors`` (``None`` for the inner
-    disk); a link's length is ``math.dist(points[a], points[b])``, computed
+    disk); ``inner`` lists the inner disk's ids, and ``wedges`` holds each
+    wedge's ids as a compact ``array`` row, by sector, all in ascending
+    order. A link's length is ``math.dist(points[a], points[b])``, computed
     when needed from the absolute coordinate differences, so it is the
     same from either end and bit-equal to ``math.hypot``. It also
     holds each node's distance and transmit cost to the base station, and
@@ -78,6 +81,8 @@ class DistanceCache:
         self.to_bs = [math.hypot(x, y) for x, y in self.points]
         self.tx_to_bs = [tx_cost(radio.packet_bits, d, radio) for d in self.to_bs]
         self.inner = [i for i, sector in enumerate(self.sectors) if sector is None]
+        self.wedges = [array("H", [i for i, sector in enumerate(self.sectors) if sector == wedge])
+                       for wedge in range(N_SECTORS)]
         self._relay_orders: list[list[int] | None] = [None] * len(nodes)
         self._neighbour_orders: list[array] | None = None
 
@@ -107,21 +112,14 @@ class DistanceCache:
         return orders
 
 
-def elect_chs_amdiscnt(alive: list[int], energy: list[float],
-                       sectors: list[int | None]) -> set[int]:
-    """Pick the node with the most residual ``energy`` (by id) in each outer
-    wedge of ``sectors`` (by id); ties go to the lower id. ``alive`` lists
-    the alive ids in order. Needs no randomness."""
-    best: dict[int, int] = {}
-    for i in alive:
-        sector = sectors[i]
-        if sector is None:
-            continue
-        current = best.get(sector)
-        # strictly more, so on a tie the earlier (lower) id stays
-        if current is None or energy[i] > energy[current]:
-            best[sector] = i
-    return set(best.values())
+def elect_chs_amdiscnt(energy: list[float], wedges: list[array]) -> set[int]:
+    """Pick the node with the most residual ``energy`` (by id) in each of
+    ``wedges`` (ids in ascending order); ties go to the lower id, and a
+    wedge whose nodes are all dead (``0.0``) has no head. Needs no
+    randomness."""
+    # max keeps the first of equal maxima, so on a tie the lower id wins
+    winners = (max(ids, key=energy.__getitem__) for ids in wedges if ids)
+    return {i for i in winners if energy[i]}
 
 
 def elect_chs_leach(alive: list[int], round_index: int, p_opt: float, rng: Random,
@@ -210,31 +208,23 @@ def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: Pr
     non-head joins the nearest head (lower id on a distance tie) and heads
     go single-hop to the base station; with no heads at all, everyone
     falls back to direct transmission. ``alive`` lists exactly the alive
-    ids, in order; ``energy`` and the wedges of ``links`` are by id.
+    ids, in order; ``energy`` is by id, ``0.0`` when dead.
     """
-    members: list[tuple[int, int]] = []
-    direct: list[int] = []
     heads = sorted(ch_set)
 
     if kind.name == "amdiscnt":
-        sectors = links.sectors
-        sector_ch = {sectors[ch_id]: ch_id for ch_id in ch_set}
-        for i in alive:
-            if i in ch_set:
-                continue
-            sector = sectors[i]
-            if sector is None:
-                direct.append(i)
-            elif sector in sector_ch:
-                members.append((i, sector_ch[sector]))
+        wedges, sectors = links.wedges, links.sectors
+        # sorted puts members in id order, and with them the draws of lossy links
+        members = sorted((i, h) for h in heads for i in wedges[sectors[h]]
+                         if i != h and energy[i])
+        direct = [i for i in links.inner if energy[i]]
         routes = [(ch_id, select_relay(ch_id, energy, links)) for ch_id in heads]
         return TransmissionPlan(members, routes, direct)
 
     if not heads:
-        direct = list(alive)
-    else:
-        orders = links.neighbour_orders()
-        is_head = ch_set.__contains__
-        # each member takes the first head in its own (distance, id) order
-        members = [(i, next(filter(is_head, orders[i]))) for i in alive if i not in ch_set]
-    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], direct)
+        return TransmissionPlan([], [], list(alive))
+    orders = links.neighbour_orders()
+    is_head = ch_set.__contains__
+    # each member takes the first head in its own (distance, id) order
+    members = [(i, next(filter(is_head, orders[i]))) for i in alive if i not in ch_set]
+    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], [])

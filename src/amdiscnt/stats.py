@@ -135,7 +135,7 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
             his.append(mean + half)
 
     def milestone_mean(pick) -> float:
-        return math.fsum(float(pick(r) if pick(r) is not None else rounds) for r in results) / n
+        return math.fsum(float(rounds if m is None else m) for m in map(pick, results)) / n
 
     milestones = MilestoneSummary(
         fnd_mean=milestone_mean(lambda r: r.first_node_death),

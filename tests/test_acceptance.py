@@ -108,7 +108,7 @@ def test_c02_head_count_tracks_populated_sectors():
             if not first_outer_death_seen and not all(energy[i] for i in outer):
                 first_outer_death_seen = True
             alive = [i for i in range(len(nodes)) if energy[i]]
-            chs = elect_chs_amdiscnt(alive, energy, links.sectors)
+            chs = elect_chs_amdiscnt(energy, links.wedges)
             plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
             metrics = run_round(round_index, energy, alive, plan, config, rng, links)
             checked += 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_engine as reference
 from amdiscnt.energy import tx_cost
-from amdiscnt.engine import place, run_simulation
+from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.model import NetworkConfig, Node, RadioParams, RegionId
 from amdiscnt.protocols import (
     DistanceCache,
@@ -34,9 +34,10 @@ def full(nodes):
     return [node.initial_energy for node in nodes]
 
 
-def sectors_of(nodes):
-    """Every node's wedge by id, ``None`` for the inner disk, as the link table holds them."""
-    return [node.region.sector for node in nodes]
+def wedges_of(nodes):
+    """Each outer wedge's node ids in ascending order, by sector, as the link table holds them."""
+    return [[i for i, node in enumerate(nodes) if node.region.sector == sector]
+            for sector in range(8)]
 
 
 def alive_ids(energy):
@@ -59,9 +60,9 @@ def outer_ring(energies_by_sector):
 
 
 def elect_all(nodes, energy=None):
-    """The sector election with every node of ``nodes`` alive."""
+    """The sector election, every node of ``nodes`` at full battery by default."""
     energy = full(nodes) if energy is None else energy
-    return elect_chs_amdiscnt(list(range(len(nodes))), energy, sectors_of(nodes))
+    return elect_chs_amdiscnt(energy, wedges_of(nodes))
 
 
 class TestSectorElection:
@@ -78,10 +79,8 @@ class TestSectorElection:
     def test_dead_sector_gives_seven_heads(self):
         nodes = outer_ring({s: [0.5] for s in range(8)})
         energy = full(nodes)
-        energy[4] = 0.0
-        # the engine passes only the alive ids, as a plain list of ints
-        chs = elect_chs_amdiscnt([0, 1, 2, 3, 5, 6, 7], energy, sectors_of(nodes))
-        assert chs == {0, 1, 2, 3, 5, 6, 7}
+        energy[4] = 0.0  # a dead node holds 0.0, so its wedge has no head
+        assert elect_all(nodes, energy) == {0, 1, 2, 3, 5, 6, 7}
 
     def test_tie_goes_to_lower_id(self):
         nodes = outer_ring({0: [0.5, 0.5, 0.5]})
@@ -306,6 +305,8 @@ class TestRelaySelection:
                        for point, node in zip(links.points, placement.nodes))
             assert links.sectors == [node.region.sector for node in placement.nodes]
             assert links.inner == [i for i, sector in enumerate(links.sectors) if sector is None]
+            assert [list(ids) for ids in links.wedges] == [
+                [i for i, sector in enumerate(links.sectors) if sector == w] for w in range(8)]
             assert len(links.to_bs) == len(links.tx_to_bs) == n
 
     def test_link_table_grows_linearly_with_the_node_count(self):
@@ -372,8 +373,8 @@ class TestPlans:
         nodes, energy = self.network()
         links = DistanceCache(nodes, RADIO)
         alive = [0, 1, 2, 3]  # a plain list of ints: node 4 is dead
-        chs = elect_chs_amdiscnt(alive, energy, links.sectors)
-        assert chs == {2, 3}
+        chs = elect_chs_amdiscnt(energy, links.wedges)
+        assert chs == {2, 3}  # node 4's wedge holds only a dead node
         plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
         assert plan == plan_of(nodes, chs, "amdiscnt", energy)
         assert plan.members == [(1, 2)]
@@ -528,6 +529,52 @@ def test_baseline_plan_matches_brute_force_with_ties(case, name):
         assert plan.members == []
         assert plan.direct == alive
     assert plan.routes == [(h, None) for h in sorted(heads)]
+
+
+# a few shared battery levels make exact ties common, and 0.0 is a dead node
+_batteries = st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(min_value=1e-6, max_value=0.5))
+
+
+@st.composite
+def sector_rounds(draw):
+    """1-24 nodes, each drawn inner or in a random wedge, so ids are not
+    grouped by region and some wedges are empty; their batteries, with
+    ties and dead nodes; and a lossy config and seed for one round."""
+    nodes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        inner = draw(st.booleans())
+        # outer heads out to 150 m sit past the crossover, so some relay
+        radius = draw(st.floats(0.5, 40.0) if inner else st.floats(40.0, 150.0))
+        sector = draw(st.integers(0, 7))
+        angle = (sector + draw(st.floats(0.01, 0.99))) * math.pi / 4
+        nodes.append(make_node(radius * math.cos(angle), radius * math.sin(angle),
+                               sector=None if inner else sector))
+    energy = draw(st.lists(_batteries, min_size=len(nodes), max_size=len(nodes)))
+    drop = draw(st.floats(min_value=0.01, max_value=1.0))
+    return nodes, energy, NetworkConfig(link_drop_probability=drop), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=sector_rounds())
+def test_sector_election_and_plan_match_reference(case):
+    nodes, energy, config, seed = case
+    links = DistanceCache(nodes, RADIO)
+    alive = alive_ids(energy)
+    chs = elect_chs_amdiscnt(energy, links.wedges)
+    plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+    sensors = reference.sensors(nodes, energy)
+    members, routes, direct = reference._sector_plan(sensors, RADIO)
+    assert chs == set(routes)
+    assert plan.members == list(members.items())  # the reference walks ids in order
+    assert plan.routes == [(h, routes[h][0]) for h in sorted(routes)]  # first hop, or None
+    assert plan.direct == direct
+    # a lossy round draws once per paid transmission, in member id order
+    rng, reference_rng = Random(seed), Random(seed)
+    metrics = run_round(0, energy, alive, plan, config, rng, links)
+    expected = reference.replay_round(sensors, members, routes, direct, config, reference_rng)
+    assert {field: getattr(metrics, field) for field in expected} == expected
+    assert energy == [sensor.residual_energy for sensor in sensors]
+    assert rng.getstate() == reference_rng.getstate()
 
 
 class TestProtocolKind:
