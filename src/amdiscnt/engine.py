@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -38,7 +39,6 @@ from .model import ConfigurationError, NetworkConfig, Node, validate_config
 from .protocols import (
     DistanceCache,
     ProtocolKind,
-    TransmissionPlan,
     build_plan,
     elect_chs_amdiscnt,
     elect_chs_deec,
@@ -143,14 +143,16 @@ def _charge(energy: list[float], node_id: int, amount: float, ledger: list[float
     return amount == left
 
 
-def run_round(round_index: int, energy: list[float], alive: list[int], plan: TransmissionPlan,
+def run_round(round_index: int, energy: list[float], alive: list[int], plan: tuple,
               config: NetworkConfig, rng: Random, links: DistanceCache) -> RoundMetrics:
-    """Execute round ``round_index``, debiting ``energy`` (by id) in place.
+    """Execute round ``round_index``'s ``plan``, the ``(members, routes,
+    direct)`` lists of :func:`build_plan`, debiting ``energy`` (by id) in place.
 
     ``links`` is the nodes' table for ``config.radio``. ``alive`` holds
     exactly the ids alive at the start of the round. A dead node holds
     ``+0.0``, so ``math.fsum(energy)`` is the residual sum over the living.
     """
+    members, routes, direct = plan
     radio = config.radio
     bits = radio.packet_bits
     rx = rx_cost(bits, radio)
@@ -176,7 +178,7 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: Tra
 
     # phases 1 and 3 debit a cost below the budget inline: x - y != 0 for x != y
     # phase 1: members transmit to their cluster heads
-    for member_id, ch_id in plan.members:
+    for member_id, ch_id in members:
         d = dist(points[member_id], points[ch_id])
         # tx_cost's expression with the radio constants hoisted out of the loop
         cost = bits * (e_elec + e_fs * d * d) if d < crossover else bits * (e_elec + e_mp * d ** 4)
@@ -199,7 +201,7 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: Tra
             longest[ch_id] = d
 
     # phase 2: cluster heads aggregate, then send straight or through one relay
-    for ch_id, relay_id in plan.routes:
+    for ch_id, relay_id in routes:
         signals = arrivals[ch_id] + 1  # members plus the head's own reading
         if not _charge(energy, ch_id, aggregation_cost(bits, signals, radio), ledger, deaths):
             continue
@@ -224,7 +226,7 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: Tra
             delivered_delays.append(packet_delay + (hop + to_bs[sender_id] / speed))
 
     # phase 3: direct senders transmit their own readings
-    for node_id in plan.direct:
+    for node_id in direct:
         cost = tx_to_bs[node_id]
         left = energy[node_id]
         if cost < left:
@@ -240,17 +242,7 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: Tra
     survivors = len(alive) - len(deaths)
     mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
     return RoundMetrics(round_index, survivors, len(energy) - survivors, sent, received,
-                        plan.ch_count, mean_delay, math.fsum(energy), math.fsum(ledger))
-
-
-def _elect(alive: list[int], energy: list[float], kind: ProtocolKind, p_opt: float,
-           round_index: int, rng: Random, history: dict[int, int],
-           links: DistanceCache) -> set[int]:
-    if kind.name == "amdiscnt":
-        return elect_chs_amdiscnt(energy, links.wedges)
-    if kind.name == "leach":
-        return elect_chs_leach(alive, round_index, p_opt, rng, history)
-    return elect_chs_deec(alive, energy, round_index, p_opt, rng, history)
+                        len(routes), mean_delay, math.fsum(energy), math.fsum(ledger))
 
 
 @dataclass(frozen=True)
@@ -290,28 +282,32 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     rng = Random()
     rng.setstate(placement.rng_state)
     links = placement.links
+    wedges = links.wedges  # amdiscnt's wedge rows, a wedge dropped once all its ids are dead
     history: dict[int, int] = {}
     n = len(nodes)
     alive = list(range(n))  # ids in order; elections and plans walk only the alive nodes
 
     per_round = RoundHistory()
     columns = per_round._columns
-    fnd = hnd = lnd = None
     for round_index in range(config.max_rounds):
-        ch_set = _elect(alive, energy, kind, config.p_opt, round_index, rng, history, links)
+        if kind.name == "amdiscnt":
+            ch_set = elect_chs_amdiscnt(energy, wedges)
+        elif kind.name == "leach":
+            ch_set = elect_chs_leach(alive, round_index, config.p_opt, rng, history)
+        else:
+            ch_set = elect_chs_deec(alive, energy, round_index, config.p_opt, rng, history)
         plan = build_plan(alive, energy, ch_set, kind, links)
         metrics = run_round(round_index, energy, alive, plan, config, rng, links)
         any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame
         if metrics.alive < len(alive):  # someone died this round
             alive = [i for i in alive if energy[i]]
-        completed = round_index + 1
-        if fnd is None and metrics.dead >= 1:
-            fnd = completed
-        if hnd is None and 2 * metrics.dead >= n:
-            hnd = completed
+            wedges = [ids for ids in wedges if any(map(energy.__getitem__, ids))]
         if metrics.dead == n:  # every node is dead, so no later round can act
-            lnd = completed
             break
+    # dead never decreases, so each milestone is the first round whose count reaches it
+    dead = per_round.column("dead")
+    fnd, hnd, lnd = (bisect_left(dead, count) + 1 if dead and dead[-1] >= count else None
+                     for count in (1, (n + 1) // 2, n))
     return SimulationResult(
         config=config,
         protocol=kind.name,

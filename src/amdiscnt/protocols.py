@@ -31,29 +31,6 @@ class ProtocolKind:
             raise ValueError(f"unknown protocol {self.name!r}; expected one of {PROTOCOL_NAMES}")
 
 
-@dataclass(frozen=True)
-class TransmissionPlan:
-    """One round's transmissions, in the order the engine makes them.
-
-    ``members`` pairs each member with its cluster head, in member id
-    order. ``routes`` pairs each cluster head, in id order, with the
-    inner node that relays its aggregate to the base station, or ``None``
-    when the head sends it there itself. ``direct`` lists, in id order,
-    the nodes that send their own reading straight to the base station;
-    an inner node that relays an aggregate also sends its own packet
-    there. Alive nodes in none of the lists idle for the round. Every
-    node is named by its id, its index in the deployed list.
-    """
-
-    members: list[tuple[int, int]]
-    routes: list[tuple[int, int | None]]
-    direct: list[int]
-
-    @property
-    def ch_count(self) -> int:
-        return len(self.routes)
-
-
 class DistanceCache:
     """Link table of one fixed placement; a node's id is its index in ``nodes``.
 
@@ -199,8 +176,18 @@ def select_relay(ch_id: int, energy: list[float], links: DistanceCache) -> int |
 
 
 def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: ProtocolKind,
-               links: DistanceCache) -> TransmissionPlan:
+               links: DistanceCache) -> tuple[list, list, list]:
     """Assign every alive node its transmissions for the round.
+
+    Returns ``(members, routes, direct)``, the round's transmissions in
+    the order the engine makes them, every node named by its id.
+    ``members`` pairs each member with its cluster head, in member id
+    order. ``routes`` pairs each cluster head, in id order, with the inner
+    node that relays its aggregate to the base station, or ``None`` when
+    the head sends it there itself. ``direct`` lists, in id order, the
+    nodes that send their own reading straight to the base station; an
+    inner node that relays an aggregate also sends its own packet there.
+    Alive nodes in none of the lists idle for the round.
 
     ``amdiscnt``: inner alive nodes send directly; outer alive non-heads
     join their own wedge's head and idle when the wedge has none this
@@ -219,12 +206,12 @@ def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: Pr
                          if i != h and energy[i])
         direct = [i for i in links.inner if energy[i]]
         routes = [(ch_id, select_relay(ch_id, energy, links)) for ch_id in heads]
-        return TransmissionPlan(members, routes, direct)
+        return members, routes, direct
 
     if not heads:
-        return TransmissionPlan([], [], list(alive))
+        return [], [], list(alive)
     orders = links.neighbour_orders()
     is_head = ch_set.__contains__
     # each member takes the first head in its own (distance, id) order
     members = [(i, next(filter(is_head, orders[i]))) for i in alive if i not in ch_set]
-    return TransmissionPlan(members, [(ch_id, None) for ch_id in heads], [])
+    return members, [(ch_id, None) for ch_id in heads], []

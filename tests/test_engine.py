@@ -30,7 +30,6 @@ from amdiscnt.protocols import (
     PROTOCOL_NAMES,
     DistanceCache,
     ProtocolKind,
-    TransmissionPlan,
     build_plan,
 )
 
@@ -225,8 +224,8 @@ def test_dead_cluster_head_loses_member_traffic():
     ch = Node(position=(30.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 0
     member = Node(position=(25.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 1
     energy = [0.0, 0.5]
-    plan, metrics = _one_round([ch, member], energy, {0}, NetworkConfig())
-    assert plan.members == [(1, 0)]
+    (members, _, _), metrics = _one_round([ch, member], energy, {0}, NetworkConfig())
+    assert members == [(1, 0)]
     assert metrics.packets_sent_to_bs == 0
     assert energy[1] < 0.5
     assert energy[0] == 0.0
@@ -239,9 +238,9 @@ def test_relayed_aggregate_pays_both_legs():
     ch = Node(position=(100.0, 0.0), region=RegionId(0), initial_energy=0.5)  # id 1
     radio = NetworkConfig().radio
     energy = [0.5, 0.5]
-    plan, metrics = _one_round([relay, ch], energy, {1}, NetworkConfig())
-    assert plan.routes == [(1, 0)]
-    assert plan.direct == [0]
+    (_, routes, direct), metrics = _one_round([relay, ch], energy, {1}, NetworkConfig())
+    assert routes == [(1, 0)]
+    assert direct == [0]
     assert metrics.packets_sent_to_bs == metrics.packets_received_by_bs == 2
     assert metrics.mean_delay == 1.5
     assert energy[1] == 0.5 - aggregation_cost(4000, 1, radio) - tx_cost(4000, 80.0, radio)
@@ -290,7 +289,7 @@ def test_charge_boundary_matches_reference_round(site, toward, drop):
     twins = reference.sensors(nodes, energy)
     members = {MEMBER: HEAD, DEAD: HEAD, OTHER_MEMBER: HEAD}
     direct = [RELAY, DIRECT]
-    plan = TransmissionPlan(sorted(members.items()), [(HEAD, RELAY)], direct)
+    plan = sorted(members.items()), [(HEAD, RELAY)], direct
     config = NetworkConfig(link_drop_probability=drop)
     alive = [i for i in range(len(nodes)) if energy[i]]
     # seed 7 keeps the packets into the head and the relay and drops two others
@@ -364,7 +363,7 @@ def test_run_round_matches_reference_round(case):
     nodes, energy, members, routes, direct, config, seed = case
     twins = reference.sensors(nodes, energy)
     alive = [i for i in range(len(nodes)) if energy[i]]
-    plan = TransmissionPlan(sorted(members.items()), sorted(routes.items()), direct)
+    plan = sorted(members.items()), sorted(routes.items()), direct
     rng = Random(seed)
     metrics = run_round(0, energy, alive, plan, config, rng, DistanceCache(nodes, config.radio))
     hops = {h: [None] if relay is None else [relay, None] for h, relay in routes.items()}
@@ -611,7 +610,8 @@ def test_inner_nodes_spend_only_their_own_direct_send_on_the_default_field(monke
     def checking(round_index, energy, alive, plan, *args):
         before = energy[:]
         metrics = execute(round_index, energy, alive, plan, *args)
-        assert [relay for _, relay in plan.routes if relay is not None] == []
+        _, routes, _ = plan
+        assert [relay for _, relay in routes if relay is not None] == []
         survivors = [i for i in inner if energy[i]]
         assert [energy[i] for i in survivors] == [before[i] - tx_to_bs[i] for i in survivors]
         inner_node_rounds.append(len(survivors))

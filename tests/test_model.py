@@ -26,7 +26,7 @@ from amdiscnt.model import (
     round_half_up,
     validate_config,
 )
-from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache, ProtocolKind, TransmissionPlan
+from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache, ProtocolKind
 
 
 def test_default_config_is_valid():
@@ -76,7 +76,7 @@ def test_delay_model_modes():
             (DelayModel(mode="distance", speed=2.0, per_hop=0.5), (6.0, 8.0), 5.5)):
         nodes = [Node(position, RegionId(), 10.0)]
         config = NetworkConfig(delay=delay)
-        metrics = run_round(0, [10.0], [0], TransmissionPlan([], [], [0]), config,
+        metrics = run_round(0, [10.0], [0], ([], [], [0]), config,
                             Random(0), DistanceCache(nodes, config.radio))
         assert metrics.packets_received_by_bs == 1
         assert metrics.mean_delay == expected
