@@ -1,11 +1,11 @@
 """Race the three protocols over a five-seed ensemble and summarise
 lifetime, throughput, and the confidence bands on the alive curve."""
 
-from amdiscnt import ExperimentSpec, NetworkConfig, ProtocolKind, run_experiment
+from amdiscnt import ExperimentSpec, NetworkConfig, run_experiment
 
 config = NetworkConfig()
 seeds = (42, 43, 44, 45, 46)
-protocols = tuple(ProtocolKind(name) for name in ("amdiscnt", "leach", "deec"))
+protocols = ("amdiscnt", "leach", "deec")
 
 print(f"{len(protocols)} protocols x {len(seeds)} seeds, "
       f"{config.n_nodes} nodes, horizon {config.max_rounds} rounds")

@@ -1,10 +1,10 @@
 """Follow one simulation of the sector-clustering protocol from full
 batteries to total death, sampling the per-round metrics along the way."""
 
-from amdiscnt import NetworkConfig, ProtocolKind, run_simulation
+from amdiscnt import NetworkConfig, run_simulation
 
 config = NetworkConfig()
-result = run_simulation(config, ProtocolKind("amdiscnt"))
+result = run_simulation(config, "amdiscnt")
 
 print(f"protocol amdiscnt, seed {config.seed}, horizon {config.max_rounds} rounds")
 print(f"simulated {result.rounds} rounds")

@@ -12,14 +12,12 @@ from .energy import crossover_distance, rx_cost, tx_cost
 from .engine import run_simulation
 from .experiment import ExperimentSpec, run_experiment
 from .model import NetworkConfig, RadioParams, RegionId
-from .protocols import ProtocolKind
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentSpec",
     "NetworkConfig",
-    "ProtocolKind",
     "RadioParams",
     "RegionId",
     "crossover_distance",

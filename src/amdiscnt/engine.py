@@ -37,8 +37,8 @@ from .deployment import deploy
 from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
 from .model import ConfigurationError, NetworkConfig, Node, validate_config
 from .protocols import (
+    PROTOCOL_NAMES,
     DistanceCache,
-    ProtocolKind,
     build_plan,
     elect_chs_amdiscnt,
     elect_chs_deec,
@@ -267,10 +267,14 @@ def place(config: NetworkConfig) -> Placement:
     return Placement(config, nodes, rng.getstate(), DistanceCache(nodes, config.radio))
 
 
-def run_simulation(config: NetworkConfig, kind: ProtocolKind,
+def run_simulation(config: NetworkConfig, protocol: str,
                    placement: Placement | None = None) -> SimulationResult:
-    """Run rounds on ``placement``, which must be placed from ``config``
-    (a fresh one by default), until the horizon or total death."""
+    """Run ``protocol``, one of ``PROTOCOL_NAMES``, on ``placement``, which
+    must be placed from ``config`` (a fresh one by default), until the
+    horizon or total death."""
+    if protocol not in PROTOCOL_NAMES:
+        raise ConfigurationError(
+            f"unknown protocol {protocol!r}; expected one of {PROTOCOL_NAMES}")
     if placement is None:
         placement = place(config)
     elif placement.config != config:
@@ -290,13 +294,13 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
     per_round = RoundHistory()
     columns = per_round._columns
     for round_index in range(config.max_rounds):
-        if kind.name == "amdiscnt":
+        if protocol == "amdiscnt":
             ch_set = elect_chs_amdiscnt(energy, wedges)
-        elif kind.name == "leach":
+        elif protocol == "leach":
             ch_set = elect_chs_leach(alive, round_index, config.p_opt, rng, history)
         else:
             ch_set = elect_chs_deec(alive, energy, round_index, config.p_opt, rng, history)
-        plan = build_plan(alive, energy, ch_set, kind, links)
+        plan = build_plan(alive, energy, ch_set, protocol, links)
         metrics = run_round(round_index, energy, alive, plan, config, rng, links)
         any(map(array.append, columns, _record(metrics)))  # C-level, no Python frame
         if metrics.alive < len(alive):  # someone died this round
@@ -310,7 +314,7 @@ def run_simulation(config: NetworkConfig, kind: ProtocolKind,
                      for count in (1, (n + 1) // 2, n))
     return SimulationResult(
         config=config,
-        protocol=kind.name,
+        protocol=protocol,
         per_round=per_round,
         first_node_death=fnd,
         half_nodes_death=hnd,

@@ -28,7 +28,7 @@ from operator import attrgetter
 
 from .engine import place, run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
-from .protocols import PROTOCOL_NAMES, ProtocolKind
+from .protocols import PROTOCOL_NAMES
 from .stats import METRIC_NAMES, MilestoneSummary, MultiRunStats, aggregate_runs
 
 # One row per network, radio, energy and delay key and for p_opt, in file
@@ -101,22 +101,25 @@ class ExperimentSpec:
     here, before any run, with a ``ConfigurationError`` naming each broken rule's key."""
 
     network: NetworkConfig
-    protocols: tuple[ProtocolKind, ...]
+    protocols: tuple[str, ...]
     seeds: tuple[int, ...]
     confidence: float = DEFAULTS["experiment.confidence"]
 
     def __post_init__(self):
         problems = []
-        if not (isinstance(self.protocols, tuple)
-                and all(isinstance(kind, ProtocolKind) for kind in self.protocols)):
-            problems.append("experiment.protocols: expected a tuple of ProtocolKind, "
+        if not isinstance(self.protocols, tuple):
+            problems.append("experiment.protocols: expected a tuple of protocol names, "
                             f"got {self.protocols!r}")
+        elif not self.protocols:
+            problems.append("experiment.protocols: an experiment needs at least one protocol")
         else:
-            names = [kind.name for kind in self.protocols]
-            if not names:
-                problems.append("experiment.protocols: an experiment needs at least one protocol")
-            elif len(set(names)) != len(names):
-                problems.append(f"experiment.protocols lists a protocol twice: {names}")
+            unknown = [name for name in self.protocols if name not in PROTOCOL_NAMES]
+            if unknown:
+                problems.append(f"experiment.protocols: unknown protocol {unknown[0]!r}; "
+                                f"expected one of {PROTOCOL_NAMES}")
+            elif len(set(self.protocols)) != len(self.protocols):
+                problems.append(
+                    f"experiment.protocols lists a protocol twice: {list(self.protocols)}")
         if not isinstance(self.seeds, tuple):
             problems.append(f"experiment.seeds: expected a tuple of integers, got {self.seeds!r}")
         elif not self.seeds:
@@ -203,11 +206,8 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
     network = NetworkConfig()
     for key, path in NETWORK_KEYS:
         network = _replace_path(network, path, _parse(settings, key))
-    names = _split_list(_parse(settings, "experiment.protocols"), "experiment.protocols")
-    try:
-        protocols = tuple(ProtocolKind(name) for name in names)
-    except ValueError as exc:
-        raise ConfigurationError(f"experiment.protocols: {exc}") from None
+    protocols = tuple(_split_list(_parse(settings, "experiment.protocols"),
+                                  "experiment.protocols"))
 
     if "experiment.seeds" in settings:
         if "experiment.runs" in settings or "experiment.base_seed" in settings:
@@ -254,9 +254,9 @@ def stream_experiment(spec: ExperimentSpec) -> Iterator[tuple[str, MultiRunStats
     """
     configs = [dataclasses.replace(spec.network, seed=seed) for seed in spec.seeds]
     shared = place(configs[0]) if len(configs) == 1 else None
-    return ((kind.name, aggregate_runs([run_simulation(run_config, kind, shared)
-                                        for run_config in configs], spec.confidence))
-            for kind in spec.protocols)
+    return ((name, aggregate_runs([run_simulation(run_config, name, shared)
+                                   for run_config in configs], spec.confidence))
+            for name in spec.protocols)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict[str, MultiRunStats]:

@@ -13,22 +13,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from random import Random
 
 from .energy import tx_cost
 from .model import N_SECTORS, Node, RadioParams
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
-
-
-@dataclass(frozen=True)
-class ProtocolKind:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in PROTOCOL_NAMES:
-            raise ValueError(f"unknown protocol {self.name!r}; expected one of {PROTOCOL_NAMES}")
 
 
 class DistanceCache:
@@ -175,7 +165,7 @@ def select_relay(ch_id: int, energy: list[float], links: DistanceCache) -> int |
     return None
 
 
-def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: ProtocolKind,
+def build_plan(alive: list[int], energy: list[float], ch_set: set[int], protocol: str,
                links: DistanceCache) -> tuple[list, list, list]:
     """Assign every alive node its transmissions for the round.
 
@@ -199,7 +189,7 @@ def build_plan(alive: list[int], energy: list[float], ch_set: set[int], kind: Pr
     """
     heads = sorted(ch_set)
 
-    if kind.name == "amdiscnt":
+    if protocol == "amdiscnt":
         wedges, sectors = links.wedges, links.sectors
         # sorted puts members in id order, and with them the draws of lossy links
         members = sorted((i, h) for h in heads for i in wedges[sectors[h]]

@@ -27,7 +27,7 @@ from amdiscnt.model import (
     NetworkConfig,
     RadioParams,
 )
-from amdiscnt.protocols import DistanceCache, ProtocolKind, build_plan, elect_chs_amdiscnt
+from amdiscnt.protocols import DistanceCache, build_plan, elect_chs_amdiscnt
 from amdiscnt.stats import confidence_interval, population_stddev
 
 SEEDS = (42, 43, 44, 45, 46)
@@ -49,7 +49,7 @@ def _report(criterion, ok, detail):
 def _run_battery(config):
     start = time.perf_counter()
     results = {
-        name: [run_simulation(dataclasses.replace(config, seed=seed), ProtocolKind(name))
+        name: [run_simulation(dataclasses.replace(config, seed=seed), name)
                for seed in SEEDS]
         for name in PROTOCOLS
     }
@@ -109,7 +109,7 @@ def test_c02_head_count_tracks_populated_sectors():
                 first_outer_death_seen = True
             alive = [i for i in range(len(nodes)) if energy[i]]
             chs = elect_chs_amdiscnt(energy, links.wedges)
-            plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+            plan = build_plan(alive, energy, chs, "amdiscnt", links)
             metrics = run_round(round_index, energy, alive, plan, config, rng, links)
             checked += 1
             if metrics.ch_count != len(populated):
@@ -240,7 +240,7 @@ def test_c09_small_instance_reference_replay():
     from reference_engine import replay_rounds
 
     config = NetworkConfig(n_nodes=9, max_rounds=3)
-    engine = run_simulation(config, ProtocolKind("amdiscnt"))
+    engine = run_simulation(config, "amdiscnt")
     nodes = deploy(config, Random(config.seed))
     reference = replay_rounds(nodes, config, 3)
     fields = ("round_index", "alive", "dead", "packets_sent_to_bs",

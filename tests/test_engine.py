@@ -29,11 +29,10 @@ from amdiscnt.model import (
 from amdiscnt.protocols import (
     PROTOCOL_NAMES,
     DistanceCache,
-    ProtocolKind,
     build_plan,
 )
 
-AMDISCNT = ProtocolKind("amdiscnt")
+AMDISCNT = "amdiscnt"
 
 
 def small_config(**overrides) -> NetworkConfig:
@@ -172,7 +171,7 @@ def test_partial_loss_bounded_by_sent():
 
 def test_baselines_run_to_completion():
     for name in ("leach", "deec"):
-        res = run_simulation(small_config(), ProtocolKind(name))
+        res = run_simulation(small_config(), name)
         assert res.last_node_death is not None
         assert res.per_round[-1].alive == 0
 
@@ -402,7 +401,7 @@ def small_configs(draw):
 @given(config=small_configs(), name=st.sampled_from(PROTOCOL_NAMES))
 def test_ledger_equals_residual_drop_property(config, name):
     previous = math.fsum(n.initial_energy for n in deploy(config, Random(config.seed)))
-    for m in run_simulation(config, ProtocolKind(name)).per_round:
+    for m in run_simulation(config, name).per_round:
         drop = previous - m.total_residual_energy
         assert drop == pytest.approx(m.energy_spent, rel=1e-9, abs=1e-15)
         previous = m.total_residual_energy
@@ -428,7 +427,7 @@ def _check_run_against_replay(config, kind):
         result = run_simulation(config, kind)
     rng = Random(config.seed)
     nodes = deploy(config, rng)
-    rounds, milestones = reference.replay_run(nodes, config, kind.name, config.p_opt, rng)
+    rounds, milestones = reference.replay_run(nodes, config, kind, config.p_opt, rng)
     assert [dataclasses.asdict(m) for m in result.per_round] == rounds
     assert (result.first_node_death, result.half_nodes_death,
             result.last_node_death) == milestones
@@ -441,7 +440,7 @@ def _check_run_against_replay(config, kind):
 def test_baseline_run_matches_reference_replay(config, name, p_opt):
     """A whole leach or deec run equals the straight-line replay: reference
     election, brute-force nearest head and reference round, draw for draw."""
-    _check_run_against_replay(dataclasses.replace(config, p_opt=p_opt), ProtocolKind(name))
+    _check_run_against_replay(dataclasses.replace(config, p_opt=p_opt), name)
 
 
 # the alive mean is near alpha * e0, so a draining normal node's p_i
@@ -450,7 +449,7 @@ def test_baseline_run_matches_reference_replay(config, name, p_opt):
 def test_deec_runs_to_horizon_when_inverse_probability_overflows(alpha):
     config = NetworkConfig(heterogeneity=HeterogeneitySpec(
         mode="two_level", e0=0.5, m=0.2, alpha=alpha))
-    result = run_simulation(config, ProtocolKind("deec"))
+    result = run_simulation(config, "deec")
     assert result.rounds == config.max_rounds
     assert result.first_node_death == 2233
     for m in result.per_round:
@@ -461,13 +460,13 @@ def test_deec_with_overflowing_inverse_probability_matches_reference_replay():
     config = small_config(n_nodes=30, max_rounds=200,
                           heterogeneity=HeterogeneitySpec(
                               mode="two_level", e0=0.02, m=0.2, alpha=1e307))
-    _check_run_against_replay(config, ProtocolKind("deec"))
+    _check_run_against_replay(config, "deec")
 
 
 # below about 5.6e-309, 1 / p_opt overflows; leach's one epoch then outlasts the run
 def test_leach_with_overflowing_inverse_p_opt_runs_to_horizon_as_the_replay():
     config = NetworkConfig(n_nodes=20, max_rounds=30, p_opt=1e-310)
-    kind = ProtocolKind("leach")
+    kind = "leach"
     result = run_simulation(config, kind)
     assert result.rounds == config.max_rounds
     assert all(m.ch_count == 0 for m in result.per_round)  # a draw under 1e-310 is 0.0
@@ -500,13 +499,13 @@ def placed(monkeypatch):
 
 
 def test_protocols_on_one_placement_build_one_table(placed):
-    protocols = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
+    protocols = PROTOCOL_NAMES
     run_experiment(ExperimentSpec(small_config(max_rounds=20), protocols, (42,)))
     assert placed == {"deploy": 1, "DistanceCache": 1}
 
 
 def test_each_run_of_a_many_seed_experiment_places_its_own_field(placed):
-    protocols = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
+    protocols = PROTOCOL_NAMES
     run_experiment(ExperimentSpec(small_config(max_rounds=20), protocols, (42, 43, 44)))
     assert placed == {"deploy": 9, "DistanceCache": 9}
 
@@ -520,10 +519,10 @@ def test_each_run_of_a_many_seed_experiment_places_its_own_field(placed):
 def test_other_placement_or_radio_builds_a_fresh_table(placed, change):
     config = small_config(max_rounds=30)
     changed = dataclasses.replace(config, **change)
-    run_simulation(config, ProtocolKind("leach"))
-    after = run_simulation(changed, ProtocolKind("leach"))
+    run_simulation(config, "leach")
+    after = run_simulation(changed, "leach")
     assert placed == {"deploy": 2, "DistanceCache": 2}
-    assert run_simulation(changed, ProtocolKind("leach")) == after  # nothing carries over
+    assert run_simulation(changed, "leach") == after  # nothing carries over
 
 
 def test_old_table_is_freed_before_the_next_is_built(monkeypatch):
@@ -537,7 +536,7 @@ def test_old_table_is_freed_before_the_next_is_built(monkeypatch):
         return links
 
     monkeypatch.setattr(engine, "DistanceCache", watching)
-    run_experiment(ExperimentSpec(small_config(max_rounds=5), (AMDISCNT, ProtocolKind("leach")),
+    run_experiment(ExperimentSpec(small_config(max_rounds=5), (AMDISCNT, "leach"),
                                   (42, 43)))
     assert old_alive_at_build == [False, False, False]
 
@@ -562,7 +561,7 @@ def test_run_on_a_placement_from_another_config_names_each_field(monkeypatch, ch
     rounds = []
     monkeypatch.setattr(engine, "run_round", lambda *args: rounds.append(args))
     with pytest.raises(ConfigurationError, match=f"placement's in {named}$"):
-        run_simulation(config, ProtocolKind("leach"), placement)
+        run_simulation(config, "leach", placement)
     assert rounds == []
 
 
@@ -576,18 +575,18 @@ def test_reused_table_gives_the_fresh_history(name):
                            delay=DelayModel(mode="distance", speed=3.0, per_hop=0.25))
     placement = place(config)
     # the others kill nodes in their own runs and add relay and neighbour orders to the table
-    others = [run_simulation(config, ProtocolKind(other), placement)
+    others = [run_simulation(config, other, placement)
               for other in PROTOCOL_NAMES if other != name]
     assert any(result.first_node_death is not None for result in others)
-    assert run_simulation(config, ProtocolKind(name), placement) == \
-        run_simulation(config, ProtocolKind(name))
+    assert run_simulation(config, name, placement) == \
+        run_simulation(config, name)
 
 
 def test_a_placement_is_a_value_its_runs_only_read():
     # runs to total death, so every battery would be drained if a run wrote to its nodes
     config = small_config(max_rounds=5000, link_drop_probability=0.1)
     placement = place(config)
-    kinds = [ProtocolKind(name) for name in PROTOCOL_NAMES]
+    kinds = PROTOCOL_NAMES
     histories = [run_simulation(config, kind, placement) for kind in kinds]
     assert all(result.last_node_death is not None for result in histories)
     assert placement.nodes == place(config).nodes

@@ -36,7 +36,7 @@ from amdiscnt.model import (
     RadioParams,
     validate_config,
 )
-from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
+from amdiscnt.protocols import PROTOCOL_NAMES
 
 
 def _fmt(value) -> str:
@@ -53,7 +53,7 @@ def write_config(spec: ExperimentSpec) -> str:
         sections.setdefault(section, []).append(
             f"{name} = {_fmt(attrgetter(path)(spec.network))}")
     sections.setdefault("experiment", []).extend([
-        f"protocols = {','.join(kind.name for kind in spec.protocols)}",
+        f"protocols = {','.join(spec.protocols)}",
         f"seeds = {','.join(str(seed) for seed in spec.seeds)}",
         f"confidence = {_fmt(spec.confidence)}",
     ])
@@ -64,7 +64,7 @@ def write_config(spec: ExperimentSpec) -> str:
 def test_empty_settings_give_benchmark_defaults():
     spec = build_spec({})
     assert spec.network == NetworkConfig()
-    assert tuple(k.name for k in spec.protocols) == ("amdiscnt", "leach", "deec")
+    assert spec.protocols == ("amdiscnt", "leach", "deec")
     assert spec.seeds == (42, 43, 44, 45, 46)
     assert spec.confidence == 0.95
 
@@ -222,7 +222,7 @@ def valid_specs(draw):
     assume(validate_config(network, runs=len(seeds)) == [])
     return ExperimentSpec(
         network=network,
-        protocols=tuple(ProtocolKind(name) for name in names),
+        protocols=tuple(names),
         seeds=tuple(seeds),
         confidence=draw(_open_unit()),
     )
@@ -261,15 +261,15 @@ def test_histories_are_freed_before_the_next_protocol_runs(monkeypatch):
     first_alive_at_switch = []
 
     def recording(config, kind, *args):
-        if kind.name == "leach" and "leach" not in made:
+        if kind == "leach" and "leach" not in made:
             first_alive_at_switch.extend(ref() is not None for ref in made["amdiscnt"])
         result = simulate(config, kind, *args)
-        made.setdefault(kind.name, []).append(weakref.ref(result))
+        made.setdefault(kind, []).append(weakref.ref(result))
         return result
 
     monkeypatch.setattr(experiment, "run_simulation", recording)
     stats = run_experiment(ExperimentSpec(NetworkConfig(n_nodes=20, max_rounds=5),
-                                          (ProtocolKind("amdiscnt"), ProtocolKind("leach")),
+                                          ("amdiscnt", "leach"),
                                           (1, 2)))
     assert first_alive_at_switch == [False, False]
     assert stats["leach"].runs == 2
@@ -329,7 +329,7 @@ def test_sums_over_the_seeds_that_overflow_are_rejected_before_any_run(monkeypat
                                                                         runs, fields):
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
-    kinds = tuple(ProtocolKind(name) for name in PROTOCOL_NAMES)
+    kinds = PROTOCOL_NAMES
     assert validate_config(network) == []  # one seed keeps the one-run rule
     ExperimentSpec(network, kinds, (0,))
     with pytest.raises(ConfigurationError, match=f"summed over {runs} seeds") as raised:
@@ -358,15 +358,15 @@ def test_run_experiment_rejects_empty_inputs():
     with pytest.raises(ValueError):
         ExperimentSpec(config, (), (1,))
     with pytest.raises(ValueError):
-        ExperimentSpec(config, (ProtocolKind("leach"),), ())
+        ExperimentSpec(config, ("leach",), ())
 
 
 def test_run_experiment_rejects_duplicates():
     config = NetworkConfig()
     with pytest.raises(ValueError, match="protocol"):
-        ExperimentSpec(config, (ProtocolKind("leach"), ProtocolKind("leach")), (1,))
+        ExperimentSpec(config, ("leach", "leach"), (1,))
     with pytest.raises(ValueError, match="seed"):
-        ExperimentSpec(config, (ProtocolKind("leach"),), (1, 1))
+        ExperimentSpec(config, ("leach",), (1, 1))
 
 
 @pytest.mark.parametrize("seeds, confidence", [
@@ -377,18 +377,18 @@ def test_run_experiment_rejects_duplicates():
 def test_every_input_is_checked_before_any_run(monkeypatch, seeds, confidence):
     calls = []
     monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
-    kinds = (ProtocolKind("leach"), ProtocolKind("amdiscnt"))
+    kinds = ("leach", "amdiscnt")
     with pytest.raises(ConfigurationError, match="experiment.(seeds|confidence)"):
         ExperimentSpec(NetworkConfig(), kinds, tuple(seeds), confidence)
     assert calls == []
 
 
 @pytest.mark.parametrize("network, protocols, seeds, key", [
-    (NetworkConfig(), ("amdiscnt",), (1,), "experiment.protocols"),
-    (NetworkConfig(), [ProtocolKind("leach")], (1,), "experiment.protocols"),
-    (None, (ProtocolKind("leach"),), (1,), "network"),
-    (NetworkConfig(), (ProtocolKind("leach"),), 42, "experiment.seeds"),
-    (NetworkConfig(), (ProtocolKind("leach"),), [1, 2], "experiment.seeds"),
+    (NetworkConfig(), "amdiscnt", (1,), "experiment.protocols"),
+    (NetworkConfig(), ["leach"], (1,), "experiment.protocols"),
+    (None, ("leach",), (1,), "network"),
+    (NetworkConfig(), ("leach",), 42, "experiment.seeds"),
+    (NetworkConfig(), ("leach",), [1, 2], "experiment.seeds"),
 ], ids=["protocol-name", "protocol-list", "network-none", "seeds-int", "seeds-list"])
 def test_wrongly_typed_inputs_are_rejected_by_key(monkeypatch, network, protocols, seeds, key):
     calls = []
@@ -400,7 +400,7 @@ def test_wrongly_typed_inputs_are_rejected_by_key(monkeypatch, network, protocol
 
 def test_a_failed_rewrite_leaves_no_meta(tmp_path):
     network = NetworkConfig(n_nodes=20, max_rounds=5)
-    kinds = (ProtocolKind("amdiscnt"), ProtocolKind("leach"))
+    kinds = ("amdiscnt", "leach")
     first, second = ExperimentSpec(network, kinds, (1,)), ExperimentSpec(network, kinds, (2,))
     emit_tables(stream_experiment(first), str(tmp_path), first)
     assert "seeds = 1\n" in (tmp_path / "meta").read_text()
@@ -441,7 +441,7 @@ def short_batteries(draw):
     )
     seeds = draw(st.lists(st.integers(-2**63, 2**63), min_size=1, max_size=3, unique_by=abs))
     confidence = draw(st.one_of(st.sampled_from([0.5, 0.9, 0.95, 0.99]), _open_unit()))
-    return ExperimentSpec(network, tuple(ProtocolKind(name) for name in PROTOCOL_NAMES),
+    return ExperimentSpec(network, PROTOCOL_NAMES,
                           tuple(seeds), confidence)
 
 
@@ -561,7 +561,7 @@ def _main_spec(monkeypatch, tmp_path, file: dict, flags: dict):
     captured = []
 
     def fake_stream(spec):
-        captured.append(([kind.name for kind in spec.protocols], spec.seeds, spec.confidence))
+        captured.append((list(spec.protocols), spec.seeds, spec.confidence))
         return iter(())
 
     def fake_emit(stream, out, spec):

@@ -15,7 +15,7 @@ import pytest
 
 from amdiscnt.engine import run_simulation
 from amdiscnt.model import DelayModel, Geometry, HeterogeneitySpec, NetworkConfig
-from amdiscnt.protocols import PROTOCOL_NAMES, ProtocolKind
+from amdiscnt.protocols import PROTOCOL_NAMES
 
 ROUND = struct.Struct("<6q3d")
 LOW = HeterogeneitySpec(mode="two_level", e0=0.03, m=0.2, alpha=1.0)
@@ -85,5 +85,5 @@ def history_digest(result) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 def test_history_matches_recorded_digest(case, protocol):
-    result = run_simulation(CASES[case], ProtocolKind(protocol))
+    result = run_simulation(CASES[case], protocol)
     assert history_digest(result) == DIGESTS[case, protocol]

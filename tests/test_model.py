@@ -26,7 +26,7 @@ from amdiscnt.model import (
     round_half_up,
     validate_config,
 )
-from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache, ProtocolKind
+from amdiscnt.protocols import PROTOCOL_NAMES, DistanceCache
 
 
 def test_default_config_is_valid():
@@ -163,7 +163,7 @@ _NEAR_LIMIT = dict(n_nodes=30, max_rounds=20, seed=11)
 def test_large_finite_values_still_run_with_recorded_histories(config, digests):
     assert validate_config(config) == []
     for name, digest in zip(PROTOCOL_NAMES, digests):
-        assert history_digest(run_simulation(config, ProtocolKind(name))) == digest
+        assert history_digest(run_simulation(config, name)) == digest
 
 
 def test_exact_energy_bound_runs_a_total_near_the_float_limit():
@@ -174,7 +174,7 @@ def test_exact_energy_bound_runs_a_total_near_the_float_limit():
                            max_rounds=20)
     assert validate_config(config) == []
     for name in PROTOCOL_NAMES:
-        result = run_simulation(config, ProtocolKind(name))
+        result = run_simulation(config, name)
         assert result.rounds == 20
         for m in result.per_round:
             assert all(map(math.isfinite, (m.mean_delay, m.total_residual_energy, m.energy_spent)))

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import tracemalloc
@@ -9,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine as reference
+from amdiscnt import engine
 from amdiscnt.energy import tx_cost
 from amdiscnt.engine import place, run_round, run_simulation
-from amdiscnt.model import NetworkConfig, Node, RadioParams, RegionId
+from amdiscnt.experiment import ExperimentSpec
+from amdiscnt.model import ConfigurationError, NetworkConfig, Node, RadioParams, RegionId
 from amdiscnt.protocols import (
     DistanceCache,
-    ProtocolKind,
     build_plan,
     elect_chs_amdiscnt,
     elect_chs_deec,
@@ -200,7 +200,7 @@ def relay_of(nodes, energy=None, ch_id=0):
 
 def plan_of(nodes, ch_set, name, energy=None):
     energy = full(nodes) if energy is None else energy
-    return build_plan(alive_ids(energy), energy, ch_set, ProtocolKind(name),
+    return build_plan(alive_ids(energy), energy, ch_set, name,
                       DistanceCache(nodes, RADIO))
 
 
@@ -380,7 +380,7 @@ class TestPlans:
         alive = [0, 1, 2, 3]  # a plain list of ints: node 4 is dead
         chs = elect_chs_amdiscnt(energy, links.wedges)
         assert chs == {2, 3}  # node 4's wedge holds only a dead node
-        plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+        plan = build_plan(alive, energy, chs, "amdiscnt", links)
         assert plan == plan_of(nodes, chs, "amdiscnt", energy)
         members, routes, direct = plan
         assert members == [(1, 2)]
@@ -401,7 +401,7 @@ class TestPlans:
             make_node(-30.0, 0.0, sector=3),
             make_node(28.0, 5.0, sector=0),
         ]
-        plan = build_plan([0, 1, 2], full(nodes), {0, 1}, ProtocolKind("leach"),
+        plan = build_plan([0, 1, 2], full(nodes), {0, 1}, "leach",
                           DistanceCache(nodes, RADIO))
         assert plan == ([(2, 0)], [(0, None), (1, None)], [])
 
@@ -423,7 +423,7 @@ class TestPlans:
             for _ in range(4):
                 alive = alive_ids(energy)
                 heads = set(rng.sample(alive, 1 + len(alive) // 5))
-                plan = build_plan(alive, energy, heads, ProtocolKind("deec"), links)
+                plan = build_plan(alive, energy, heads, "deec", links)
                 expected = []
                 for i, node in enumerate(nodes):
                     if energy[i] and i not in heads:
@@ -462,10 +462,10 @@ class TestPlans:
 
         monkeypatch.setattr(DistanceCache, "neighbour_orders", refuse)
         config = NetworkConfig(n_nodes=30, max_rounds=50)
-        assert run_simulation(config, ProtocolKind("amdiscnt")).rounds == 50
-        assert run_simulation(NetworkConfig(max_rounds=0), ProtocolKind("leach")).rounds == 0
+        assert run_simulation(config, "amdiscnt").rounds == 50
+        assert run_simulation(NetworkConfig(max_rounds=0), "leach").rounds == 0
         with pytest.raises(AssertionError, match="neighbour orders"):
-            run_simulation(config, ProtocolKind("leach"))
+            run_simulation(config, "leach")
 
     def test_baseline_no_heads_falls_back_to_direct(self):
         nodes, energy = self.network()
@@ -512,7 +512,7 @@ def test_baseline_plan_matches_brute_force_with_ties(case, name):
     nodes, energy, heads = case
     ch_set = set(heads)
     alive = alive_ids(energy)
-    members, routes, direct = build_plan(alive, energy, ch_set, ProtocolKind(name),
+    members, routes, direct = build_plan(alive, energy, ch_set, name,
                                          DistanceCache(nodes, RADIO))
     assert ch_set == heads
 
@@ -560,7 +560,7 @@ def test_sector_election_and_plan_match_reference(case):
     links = DistanceCache(nodes, RADIO)
     alive = alive_ids(energy)
     chs = elect_chs_amdiscnt(energy, links.wedges)
-    plan = build_plan(alive, energy, chs, ProtocolKind("amdiscnt"), links)
+    plan = build_plan(alive, energy, chs, "amdiscnt", links)
     sensors = reference.sensors(nodes, energy)
     members, routes, direct = reference._sector_plan(sensors, RADIO)
     assert chs == set(routes)
@@ -576,13 +576,21 @@ def test_sector_election_and_plan_match_reference(case):
     assert rng.getstate() == reference_rng.getstate()
 
 
-class TestProtocolKind:
-    def test_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            ProtocolKind("gossip")
+class TestProtocolNames:
+    """A protocol is its name; the run and the experiment spec refuse any other value."""
 
-    def test_is_a_checked_name_alone(self):
-        # the head fraction is a run setting, NetworkConfig.p_opt
-        assert [f.name for f in dataclasses.fields(ProtocolKind)] == ["name"]
-        with pytest.raises(TypeError):
-            ProtocolKind("leach", 0.1)
+    def test_run_simulation_refuses_other_values_before_placing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("placed or validated before the protocol was checked")
+
+        monkeypatch.setattr(engine, "place", refuse)
+        monkeypatch.setattr(engine, "validate_config", refuse)
+        leftover = type("Kind", (), {"name": "leach"})()
+        for protocol in ("gossip", "Leach", "", 1, leftover):
+            with pytest.raises(ConfigurationError, match="unknown protocol .*amdiscnt"):
+                run_simulation(NetworkConfig(max_rounds=1), protocol)
+
+    def test_experiment_spec_refuses_bad_protocol_lists(self):
+        for protocols in (("amdiscnt", "gossip"), ["leach"], ()):
+            with pytest.raises(ConfigurationError, match=r"^experiment\.protocols"):
+                ExperimentSpec(NetworkConfig(), protocols, (1,))

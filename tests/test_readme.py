@@ -1,4 +1,5 @@
-"""The README's configuration block against the code's key table."""
+"""The README against the code: its configuration block against the key
+table, and its library examples, which must run."""
 
 import re
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_readme_lists_every_key():
         if entry:
             keys.add(f"{section}.{entry[1]}")
     assert keys == set(DEFAULTS)
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = [block.split("```", 1)[0]
+              for block in README.read_text(encoding="utf-8").split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out  # the first block prints its run

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from amdiscnt.engine import RoundHistory, RoundMetrics, SimulationResult, run_simulation
 from amdiscnt.model import NetworkConfig
-from amdiscnt.protocols import ProtocolKind
 from amdiscnt.stats import (
     METRIC_NAMES,
     _normal_quantile,
@@ -51,7 +50,7 @@ class TestPopulationStddev:
         tracemalloc.start()
         try:
             history = run_simulation(NetworkConfig(max_rounds=2400),
-                                     ProtocolKind("amdiscnt")).per_round
+                                     "amdiscnt").per_round
             rounds = len(history)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
