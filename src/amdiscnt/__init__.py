@@ -8,10 +8,9 @@ and multi-run aggregation with confidence bands.
 """
 
 from .deployment import deploy
-from .energy import crossover_distance, rx_cost, tx_cost
 from .engine import run_simulation
 from .experiment import ExperimentSpec, run_experiment
-from .model import NetworkConfig, RadioParams, RegionId
+from .model import NetworkConfig, RadioParams, RegionId, crossover_distance, rx_cost, tx_cost
 
 __version__ = "0.1.0"
 

@@ -34,8 +34,16 @@ from operator import attrgetter
 from random import Random
 
 from .deployment import deploy
-from .energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
-from .model import ConfigurationError, NetworkConfig, Node, validate_config
+from .model import (
+    ConfigurationError,
+    NetworkConfig,
+    Node,
+    aggregation_cost,
+    crossover_distance,
+    rx_cost,
+    tx_cost,
+    validate_config,
+)
 from .protocols import (
     PROTOCOL_NAMES,
     DistanceCache,
@@ -172,7 +180,6 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: tup
     deaths: list[int] = []
     delivered_delays: list[float] = []
     sent = 0
-    received = 0
     arrivals = [0] * len(energy)
     longest = [0.0] * len(energy)  # each head's longest delivered member link
 
@@ -222,7 +229,6 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: tup
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
-            received += 1
             delivered_delays.append(packet_delay + (hop + to_bs[sender_id] / speed))
 
     # phase 3: direct senders transmit their own readings
@@ -236,11 +242,11 @@ def run_round(round_index: int, energy: list[float], alive: list[int], plan: tup
             continue
         sent += 1
         if not lossy or rng.random() >= drop_p:
-            received += 1
             delivered_delays.append(hop + to_bs[node_id] / speed)
 
     survivors = len(alive) - len(deaths)
-    mean_delay = math.fsum(delivered_delays) / len(delivered_delays) if delivered_delays else 0.0
+    received = len(delivered_delays)
+    mean_delay = math.fsum(delivered_delays) / received if received else 0.0
     return RoundMetrics(round_index, survivors, len(energy) - survivors, sent, received,
                         len(routes), mean_delay, math.fsum(energy), math.fsum(ledger))
 
@@ -287,8 +293,8 @@ def run_simulation(config: NetworkConfig, protocol: str,
     rng.setstate(placement.rng_state)
     links = placement.links
     wedges = links.wedges  # amdiscnt's wedge rows, a wedge dropped once all its ids are dead
-    history: dict[int, int] = {}
     n = len(nodes)
+    history = [-1] * n  # each id's last election round, -1 before its first
     alive = list(range(n))  # ids in order; elections and plans walk only the alive nodes
 
     per_round = RoundHistory()

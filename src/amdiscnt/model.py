@@ -1,4 +1,5 @@
-"""Domain types for the circular-field sensor network simulator.
+"""Domain types for the circular-field sensor network simulator, and the
+first-order radio model that prices each transmission from ``RadioParams``.
 
 All types are plain value objects. Range checking is centralised in
 :func:`validate_config` so that an invalid configuration can still be
@@ -81,6 +82,29 @@ class RadioParams:
     e_mp: float = 0.0013e-12    # J/bit/m^4, multipath amplifier
     e_da: float = 5e-9          # J/bit/signal, aggregation
     packet_bits: int = 4000
+
+
+def crossover_distance(radio: RadioParams) -> float:
+    """Distance at which the free-space and multipath amplifier terms meet."""
+    return math.sqrt(radio.e_fs / radio.e_mp)
+
+
+def tx_cost(bits: int, distance: float, radio: RadioParams) -> float:
+    """Energy to transmit ``bits`` over ``distance`` metres."""
+    if distance < crossover_distance(radio):
+        return bits * (radio.e_elec + radio.e_fs * distance * distance)
+    return bits * (radio.e_elec + radio.e_mp * distance ** 4)
+
+
+def rx_cost(bits: int, radio: RadioParams) -> float:
+    """Energy to receive ``bits``."""
+    return bits * radio.e_elec
+
+
+def aggregation_cost(bits: int, signal_count: int, radio: RadioParams) -> float:
+    """Energy for a cluster head to fuse ``signal_count`` incoming signals
+    (its own packet included) of ``bits`` each."""
+    return bits * radio.e_da * signal_count
 
 
 @dataclass(frozen=True)
@@ -219,7 +243,7 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if radio.packet_bits <= 0:
         problems.append(f"radio.packet_bits must be strictly positive, got {radio.packet_bits}")
     if radio.e_fs > 0 and radio.e_mp > 0:
-        d0 = math.sqrt(radio.e_fs / radio.e_mp)
+        d0 = crossover_distance(radio)
         if not (math.isfinite(d0) and d0 > 0):
             problems.append("radio crossover distance sqrt(e_fs/e_mp) must be finite and positive")
 
@@ -275,8 +299,6 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     whose total initial energy or largest packet delay, squared, is not
     once aggregation sums it over ``runs`` seeds: every deviation from a
     round's mean is at most that bound, and one seed's is exactly 0."""
-    from .energy import tx_cost  # energy imports this module
-
     def bound(compute) -> float:
         try:
             return float(compute())

@@ -15,8 +15,7 @@ import math
 from array import array
 from random import Random
 
-from .energy import tx_cost
-from .model import N_SECTORS, Node, RadioParams
+from .model import N_SECTORS, Node, RadioParams, tx_cost
 
 PROTOCOL_NAMES = ("amdiscnt", "leach", "deec")
 
@@ -90,14 +89,14 @@ def elect_chs_amdiscnt(energy: list[float], wedges: list[array]) -> set[int]:
 
 
 def elect_chs_leach(alive: list[int], round_index: int, p_opt: float, rng: Random,
-                    history: dict[int, int]) -> set[int]:
+                    history: list[int]) -> set[int]:
     """Classic rotating election.
 
     Each node of ``alive`` (the alive ids, in order) that has not
     served during the current epoch draws a uniform number and elects
     itself when the draw falls under the epoch threshold. ``history``
-    (node id -> last election round) carries the rotation state between
-    rounds and is updated in place.
+    (each id's last election round, by id, ``-1`` before its first)
+    carries the rotation state between rounds and is updated in place.
     """
     try:
         epoch = int(1.0 / p_opt)
@@ -106,11 +105,9 @@ def elect_chs_leach(alive: list[int], round_index: int, p_opt: float, rng: Rando
     epoch_start = round_index - (round_index % epoch)
     threshold = p_opt / (1.0 - p_opt * (round_index - epoch_start))
     draw = rng.random
-    last_election = history.get
     elected = set()
     for i in alive:
-        last = last_election(i)
-        if last is not None and last >= epoch_start:
+        if history[i] >= epoch_start:
             continue
         if draw() < threshold:
             elected.add(i)
@@ -119,7 +116,7 @@ def elect_chs_leach(alive: list[int], round_index: int, p_opt: float, rng: Rando
 
 
 def elect_chs_deec(alive: list[int], energy: list[float], round_index: int, p_opt: float,
-                   rng: Random, history: dict[int, int]) -> set[int]:
+                   rng: Random, history: list[int]) -> set[int]:
     """Energy-weighted rotating election.
 
     Like the classic rotation, but each node's probability
@@ -131,7 +128,6 @@ def elect_chs_deec(alive: list[int], energy: list[float], round_index: int, p_op
         return set()
     average = math.fsum(energy) / len(alive)
     draw = rng.random
-    last_election = history.get
     elected = set()
     for i in alive:
         x = p_opt * energy[i] / average
@@ -143,8 +139,7 @@ def elect_chs_deec(alive: list[int], energy: list[float], round_index: int, p_op
         except OverflowError:  # 1 / p_i is inf: an epoch longer than any run
             epoch = round_index + 1
         position = round_index % epoch
-        last = last_election(i)
-        if last is not None and last >= round_index - position:
+        if history[i] >= round_index - position:
             continue
         if draw() < p_i / (1.0 - p_i * position):
             elected.add(i)

@@ -18,7 +18,6 @@ import pytest
 import conftest
 
 from amdiscnt.deployment import assign_initial_energy, deploy
-from amdiscnt.energy import crossover_distance, rx_cost, tx_cost
 from amdiscnt.engine import run_round, run_simulation
 from amdiscnt.experiment import main
 from amdiscnt.model import (
@@ -26,6 +25,9 @@ from amdiscnt.model import (
     HeterogeneitySpec,
     NetworkConfig,
     RadioParams,
+    crossover_distance,
+    rx_cost,
+    tx_cost,
 )
 from amdiscnt.protocols import DistanceCache, build_plan, elect_chs_amdiscnt
 from amdiscnt.stats import confidence_interval, population_stddev

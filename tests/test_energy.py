@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from amdiscnt.energy import aggregation_cost, crossover_distance, rx_cost, tx_cost
-from amdiscnt.model import RadioParams
+from amdiscnt.model import RadioParams, aggregation_cost, crossover_distance, rx_cost, tx_cost
 
 RADIO = RadioParams()
 

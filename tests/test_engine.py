@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import reference_engine as reference
 from amdiscnt import engine
 from amdiscnt.deployment import deploy
-from amdiscnt.energy import aggregation_cost, rx_cost, tx_cost
 from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.experiment import ExperimentSpec, run_experiment
 from amdiscnt.model import (
@@ -25,6 +24,9 @@ from amdiscnt.model import (
     Node,
     RadioParams,
     RegionId,
+    aggregation_cost,
+    rx_cost,
+    tx_cost,
 )
 from amdiscnt.protocols import (
     PROTOCOL_NAMES,

@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 
 import reference_engine as reference
 from amdiscnt import engine
-from amdiscnt.energy import tx_cost
 from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.experiment import ExperimentSpec
-from amdiscnt.model import ConfigurationError, NetworkConfig, Node, RadioParams, RegionId
+from amdiscnt.model import (
+    ConfigurationError,
+    NetworkConfig,
+    Node,
+    RadioParams,
+    RegionId,
+    tx_cost,
+)
 from amdiscnt.protocols import (
     DistanceCache,
     build_plan,
@@ -105,7 +111,7 @@ class TestRotatingElection:
 
     def test_every_node_serves_once_per_epoch(self):
         alive = list(range(16))  # two nodes in each of the eight wedges
-        history = {}
+        history = [-1] * 16  # no node has served yet
         seen = []
         for round_index in range(10):
             elected = elect_chs_leach(alive, round_index, 0.1, Random(round_index), history)
@@ -116,7 +122,7 @@ class TestRotatingElection:
     def test_dead_nodes_skipped(self):
         alive = [1]  # of two nodes, node 0 is dead, so not listed
         for round_index in range(10):
-            elected = elect_chs_leach(alive, round_index, 0.1, Random(7), {})
+            elected = elect_chs_leach(alive, round_index, 0.1, Random(7), [-1, -1])
             assert 0 not in elected
 
 
@@ -135,7 +141,7 @@ class TestEnergyAwareElection:
     def test_every_node_serves_once_per_epoch_at_equal_energy(self):
         energy = full(outer_ring({s: [0.5, 0.5] for s in range(8)}))
         alive = list(range(16))
-        history = {}
+        history = [-1] * 16
         seen = []
         for round_index in range(10):
             elected = elect_chs_deec(alive, energy, round_index, 0.1, Random(round_index),
@@ -145,7 +151,7 @@ class TestEnergyAwareElection:
         assert sorted(seen) == alive
 
     def test_no_alive_nodes_returns_empty(self):
-        assert elect_chs_deec([], [], 0, 0.1, Random(1), {}) == set()
+        assert elect_chs_deec([], [], 0, 0.1, Random(1), []) == set()
 
 
 # a few shared energy levels make exact ties (and exact averages) common
@@ -179,17 +185,20 @@ def test_elections_match_reference(name, inputs):
         return elect_chs_deec(listed, energy, *rest)
 
     elect_reference = {"leach": reference.elect_chs_leach, "deec": reference.elect_chs_deec}[name]
-    # the reference skips dead nodes itself; the engine passes only the alive ones
-    calls = [(elect_reference, reference.sensors(nodes, energy)),
-             (elect, alive_ids(energy))]
+    # the reference skips dead nodes itself; the engine passes only the alive ones. The
+    # reference keeps its history as a dict, the engine as a list by id with -1 for a node
+    # never elected; every drawn round is >= 0, so each form maps one to one to the other
+    as_list = [history.get(i, -1) for i in range(len(energies))]
+    calls = [(elect_reference, reference.sensors(nodes, energy), dict(history), dict),
+             (elect, alive_ids(energy), as_list,
+              lambda rows: {i: r for i, r in enumerate(rows) if r >= 0})]
     outcomes = []
-    for fn, listed in calls:
+    for fn, listed, own_history, as_dict in calls:
         rng = Random(seed)
-        own_history = dict(history)
         # consecutive rounds, so each round's elections feed the next one's history
         elected = [fn(listed, r, p_opt, rng, own_history)
                    for r in range(round_index, round_index + 3)]
-        outcomes.append((elected, own_history, rng.getstate()))
+        outcomes.append((elected, as_dict(own_history), rng.getstate()))
     assert outcomes[1] == outcomes[0]
 
 
