@@ -15,9 +15,8 @@ print()
 print(f"{'protocol':>9} {'first death':>12} {'half dead':>10} {'all dead':>9} "
       f"{'delivered':>10}")
 for name, bundle in stats.items():
-    m = bundle.milestones
-    print(f"{name:>9} {m.fnd_mean:>12.1f} {m.hnd_mean:>10.1f} {m.lnd_mean:>9.1f} "
-          f"{m.received_total_mean:>10.1f}")
+    print(f"{name:>9} {bundle.fnd_mean:>12.1f} {bundle.hnd_mean:>10.1f} "
+          f"{bundle.lnd_mean:>9.1f} {bundle.received_mean:>10.1f}")
 print()
 
 print("Mean alive nodes with 95% bands")

@@ -29,7 +29,7 @@ from operator import attrgetter
 from .engine import place, run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
 from .protocols import PROTOCOL_NAMES
-from .stats import METRIC_NAMES, MilestoneSummary, MultiRunStats, aggregate_runs
+from .stats import METRIC_NAMES, MultiRunStats, aggregate_runs
 
 # One row per network, radio, energy and delay key and for p_opt, in file
 # order: the file key and the NetworkConfig attribute it sets. Each key's
@@ -92,7 +92,11 @@ PRESETS: dict[str, dict[str, str]] = {
     },
 }
 
+# the columns of summary.csv; after "protocol", each is a MultiRunStats attribute
 SUMMARY_HEADER = ("protocol", "fnd_mean", "hnd_mean", "lnd_mean", "sent_mean", "received_mean")
+# the columns of each <name>.csv: the round, then each metric's mean, lo and hi
+SERIES_HEADER = ("round", *(f"{name}_{band}" for name in METRIC_NAMES
+                            for band in ("mean", "lo", "hi")))
 
 
 @dataclass(frozen=True)
@@ -266,13 +270,6 @@ def run_experiment(spec: ExperimentSpec) -> dict[str, MultiRunStats]:
     return dict(stream_experiment(spec))
 
 
-def _series_header() -> list[str]:
-    header = ["round"]
-    for name in METRIC_NAMES:
-        header.extend((f"{name}_mean", f"{name}_lo", f"{name}_hi"))
-    return header
-
-
 def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
                 spec: ExperimentSpec) -> list[str]:
     """Write per-protocol series, the milestone summary, and the meta file.
@@ -280,7 +277,7 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
     ``stats`` is an iterable of ``(protocol name, MultiRunStats)`` pairs
     of ``spec``, such as a :func:`run_experiment` dict's ``items()`` or a
     :func:`stream_experiment` stream. Each ``<name>.csv`` is written as
-    its pair arrives, and only the names and milestones are kept.
+    its pair arrives, and only the names and summary means are kept.
     ``summary.csv`` follows, and ``meta`` is written last. Opening the
     first file makes the directory and deletes an old ``meta``: a stream
     failing before that touches nothing, and a directory without ``meta``
@@ -301,7 +298,7 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
         except OSError as exc:
             raise OSError(f"failed writing {path}: {exc}") from exc
 
-    milestones: dict[str, MilestoneSummary] = {}
+    summary: dict[str, list[float]] = {}
     for name, bundle in stats:
         columns: list[Iterable] = [range(bundle.rounds)]
         for metric in METRIC_NAMES:
@@ -309,20 +306,20 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
                         bundle.per_round_hi[metric])
         with _open(f"{name}.csv") as handle:
             # no cell holds a comma, quote or newline, so csv.writer would quote nothing
-            handle.write(",".join(_series_header()) + "\n")
+            handle.write(",".join(SERIES_HEADER) + "\n")
             handle.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
-        milestones[name] = bundle.milestones
+        summary[name] = [getattr(bundle, key) for key in SUMMARY_HEADER[1:]]
         del bundle, columns  # free these bands before the stream makes the next protocol's
-    if not milestones:
+    if not summary:
         raise ValueError("emit_tables needs at least one protocol")
 
     with _open("summary.csv") as handle:
         handle.write(",".join(SUMMARY_HEADER) + "\n")
-        handle.writelines(",".join([name, *map(repr, dataclasses.astuple(m))]) + "\n"
-                          for name, m in milestones.items())
+        handle.writelines(",".join([name, *map(repr, means)]) + "\n"
+                          for name, means in summary.items())
 
     with _open("meta") as handle:
-        handle.write(f"protocols = {','.join(milestones)}\n")
+        handle.write(f"protocols = {','.join(summary)}\n")
         handle.write(f"seeds = {','.join(str(seed) for seed in spec.seeds)}\n")
         handle.write(f"runs = {len(spec.seeds)}\n")
         handle.write(f"confidence = {repr(spec.confidence)}\n")
@@ -351,14 +348,14 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
     runs = int(meta["runs"])
     confidence = float(meta["confidence"])
 
-    milestones: dict[str, MilestoneSummary] = {}
+    summary: dict[str, dict[str, float]] = {}
     with open(os.path.join(out_dir, "summary.csv"), "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         if tuple(header) != SUMMARY_HEADER:
             raise ValueError(f"unexpected summary header {header}")
         for row in reader:
-            milestones[row[0]] = MilestoneSummary(*(float(cell) for cell in row[1:]))
+            summary[row[0]] = dict(zip(SUMMARY_HEADER[1:], map(float, row[1:])))
 
     stats: dict[str, MultiRunStats] = {}
     for name in protocols:
@@ -366,7 +363,7 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
                   newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader)
-            if header != _series_header():
+            if tuple(header) != SERIES_HEADER:
                 raise ValueError(f"unexpected series header in {name}.csv")
             # one column per header cell after "round": each metric's mean, lo, hi
             columns = [array("d") for _ in header[1:]]
@@ -380,7 +377,7 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
             per_round_mean=dict(zip(METRIC_NAMES, columns[0::3])),
             per_round_lo=dict(zip(METRIC_NAMES, columns[1::3])),
             per_round_hi=dict(zip(METRIC_NAMES, columns[2::3])),
-            milestones=milestones[name],
+            **summary[name],
         )
     return stats
 
@@ -429,6 +426,3 @@ def main(argv: list[str] | None = None) -> int:
         print(path)
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -68,29 +68,26 @@ def _normal_quantile(confidence: float) -> float:
 
 
 @dataclass(frozen=True)
-class MilestoneSummary:
-    """Mean milestones and totals across the aggregated runs.
+class MultiRunStats:
+    """Per-round means and bands of the aggregated runs, and the five
+    means of their ``summary.csv`` row under its column names.
 
     Milestones a run never reached enter the mean at the aggregation
-    horizon, so these are lower bounds when any run outlived the horizon.
+    horizon, so the three milestone means are lower bounds when any run
+    outlived the horizon.
     """
 
-    fnd_mean: float
-    hnd_mean: float
-    lnd_mean: float
-    sent_total_mean: float
-    received_total_mean: float
-
-
-@dataclass(frozen=True)
-class MultiRunStats:
     runs: int
     rounds: int
     confidence: float
     per_round_mean: dict[str, array]
     per_round_lo: dict[str, array]
     per_round_hi: dict[str, array]
-    milestones: MilestoneSummary
+    fnd_mean: float
+    hnd_mean: float
+    lnd_mean: float
+    sent_mean: float
+    received_mean: float
 
 
 def _column(run: SimulationResult, field: str, freezes: bool, rounds: int) -> Iterable[float]:
@@ -137,13 +134,6 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
     def milestone_mean(pick) -> float:
         return math.fsum(float(rounds if m is None else m) for m in map(pick, results)) / n
 
-    milestones = MilestoneSummary(
-        fnd_mean=milestone_mean(lambda r: r.first_node_death),
-        hnd_mean=milestone_mean(lambda r: r.half_nodes_death),
-        lnd_mean=milestone_mean(lambda r: r.last_node_death),
-        sent_total_mean=math.fsum(float(r.cumulative_sent) for r in results) / n,
-        received_total_mean=math.fsum(float(r.cumulative_received) for r in results) / n,
-    )
     return MultiRunStats(
         runs=n,
         rounds=rounds,
@@ -151,5 +141,9 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
         per_round_mean=per_round_mean,
         per_round_lo=per_round_lo,
         per_round_hi=per_round_hi,
-        milestones=milestones,
+        fnd_mean=milestone_mean(lambda r: r.first_node_death),
+        hnd_mean=milestone_mean(lambda r: r.half_nodes_death),
+        lnd_mean=milestone_mean(lambda r: r.last_node_death),
+        sent_mean=math.fsum(float(r.cumulative_sent) for r in results) / n,
+        received_mean=math.fsum(float(r.cumulative_received) for r in results) / n,
     )

@@ -86,6 +86,14 @@ def test_outer_sampling_stays_in_sector_and_band():
             assert region_of(p, GEO) == RegionId(sector)
 
 
+@pytest.mark.parametrize("sector", [-1, 8])
+def test_outer_sampling_rejects_a_sector_off_the_ring(sector):
+    rng = Random(11)
+    with pytest.raises(ValueError, match=rf"sector must be in \[0, 7\], got {sector}$"):
+        sample_outer_position(rng, GEO, sector)
+    assert rng.random() == Random(11).random()  # refused before any draw
+
+
 def test_outer_sampling_uniform_area_radial_fraction():
     rng = Random(13)
     n = 10_000

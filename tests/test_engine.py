@@ -118,6 +118,14 @@ def test_changing_a_column_copy_leaves_the_history_as_it_was():
         history[3]
 
 
+def test_a_history_equals_only_a_history():
+    history = run_simulation(small_config(max_rounds=3), AMDISCNT).per_round
+    records = list(history)
+    assert history.__eq__(records) is NotImplemented
+    assert history != records and history != tuple(records)
+    assert history == run_simulation(small_config(max_rounds=3), AMDISCNT).per_round
+
+
 def test_simulation_is_deterministic():
     config = NetworkConfig(max_rounds=60)
     a = run_simulation(config, AMDISCNT)

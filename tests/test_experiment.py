@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ from amdiscnt import engine, experiment
 from amdiscnt.experiment import (
     NETWORK_KEYS,
     PRESETS,
+    SUMMARY_HEADER,
     ExperimentSpec,
     build_spec,
     emit_tables,
@@ -37,6 +39,7 @@ from amdiscnt.model import (
     validate_config,
 )
 from amdiscnt.protocols import PROTOCOL_NAMES
+from amdiscnt.stats import MultiRunStats
 
 
 def _fmt(value) -> str:
@@ -135,6 +138,19 @@ def test_syntax_error_reports_line():
 def test_bad_number_rejected_with_key():
     with pytest.raises(ConfigurationError, match="network.n_nodes"):
         build_spec({"network.n_nodes": "many"})
+
+
+@pytest.mark.parametrize("raw", ["amdiscnt,,leach", "leach,", " "])
+def test_empty_list_entry_rejected_by_key(raw):
+    with pytest.raises(ConfigurationError, match="experiment.protocols: empty entry in list"):
+        build_spec({"experiment.protocols": raw})
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_runs_below_one_rejected_by_key(runs):
+    with pytest.raises(ConfigurationError,
+                       match=f"experiment.runs must be at least 1, got {runs}"):
+        build_spec({"experiment.runs": runs})
 
 
 def test_validation_problems_surface():
@@ -417,6 +433,26 @@ def test_a_failed_rewrite_leaves_no_meta(tmp_path):
         read_tables(str(tmp_path))
 
 
+def small_battery() -> ExperimentSpec:
+    return ExperimentSpec(NetworkConfig(n_nodes=20, max_rounds=5), ("amdiscnt",), (1,))
+
+
+def test_emit_names_the_file_it_cannot_open(tmp_path):
+    spec = small_battery()
+    (tmp_path / "amdiscnt.csv").mkdir()
+    path = re.escape(str(tmp_path / "amdiscnt.csv"))
+    with pytest.raises(OSError, match=f"^failed writing {path}: "):
+        emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    assert sorted(os.listdir(tmp_path)) == ["amdiscnt.csv"]
+
+
+def test_emit_needs_at_least_one_pair(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="emit_tables needs at least one protocol"):
+        emit_tables([], str(out), small_battery())
+    assert not out.exists()
+
+
 def test_emit_census_and_round_trip(tmp_path):
     spec = build_spec(small_settings())
     stats = run_experiment(spec)
@@ -425,6 +461,27 @@ def test_emit_census_and_round_trip(tmp_path):
     names = sorted(os.path.basename(p) for p in manifest)
     assert names == ["amdiscnt.csv", "deec.csv", "leach.csv", "meta", "summary.csv"]
     assert read_tables(str(out)) == stats
+
+
+def test_summary_columns_name_the_stats_fields():
+    # after "protocol", summary.csv's columns are MultiRunStats' last five fields, by name
+    assert [field.name for field in dataclasses.fields(MultiRunStats)] == [
+        "runs", "rounds", "confidence", "per_round_mean", "per_round_lo", "per_round_hi",
+        *SUMMARY_HEADER[1:]]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("summary.csv", r"unexpected summary header \['protocol', 'fnd_avg'"),
+    ("amdiscnt.csv", "unexpected series header in amdiscnt.csv"),
+])
+def test_read_tables_refuses_an_unexpected_header(tmp_path, name, message):
+    spec = small_battery()
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    path = tmp_path / name
+    header, _, rows = path.read_text().partition("\n")
+    path.write_text(header.replace("_mean", "_avg", 1) + "\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        read_tables(str(tmp_path))
 
 
 @st.composite
@@ -513,6 +570,19 @@ def test_main_runs_and_base_seed(tmp_path):
     assert "seeds = 100,101,102\n" in (out / "meta").read_text()
 
 
+def test_main_applies_a_preset_before_the_config_file(tmp_path):
+    config = tmp_path / "short.ini"
+    config.write_text("[network]\nmax_rounds = 5\n")
+    out = tmp_path / "preset"
+    assert main(["--preset", "table2", "--config", str(config), "--out", str(out),
+                 "--protocols", "amdiscnt", "--runs", "1"]) == 0
+    settings = {"network.max_rounds": "5", "experiment.protocols": "amdiscnt",
+                "experiment.runs": "1"}
+    written = read_tables(str(out))
+    assert written == run_experiment(build_spec({**PRESETS["table2"], **settings}))
+    assert written != run_experiment(build_spec(settings))
+
+
 SEED_CONFLICT = "error: give either experiment.seeds or experiment.runs/base_seed, not both\n"
 
 
@@ -526,7 +596,7 @@ def test_main_seed_flags_conflict(tmp_path, capsys):
 # a flag's text goes through the file's parse, so its error names the key
 @pytest.mark.parametrize("flag, value, expected", [
     ("runs", "abc", "an integer"), ("base-seed", "1.5", "an integer"),
-    ("confidence", "high", "a number"),
+    ("confidence", "high", "a number"), ("seeds", "1,x", "integers"),
 ])
 def test_main_rejects_a_flag_that_does_not_parse_by_key(tmp_path, capsys, flag, value,
                                                          expected):

@@ -289,11 +289,42 @@ def test_empty_region_rejected_by_name(n_nodes, inner_fraction, counts):
          mode="multi_level", e0=0.5, alpha_max=math.nan))),
     ("delay.per_hop", NetworkConfig(delay=DelayModel(mode="distance", per_hop=math.nan))),
     ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed=math.inf))),
+    ("radio.e_elec", NetworkConfig(radio=RadioParams(e_elec=math.inf))),
+    ("radio.e_da", NetworkConfig(radio=RadioParams(e_da=math.nan))),
 ])
 def test_non_finite_value_rejected_by_name(field, config):
     problems = validate_config(config)
     assert len(problems) == 1
     assert problems[0].startswith(field + " ")
+
+
+# finite values outside a field's range; the crossover's message names both constants
+@pytest.mark.parametrize("field, config", [
+    ("radio.e_elec", NetworkConfig(radio=RadioParams(e_elec=0.0))),
+    ("radio.e_fs", NetworkConfig(radio=RadioParams(e_fs=-1e-12))),
+    ("radio.e_mp", NetworkConfig(radio=RadioParams(e_mp=0.0))),
+    ("radio.e_da", NetworkConfig(radio=RadioParams(e_da=-5e-9))),
+    ("radio.packet_bits", NetworkConfig(radio=RadioParams(packet_bits=0))),
+    ("radio.packet_bits", NetworkConfig(radio=RadioParams(packet_bits=-4000))),
+    ("radio crossover distance sqrt(e_fs/e_mp)",
+     NetworkConfig(radio=RadioParams(e_fs=1e300, e_mp=1e-300))),  # the ratio overflows
+    ("radio crossover distance sqrt(e_fs/e_mp)",
+     NetworkConfig(radio=RadioParams(e_fs=1e-300, e_mp=1e300))),  # the ratio underflows
+    ("heterogeneity.m",
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m=1.5, alpha=1.0))),
+    ("heterogeneity.m",
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m=math.nan,
+                                                   alpha=1.0))),
+    ("heterogeneity.m0",
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=-0.1,
+                                                   alpha=1.0, beta=0.5))),
+])
+def test_out_of_range_value_rejected_by_name(field, config):
+    problems = validate_config(config)
+    assert len(problems) == 1
+    assert problems[0].startswith(field + " must ")
+    with pytest.raises(ConfigurationError):
+        place(config)
 
 
 @pytest.mark.parametrize("field, config", [

@@ -153,6 +153,16 @@ class TestEnergyAwareElection:
     def test_no_alive_nodes_returns_empty(self):
         assert elect_chs_deec([], [], 0, 0.1, Random(1), []) == set()
 
+    def test_probability_underflowing_to_zero_skips_the_node_without_a_draw(self):
+        # node 1's p_opt * residual / average underflows to 0.0, whose epoch 1 / 0.0
+        # has no value; node 0's is 2e-300, so its draw elects nobody
+        rng, history = Random(3), [-1, -1]
+        assert elect_chs_deec([0, 1], [1.0, 1e-300], 0, 1e-300, rng, history) == set()
+        expected = Random(3)
+        expected.random()  # node 0's draw, the only one
+        assert rng.random() == expected.random()
+        assert history == [-1, -1]
+
 
 # a few shared energy levels make exact ties (and exact averages) common
 _energies = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]),

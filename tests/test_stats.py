@@ -186,9 +186,14 @@ class TestAggregateRuns:
     def test_unreached_milestones_use_horizon(self):
         runs = [make_result([100, 100], fnd=1), make_result([100, 100])]
         stats = aggregate_runs(runs, 0.95)
-        assert stats.milestones.fnd_mean == (1.0 + 2.0) / 2.0
-        assert stats.milestones.sent_total_mean == 10.0
-        assert stats.milestones.received_total_mean == 8.0
+        assert stats.fnd_mean == (1.0 + 2.0) / 2.0
+        assert stats.sent_mean == 10.0
+        assert stats.received_mean == 8.0
+
+    def test_zero_round_run_cannot_pad(self):
+        assert aggregate_runs([make_result([]), make_result([])], 0.95).rounds == 0
+        with pytest.raises(ValueError, match="cannot pad a zero-round run"):
+            aggregate_runs([make_result([]), make_result([100])], 0.95)
 
     def test_single_run_has_zero_width(self):
         stats = aggregate_runs([make_result([100, 99])], 0.95)
