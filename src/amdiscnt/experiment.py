@@ -355,7 +355,7 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
         if tuple(header) != SUMMARY_HEADER:
             raise ValueError(f"unexpected summary header {header}")
         for row in reader:
-            summary[row[0]] = dict(zip(SUMMARY_HEADER[1:], map(float, row[1:])))
+            summary[row[0]] = dict(zip(SUMMARY_HEADER[1:], map(float, row[1:]), strict=True))
 
     stats: dict[str, MultiRunStats] = {}
     for name in protocols:
@@ -425,4 +425,3 @@ def main(argv: list[str] | None = None) -> int:
     for path in manifest:
         print(path)
     return 0
-

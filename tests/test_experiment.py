@@ -484,6 +484,17 @@ def test_read_tables_refuses_an_unexpected_header(tmp_path, name, message):
         read_tables(str(tmp_path))
 
 
+def test_read_tables_refuses_a_summary_row_with_an_extra_cell(tmp_path):
+    spec = small_battery()
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    path = tmp_path / "summary.csv"
+    header, _, rows = path.read_text().partition("\n")
+    first, _, rest = rows.partition("\n")
+    path.write_text(header + "\n" + first + ",0.0\n" + rest)
+    with pytest.raises(ValueError, match="longer than argument 1"):
+        read_tables(str(tmp_path))
+
+
 @st.composite
 def short_batteries(draw):
     """Small fields on small batteries, so nodes die and milestones fall inside the horizon."""

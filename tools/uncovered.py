@@ -5,7 +5,7 @@ tracer, then prints ``path:line: source`` for every statement of the
 package that no test ran, and a count. ``__main__.py`` is skipped: the
 tests run it only in a subprocess, which the tracer does not reach.
 
-    python tools/uncovered.py [pytest arguments]
+    python tools/uncovered.py
 
 The package is imported from ``src/``, whatever is installed. A
 statement counts as run when any of its own lines ran: a simple
@@ -57,7 +57,7 @@ def statements(tree: ast.Module):
                                         max(handler.body[0].lineno, handler.lineno + 1))
 
 
-def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+def trace_suite() -> tuple[int, dict[str, set[int]]]:
     """Run pytest under the tracer; its exit status and the lines run, by real path."""
     import pytest
 
@@ -86,7 +86,7 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.path.insert(0, str(SRC))
     sys.settrace(trace)
     try:
-        status = pytest.main(pytest_args)
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
     imported = sys.modules.get(PACKAGE.name)
@@ -95,8 +95,8 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(status), hits
 
 
-def main(argv: list[str]) -> int:
-    status, hits = trace_suite(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+def main() -> int:
+    status, hits = trace_suite()
     missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name in SKIPPED:
@@ -113,4 +113,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
