@@ -25,9 +25,9 @@ for index in (0, 250, 500, 750, 1000, 1250, 1500, 1750, 2000, 2500):
     cells = []
     for bundle in stats.values():
         if index < bundle.rounds:
-            mean = bundle.per_round_mean["alive"][index]
-            lo = bundle.per_round_lo["alive"][index]
-            hi = bundle.per_round_hi["alive"][index]
+            mean = bundle.series["alive_mean"][index]
+            lo = bundle.series["alive_lo"][index]
+            hi = bundle.series["alive_hi"][index]
             cells.append(f"{mean:6.1f} [{lo:6.1f},{hi:6.1f}]")
         else:
             cells.append(" " * 22)

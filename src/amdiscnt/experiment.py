@@ -94,7 +94,7 @@ PRESETS: dict[str, dict[str, str]] = {
 
 # the columns of summary.csv; after "protocol", each is a MultiRunStats attribute
 SUMMARY_HEADER = ("protocol", "fnd_mean", "hnd_mean", "lnd_mean", "sent_mean", "received_mean")
-# the columns of each <name>.csv: the round, then each metric's mean, lo and hi
+# the columns of each <name>.csv; after "round", each is a MultiRunStats.series key
 SERIES_HEADER = ("round", *(f"{name}_{band}" for name in METRIC_NAMES
                             for band in ("mean", "lo", "hi")))
 
@@ -217,9 +217,9 @@ def build_spec(settings: dict[str, str]) -> ExperimentSpec:
         if "experiment.runs" in settings or "experiment.base_seed" in settings:
             raise ConfigurationError(
                 "give either experiment.seeds or experiment.runs/base_seed, not both")
+        parts = _split_list(settings["experiment.seeds"], "experiment.seeds")
         try:
-            seeds = tuple(int(part) for part in
-                          _split_list(settings["experiment.seeds"], "experiment.seeds"))
+            seeds = tuple(map(int, parts))
         except ValueError:
             raise ConfigurationError(
                 f"experiment.seeds: expected integers, got {settings['experiment.seeds']!r}"
@@ -300,10 +300,7 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
 
     summary: dict[str, list[float]] = {}
     for name, bundle in stats:
-        columns: list[Iterable] = [range(bundle.rounds)]
-        for metric in METRIC_NAMES:
-            columns += (bundle.per_round_mean[metric], bundle.per_round_lo[metric],
-                        bundle.per_round_hi[metric])
+        columns = [range(bundle.rounds), *(bundle.series[key] for key in SERIES_HEADER[1:])]
         with _open(f"{name}.csv") as handle:
             # no cell holds a comma, quote or newline, so csv.writer would quote nothing
             handle.write(",".join(SERIES_HEADER) + "\n")
@@ -365,7 +362,6 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
             header = next(reader)
             if tuple(header) != SERIES_HEADER:
                 raise ValueError(f"unexpected series header in {name}.csv")
-            # one column per header cell after "round": each metric's mean, lo, hi
             columns = [array("d") for _ in header[1:]]
             for row in reader:
                 for column, cell in zip(columns, row[1:], strict=True):
@@ -374,9 +370,7 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
             runs=runs,
             rounds=len(columns[0]),
             confidence=confidence,
-            per_round_mean=dict(zip(METRIC_NAMES, columns[0::3])),
-            per_round_lo=dict(zip(METRIC_NAMES, columns[1::3])),
-            per_round_hi=dict(zip(METRIC_NAMES, columns[2::3])),
+            series=dict(zip(SERIES_HEADER[1:], columns)),
             **summary[name],
         )
     return stats
@@ -419,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         settings.update(flags)
         spec = build_spec(settings)
         manifest = emit_tables(stream_experiment(spec), args.out, spec)
-    except (ConfigurationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     for path in manifest:

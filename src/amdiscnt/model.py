@@ -245,7 +245,8 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     if radio.e_fs > 0 and radio.e_mp > 0:
         d0 = crossover_distance(radio)
         if not (math.isfinite(d0) and d0 > 0):
-            problems.append("radio crossover distance sqrt(e_fs/e_mp) must be finite and positive")
+            problems.append("radio.e_fs and radio.e_mp must give a finite and positive "
+                            f"crossover distance sqrt(e_fs/e_mp), got {d0}")
 
     if het.mode not in HETEROGENEITY_MODES:
         problems.append(f"unknown heterogeneity mode {het.mode!r}")

@@ -69,8 +69,8 @@ def _normal_quantile(confidence: float) -> float:
 
 @dataclass(frozen=True)
 class MultiRunStats:
-    """Per-round means and bands of the aggregated runs, and the five
-    means of their ``summary.csv`` row under its column names.
+    """The aggregated runs' per-round means and bands and their five summary
+    means, each under its ``<name>.csv`` or ``summary.csv`` column name.
 
     Milestones a run never reached enter the mean at the aggregation
     horizon, so the three milestone means are lower bounds when any run
@@ -80,9 +80,7 @@ class MultiRunStats:
     runs: int
     rounds: int
     confidence: float
-    per_round_mean: dict[str, array]
-    per_round_lo: dict[str, array]
-    per_round_hi: dict[str, array]
+    series: dict[str, array]
     fnd_mean: float
     hnd_mean: float
     lnd_mean: float
@@ -118,11 +116,11 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
     n = len(results)
     z = _normal_quantile(confidence)
     root_n = math.sqrt(n)
-    per_round_mean, per_round_lo, per_round_hi = {}, {}, {}
+    series: dict[str, array] = {}
     for name, (field, freezes) in _COLUMNS.items():
-        means = per_round_mean[name] = array("d")
-        los = per_round_lo[name] = array("d")
-        his = per_round_hi[name] = array("d")
+        means = series[f"{name}_mean"] = array("d")
+        los = series[f"{name}_lo"] = array("d")
+        his = series[f"{name}_hi"] = array("d")
         for values in zip(*[_column(run, field, freezes, rounds) for run in results]):
             # confidence_interval's arithmetic, with the mean taken once
             mean = math.fsum(values) / n
@@ -138,9 +136,7 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
         runs=n,
         rounds=rounds,
         confidence=confidence,
-        per_round_mean=per_round_mean,
-        per_round_lo=per_round_lo,
-        per_round_hi=per_round_hi,
+        series=series,
         fnd_mean=milestone_mean(lambda r: r.first_node_death),
         hnd_mean=milestone_mean(lambda r: r.half_nodes_death),
         lnd_mean=milestone_mean(lambda r: r.last_node_death),

@@ -16,6 +16,7 @@ from amdiscnt import engine, experiment
 from amdiscnt.experiment import (
     NETWORK_KEYS,
     PRESETS,
+    SERIES_HEADER,
     SUMMARY_HEADER,
     ExperimentSpec,
     build_spec,
@@ -140,10 +141,16 @@ def test_bad_number_rejected_with_key():
         build_spec({"network.n_nodes": "many"})
 
 
-@pytest.mark.parametrize("raw", ["amdiscnt,,leach", "leach,", " "])
-def test_empty_list_entry_rejected_by_key(raw):
-    with pytest.raises(ConfigurationError, match="experiment.protocols: empty entry in list"):
-        build_spec({"experiment.protocols": raw})
+@pytest.mark.parametrize("key, raw", [
+    ("experiment.protocols", "amdiscnt,,leach"),
+    ("experiment.protocols", "leach,"),
+    ("experiment.protocols", " "),
+    ("experiment.seeds", "1,,2"),
+], ids=["amdiscnt,,leach", "leach,", " ", "seeds 1,,2"])
+def test_empty_list_entry_rejected_by_key(key, raw):
+    with pytest.raises(ConfigurationError) as info:
+        build_spec({key: raw})
+    assert str(info.value) == f"{key}: empty entry in list {raw!r}"
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -265,9 +272,9 @@ def test_single_pair_means_equal_raw_run():
     raw = run_simulation(spec.network, spec.protocols[0])
     bundle = stats["amdiscnt"]
     for i, m in enumerate(raw.per_round):
-        assert bundle.per_round_mean["alive"][i] == float(m.alive)
-        assert bundle.per_round_mean["energy"][i] == m.total_residual_energy
-        assert (bundle.per_round_lo["energy"][i], bundle.per_round_hi["energy"][i]) == \
+        assert bundle.series["alive_mean"][i] == float(m.alive)
+        assert bundle.series["energy_mean"][i] == m.total_residual_energy
+        assert (bundle.series["energy_lo"][i], bundle.series["energy_hi"][i]) == \
             (m.total_residual_energy,) * 2
 
 
@@ -298,9 +305,8 @@ def test_bands_are_freed_once_written(monkeypatch, tmp_path):
 
     def recording_aggregate(results, *args):
         stats = aggregate(results, *args)
-        bands = (stats.per_round_mean, stats.per_round_lo, stats.per_round_hi)
-        made.append([weakref.ref(stats)] + [weakref.ref(column) for band in bands
-                                            for column in band.values()])
+        made.append([weakref.ref(stats)] + [weakref.ref(column)
+                                            for column in stats.series.values()])
         return stats
 
     def recording_simulate(config, kind, *args):
@@ -464,10 +470,12 @@ def test_emit_census_and_round_trip(tmp_path):
 
 
 def test_summary_columns_name_the_stats_fields():
-    # after "protocol", summary.csv's columns are MultiRunStats' last five fields, by name
+    # after "protocol", summary.csv's columns are MultiRunStats' last five fields, by name;
+    # after "round", each <name>.csv's columns are its series keys, in order
     assert [field.name for field in dataclasses.fields(MultiRunStats)] == [
-        "runs", "rounds", "confidence", "per_round_mean", "per_round_lo", "per_round_hi",
-        *SUMMARY_HEADER[1:]]
+        "runs", "rounds", "confidence", "series", *SUMMARY_HEADER[1:]]
+    stats = run_experiment(small_battery())
+    assert all(tuple(bundle.series) == SERIES_HEADER[1:] for bundle in stats.values())
 
 
 @pytest.mark.parametrize("name, message", [

@@ -298,9 +298,9 @@ def test_empty_region_rejected_by_name(n_nodes, inner_fraction, counts):
     ("radio.e_da", NetworkConfig(radio=RadioParams(e_da=-5e-9))),
     ("radio.packet_bits", NetworkConfig(radio=RadioParams(packet_bits=0))),
     ("radio.packet_bits", NetworkConfig(radio=RadioParams(packet_bits=-4000))),
-    ("radio crossover distance sqrt(e_fs/e_mp)",
+    ("radio.e_fs",
      NetworkConfig(radio=RadioParams(e_fs=1e300, e_mp=1e-300))),  # the ratio overflows
-    ("radio crossover distance sqrt(e_fs/e_mp)",
+    ("radio.e_fs",
      NetworkConfig(radio=RadioParams(e_fs=1e-300, e_mp=1e300))),  # the ratio underflows
     ("heterogeneity.m",
      NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m=1.5, alpha=1.0))),

@@ -156,17 +156,17 @@ class TestAggregateRuns:
         stats = aggregate_runs(runs, 0.95)
         assert stats.runs == 5
         assert stats.rounds == 3
-        assert stats.per_round_mean["alive"].tolist() == [100.0, 99.0, 98.0]
+        assert stats.series["alive_mean"].tolist() == [100.0, 99.0, 98.0]
         for metric in METRIC_NAMES:
-            for lo, mean, hi in zip(stats.per_round_lo[metric], stats.per_round_mean[metric],
-                                    stats.per_round_hi[metric]):
+            for lo, mean, hi in zip(stats.series[f"{metric}_lo"], stats.series[f"{metric}_mean"],
+                                    stats.series[f"{metric}_hi"]):
                 assert lo == mean == hi
 
     def test_alive_fixture_matches_ci_oracle(self):
         runs = [make_result([a]) for a in (90, 92, 94)]
         stats = aggregate_runs(runs, 0.95)
-        assert stats.per_round_mean["alive"][0] == 92.0
-        assert (stats.per_round_lo["alive"][0], stats.per_round_hi["alive"][0]) == \
+        assert stats.series["alive_mean"][0] == 92.0
+        assert (stats.series["alive_lo"][0], stats.series["alive_hi"][0]) == \
             confidence_interval([90.0, 92.0, 94.0], 0.95)
 
     def test_order_independent(self):
@@ -179,9 +179,9 @@ class TestAggregateRuns:
         stats = aggregate_runs([short, long], 0.95)
         assert stats.rounds == 4
         # census and energy freeze at the final state, traffic pads as zero
-        assert stats.per_round_mean["alive"][3] == (0.0 + 98.0) / 2.0
-        assert stats.per_round_mean["sent"][3] == (0.0 + 5.0) / 2.0
-        assert stats.per_round_mean["energy"][3] == 50.0
+        assert stats.series["alive_mean"][3] == (0.0 + 98.0) / 2.0
+        assert stats.series["sent_mean"][3] == (0.0 + 5.0) / 2.0
+        assert stats.series["energy_mean"][3] == 50.0
 
     def test_unreached_milestones_use_horizon(self):
         runs = [make_result([100, 100], fnd=1), make_result([100, 100])]
@@ -198,7 +198,7 @@ class TestAggregateRuns:
     def test_single_run_has_zero_width(self):
         stats = aggregate_runs([make_result([100, 99])], 0.95)
         for metric in METRIC_NAMES:
-            for lo, hi in zip(stats.per_round_lo[metric], stats.per_round_hi[metric]):
+            for lo, hi in zip(stats.series[f"{metric}_lo"], stats.series[f"{metric}_hi"]):
                 assert lo == hi
 
     def test_stats_retain_under_32_bytes_per_value(self):

@@ -13,9 +13,10 @@ B = E / S, from the placement alone:
 
 The prediction is the smallest B over the wedges. It assumes that every
 head sends straight to the base station and that no inner node dies
-first; the test checks both on the default field, where every link is
-free-space and a relay's second leg costs more than it saves, and each
-inner node's own budget is about 2300 rounds.
+first; the test checks both on the default two-level field and under
+homogeneous and three-level batteries, where every link is free-space
+and a relay's second leg costs more than it saves, and the poorest
+inner node's own budget is 2315-2361 rounds.
 """
 
 import math
@@ -23,7 +24,21 @@ import math
 import pytest
 
 from amdiscnt.engine import place, run_simulation
-from amdiscnt.model import NetworkConfig, aggregation_cost, rx_cost, tx_cost
+from amdiscnt.model import (
+    HeterogeneitySpec,
+    NetworkConfig,
+    aggregation_cost,
+    rx_cost,
+    tx_cost,
+)
+
+# the default field's two-level batteries, and two more energy models
+ENERGY_MODELS = {
+    "two_level": NetworkConfig().heterogeneity,
+    "homogeneous": HeterogeneitySpec(mode="homogeneous", e0=0.5),
+    "three_level": HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=0.5,
+                                     alpha=1.0, beta=2.0),
+}
 
 
 def predicted_first_death(placement) -> float:
@@ -42,14 +57,19 @@ def predicted_first_death(placement) -> float:
     return min(budgets)
 
 
-# Measured on the default field, seeds 0-9: the budget exceeds the simulated first
-# death by +0.012% to +0.284% (mean +0.158%), never less. Rotation levels a wedge
-# only to within a round's spend, so one of its nodes runs dry a little before the
-# wedge's total does. Seeds whose poorest wedge dies at 1214-1224 and at 1327-1333
-# rounds both fall inside the bound.
-@pytest.mark.parametrize("seed", range(10))
-def test_wedge_budget_predicts_the_first_death(seed):
-    placement = place(NetworkConfig(seed=seed, max_rounds=1500))
+# Measured, seeds 0-9, the budget exceeds the simulated first death, never less, by
+#   two-level (the default field): +0.012% to +0.284% (mean +0.158%), deaths 1214-1333;
+#   homogeneous, e0 = 0.5: +0.052% to +0.216% (mean +0.140%), deaths 1210-1217;
+#   three-level, m = 0.2, m0 = 0.5, alpha = 1, beta = 2: +0.007% to +0.284% (mean
+#   +0.133%), deaths 1214-1423.
+# Rotation levels a wedge only to within a round's spend, so one of its nodes runs dry
+# a little before the wedge's total does. max_rounds = 1500 covers the latest death.
+@pytest.mark.parametrize("model, seed", [
+    pytest.param(model, seed, id=str(seed) if model == "two_level" else f"{model}-{seed}")
+    for model in ENERGY_MODELS for seed in range(10)])
+def test_wedge_budget_predicts_the_first_death(model, seed):
+    placement = place(NetworkConfig(seed=seed, max_rounds=1500,
+                                    heterogeneity=ENERGY_MODELS[model]))
     predicted = predicted_first_death(placement)
     first_death = run_simulation(placement.config, "amdiscnt", placement).first_node_death
     error = (predicted - first_death) / first_death
