@@ -84,6 +84,8 @@ class RoundHistory(Sequence):
 
     def column(self, name: str) -> array:
         """A copy of field ``name`` for every round."""
+        if name not in _FIELDS:
+            raise ValueError(f"no round field {name!r}; the fields are {', '.join(_FIELDS)}")
         return self._columns[_FIELDS.index(name)][:]
 
     def __len__(self) -> int:

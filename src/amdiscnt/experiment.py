@@ -29,7 +29,7 @@ from operator import attrgetter
 from .engine import place, run_simulation
 from .model import ConfigurationError, NetworkConfig, validate_config
 from .protocols import PROTOCOL_NAMES
-from .stats import METRIC_NAMES, MultiRunStats, aggregate_runs
+from .stats import SERIES_HEADER, SUMMARY_HEADER, MultiRunStats, aggregate_runs
 
 # One row per network, radio, energy and delay key and for p_opt, in file
 # order: the file key and the NetworkConfig attribute it sets. Each key's
@@ -91,12 +91,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "energy.e0": "0.8",
     },
 }
-
-# the columns of summary.csv; after "protocol", each is a MultiRunStats attribute
-SUMMARY_HEADER = ("protocol", "fnd_mean", "hnd_mean", "lnd_mean", "sent_mean", "received_mean")
-# the columns of each <name>.csv; after "round", each is a MultiRunStats.series key
-SERIES_HEADER = ("round", *(f"{name}_{band}" for name in METRIC_NAMES
-                            for band in ("mean", "lo", "hi")))
 
 
 @dataclass(frozen=True)
@@ -356,6 +350,8 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
 
     stats: dict[str, MultiRunStats] = {}
     for name in protocols:
+        if name not in summary:
+            raise ValueError(f"summary.csv has no row for protocol {name!r}")
         with open(os.path.join(out_dir, f"{name}.csv"), "r", encoding="utf-8",
                   newline="") as handle:
             reader = csv.reader(handle)

@@ -36,6 +36,8 @@ _COLUMNS = {
     "energy": ("total_residual_energy", True),
 }
 METRIC_NAMES = tuple(_COLUMNS)
+# the columns of each <name>.csv; after "round", each is a MultiRunStats.series key
+SERIES_HEADER = ("round", *(f"{m}_{band}" for m in METRIC_NAMES for band in ("mean", "lo", "hi")))
 
 
 def population_stddev(values: list[float]) -> float:
@@ -88,6 +90,10 @@ class MultiRunStats:
     received_mean: float
 
 
+# the columns of summary.csv; after "protocol", each is a MultiRunStats attribute
+SUMMARY_HEADER = ("protocol", "fnd_mean", "hnd_mean", "lnd_mean", "sent_mean", "received_mean")
+
+
 def _column(run: SimulationResult, field: str, freezes: bool, rounds: int) -> Iterable[float]:
     """One metric of one run, round by round, padded to ``rounds``.
 
@@ -116,11 +122,9 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
     n = len(results)
     z = _normal_quantile(confidence)
     root_n = math.sqrt(n)
-    series: dict[str, array] = {}
-    for name, (field, freezes) in _COLUMNS.items():
-        means = series[f"{name}_mean"] = array("d")
-        los = series[f"{name}_lo"] = array("d")
-        his = series[f"{name}_hi"] = array("d")
+    bands: list[array] = []  # each metric's mean, lo and hi, in SERIES_HEADER order
+    for field, freezes in _COLUMNS.values():
+        bands += (means := array("d"), los := array("d"), his := array("d"))
         for values in zip(*[_column(run, field, freezes, rounds) for run in results]):
             # confidence_interval's arithmetic, with the mean taken once
             mean = math.fsum(values) / n
@@ -136,7 +140,7 @@ def aggregate_runs(results: list[SimulationResult], confidence: float = 0.95) ->
         runs=n,
         rounds=rounds,
         confidence=confidence,
-        series=series,
+        series=dict(zip(SERIES_HEADER[1:], bands, strict=True)),
         fnd_mean=milestone_mean(lambda r: r.first_node_death),
         hnd_mean=milestone_mean(lambda r: r.half_nodes_death),
         lnd_mean=milestone_mean(lambda r: r.last_node_death),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import weakref
 from array import array
 from random import Random
@@ -116,6 +117,15 @@ def test_changing_a_column_copy_leaves_the_history_as_it_was():
     assert history.column("round_index").tolist() == [0, 1, 2]
     with pytest.raises(IndexError):
         history[3]
+
+
+def test_an_unknown_column_is_named_beside_the_nine_fields():
+    history = run_simulation(NetworkConfig(n_nodes=20, max_rounds=3), AMDISCNT).per_round
+    message = ("no round field 'alive_count'; the fields are round_index, alive, dead, "
+               "packets_sent_to_bs, packets_received_by_bs, ch_count, mean_delay, "
+               "total_residual_energy, energy_spent")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        history.column("alive_count")
 
 
 def test_a_history_equals_only_a_history():

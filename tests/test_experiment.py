@@ -503,6 +503,17 @@ def test_read_tables_refuses_a_summary_row_with_an_extra_cell(tmp_path):
         read_tables(str(tmp_path))
 
 
+def test_read_tables_names_a_protocol_missing_from_the_summary(tmp_path):
+    spec = ExperimentSpec(NetworkConfig(n_nodes=20, max_rounds=5), ("amdiscnt", "leach"), (1,))
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    path = tmp_path / "summary.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[2].startswith("leach,")
+    path.write_text("".join(lines[:2]))
+    with pytest.raises(ValueError, match="^summary.csv has no row for protocol 'leach'$"):
+        read_tables(str(tmp_path))
+
+
 @st.composite
 def short_batteries(draw):
     """Small fields on small batteries, so nodes die and milestones fall inside the horizon."""

@@ -14,6 +14,7 @@ from amdiscnt.engine import RoundHistory, RoundMetrics, SimulationResult, run_si
 from amdiscnt.model import NetworkConfig
 from amdiscnt.stats import (
     METRIC_NAMES,
+    SERIES_HEADER,
     _normal_quantile,
     aggregate_runs,
     confidence_interval,
@@ -182,6 +183,11 @@ class TestAggregateRuns:
         assert stats.series["alive_mean"][3] == (0.0 + 98.0) / 2.0
         assert stats.series["sent_mean"][3] == (0.0 + 5.0) / 2.0
         assert stats.series["energy_mean"][3] == 50.0
+
+    def test_padded_series_follow_the_header(self):
+        stats = aggregate_runs([make_result([100, 99, 98]), make_result([100, 99])], 0.95)
+        assert tuple(stats.series) == SERIES_HEADER[1:]
+        assert all(len(band) == stats.rounds == 3 for band in stats.series.values())
 
     def test_unreached_milestones_use_horizon(self):
         runs = [make_result([100, 100], fnd=1), make_result([100, 100])]
