@@ -327,48 +327,34 @@ def emit_tables(stats: Iterable[tuple[str, MultiRunStats]], out_dir: str,
 
 
 def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
-    """Rebuild per-protocol stats from an output directory, exactly."""
-    import csv  # only reading needs it, and a battery never reads
+    """Rebuild per-protocol stats from an output directory, exactly: the inverse
+    of :func:`emit_tables`, whose cells hold no comma, so each line splits on ``,``."""
 
-    meta: dict[str, str] = {}
+    def rows(name: str) -> list[list[str]]:
+        with open(os.path.join(out_dir, name), "r", encoding="utf-8") as handle:
+            return [line.rstrip("\n").split(",") for line in handle]
+
     with open(os.path.join(out_dir, "meta"), "r", encoding="utf-8") as handle:
-        for line in handle:
-            key, _, value = line.partition(" = ")
-            meta[key.strip()] = value.rstrip("\n")
+        meta = dict(line.rstrip("\n").split(" = ", 1) for line in handle)
+    if missing := [key for key in ("protocols", "runs", "confidence") if key not in meta]:
+        raise ValueError(f"meta has no line for {', '.join(missing)}")
     protocols = meta["protocols"].split(",")
-    runs = int(meta["runs"])
-    confidence = float(meta["confidence"])
-
-    summary: dict[str, dict[str, float]] = {}
-    with open(os.path.join(out_dir, "summary.csv"), "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != SUMMARY_HEADER:
-            raise ValueError(f"unexpected summary header {header}")
-        for row in reader:
-            summary[row[0]] = dict(zip(SUMMARY_HEADER[1:], map(float, row[1:]), strict=True))
-
+    header, *summary = rows("summary.csv")
+    if tuple(header) != SUMMARY_HEADER:
+        raise ValueError(f"unexpected summary header {header}")
+    if (names := [row[0] for row in summary]) != protocols:
+        raise ValueError(f"summary.csv has rows for {names}, but meta lists {protocols}")
     stats: dict[str, MultiRunStats] = {}
-    for name in protocols:
-        if name not in summary:
-            raise ValueError(f"summary.csv has no row for protocol {name!r}")
-        with open(os.path.join(out_dir, f"{name}.csv"), "r", encoding="utf-8",
-                  newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if tuple(header) != SERIES_HEADER:
-                raise ValueError(f"unexpected series header in {name}.csv")
-            columns = [array("d") for _ in header[1:]]
-            for row in reader:
-                for column, cell in zip(columns, row[1:], strict=True):
-                    column.append(float(cell))
+    for name, *means in summary:
+        header, *lines = rows(f"{name}.csv")
+        if tuple(header) != SERIES_HEADER:
+            raise ValueError(f"unexpected series header in {name}.csv")
+        columns = [array("d", map(float, cells))
+                   for _, *cells in zip(header, *lines, strict=True)]
         stats[name] = MultiRunStats(
-            runs=runs,
-            rounds=len(columns[0]),
-            confidence=confidence,
-            series=dict(zip(SERIES_HEADER[1:], columns)),
-            **summary[name],
-        )
+            runs=int(meta["runs"]), rounds=len(lines), confidence=float(meta["confidence"]),
+            series=dict(zip(SERIES_HEADER[1:], columns[1:])),
+            **dict(zip(SUMMARY_HEADER[1:], map(float, means), strict=True)))
     return stats
 
 

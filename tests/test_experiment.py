@@ -503,15 +503,45 @@ def test_read_tables_refuses_a_summary_row_with_an_extra_cell(tmp_path):
         read_tables(str(tmp_path))
 
 
-def test_read_tables_names_a_protocol_missing_from_the_summary(tmp_path):
+@pytest.mark.parametrize("edit, names", [
+    (lambda rows: rows[:1], ["amdiscnt"]),
+    (lambda rows: [*rows, "amdiscnt,95.0," + rows[0].split(",", 2)[2]],
+     ["amdiscnt", "leach", "amdiscnt"]),
+    (lambda rows: [*rows, "gossip," + rows[0].split(",", 1)[1]], ["amdiscnt", "leach", "gossip"]),
+], ids=["leach_deleted", "amdiscnt_repeated", "gossip_added"])
+def test_read_tables_names_a_protocol_missing_from_the_summary(tmp_path, edit, names):
     spec = ExperimentSpec(NetworkConfig(n_nodes=20, max_rounds=5), ("amdiscnt", "leach"), (1,))
     emit_tables(stream_experiment(spec), str(tmp_path), spec)
     path = tmp_path / "summary.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    assert lines[2].startswith("leach,")
-    path.write_text("".join(lines[:2]))
-    with pytest.raises(ValueError, match="^summary.csv has no row for protocol 'leach'$"):
+    header, *rows = path.read_text().splitlines(keepends=True)
+    assert [row.split(",")[0] for row in rows] == ["amdiscnt", "leach"]
+    path.write_text(header + "".join(edit(rows)))
+    message = f"summary.csv has rows for {names}, but meta lists ['amdiscnt', 'leach']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_tables(str(tmp_path))
+
+
+@pytest.mark.parametrize("keys", [("runs",), ("protocols", "confidence")],
+                         ids=["runs", "protocols_confidence"])
+def test_read_tables_names_a_key_missing_from_meta(tmp_path, keys):
+    spec = small_battery()
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    path = tmp_path / "meta"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if line.split(" = ")[0] not in keys))
+    with pytest.raises(ValueError, match=f"^meta has no line for {', '.join(keys)}$"):
+        read_tables(str(tmp_path))
+
+
+def test_zero_round_tables_round_trip(tmp_path):
+    spec = ExperimentSpec(NetworkConfig(max_rounds=0), PROTOCOL_NAMES, (1, 2))
+    stats = run_experiment(spec)
+    emit_tables(stats.items(), str(tmp_path), spec)
+    assert read_tables(str(tmp_path)) == stats
+    for bundle in stats.values():
+        assert bundle.rounds == 0
+        assert len(bundle.series) == 21
+        assert all(len(band) == 0 for band in bundle.series.values())
 
 
 @st.composite

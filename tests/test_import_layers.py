@@ -4,8 +4,8 @@ A module in ``src/amdiscnt`` imports another package module only at its
 top level, never inside a function or class, and those top-level imports
 form no cycle. A function-local import is how a cycle is usually
 hidden, so both rules together keep the import graph a plain hierarchy.
-A standard-library import inside a function, such as ``read_tables``'
-``import csv``, is not a package import and stays allowed.
+A standard-library import inside a function, such as an ``import csv``
+that only one reader needs, is not a package import and stays allowed.
 """
 
 import ast
