@@ -349,11 +349,10 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
         header, *lines = rows(f"{name}.csv")
         if tuple(header) != SERIES_HEADER:
             raise ValueError(f"unexpected series header in {name}.csv")
-        columns = [array("d", map(float, cells))
-                   for _, *cells in zip(header, *lines, strict=True)]
+        _, *columns = zip(header, *lines, strict=True)
         stats[name] = MultiRunStats(
             runs=int(meta["runs"]), rounds=len(lines), confidence=float(meta["confidence"]),
-            series=dict(zip(SERIES_HEADER[1:], columns[1:])),
+            series={key: array("d", map(float, cells)) for key, *cells in columns},
             **dict(zip(SUMMARY_HEADER[1:], map(float, means), strict=True)))
     return stats
 
