@@ -27,38 +27,16 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .engine import place, run_simulation
-from .model import ConfigurationError, NetworkConfig, validate_config
+from .model import ConfigurationError, NetworkConfig, config_fields, validate_config
 from .protocols import PROTOCOL_NAMES
 from .stats import SERIES_HEADER, SUMMARY_HEADER, MultiRunStats, aggregate_runs
 
-# One row per network, radio, energy and delay key and for p_opt, in file
-# order: the file key and the NetworkConfig attribute it sets. Each key's
+# Each network, radio, energy and delay key and p_opt, as its NetworkConfig field
+# declares it, in declaration order: the file key and the attribute it sets. Each key's
 # default, and so the type its text is parsed as, is read from NetworkConfig().
-NETWORK_KEYS: tuple[tuple[str, str], ...] = (
-    ("network.n_nodes", "n_nodes"),
-    ("network.r_inner", "geometry.r_inner"),
-    ("network.r_outer", "geometry.r_outer"),
-    ("network.max_rounds", "max_rounds"),
-    ("network.deployment", "deployment_mode"),
-    ("network.inner_fraction", "inner_fraction"),
-    ("network.link_drop_probability", "link_drop_probability"),
-    ("radio.e_elec", "radio.e_elec"),
-    ("radio.e_fs", "radio.e_fs"),
-    ("radio.e_mp", "radio.e_mp"),
-    ("radio.e_da", "radio.e_da"),
-    ("radio.packet_bits", "radio.packet_bits"),
-    ("energy.mode", "heterogeneity.mode"),
-    ("energy.e0", "heterogeneity.e0"),
-    ("energy.m", "heterogeneity.m"),
-    ("energy.m0", "heterogeneity.m0"),
-    ("energy.alpha", "heterogeneity.alpha"),
-    ("energy.beta", "heterogeneity.beta"),
-    ("energy.alpha_max", "heterogeneity.alpha_max"),
-    ("delay.mode", "delay.mode"),
-    ("delay.speed", "delay.speed"),
-    ("delay.per_hop", "delay.per_hop"),
-    ("experiment.p_opt", "p_opt"),
-)
+NETWORK_KEYS: tuple[tuple[str, str], ...] = tuple(
+    (field.metadata["key"], path) for path, field, _ in config_fields(NetworkConfig())
+    if "key" in field.metadata)
 
 # Every file key with its default. The other experiment keys are parsed
 # by hand in build_spec; ``seeds`` has no default because
@@ -330,12 +308,18 @@ def read_tables(out_dir: str) -> dict[str, MultiRunStats]:
     """Rebuild per-protocol stats from an output directory, exactly: the inverse
     of :func:`emit_tables`, whose cells hold no comma, so each line splits on ``,``."""
 
-    def rows(name: str) -> list[list[str]]:
+    def rows(name: str, sep: str = ",", width: int = 0) -> list[list[str]]:
+        """``name``'s lines split on ``sep``, each into ``width`` cells or the first line's."""
         with open(os.path.join(out_dir, name), "r", encoding="utf-8") as handle:
-            return [line.rstrip("\n").split(",") for line in handle]
+            table = [line.rstrip("\n").split(sep, width - 1) for line in handle]
+        cells = (width or len(table[0])) if table else 0
+        for number, row in enumerate(table, 1):
+            if len(row) != cells:
+                raise ValueError(f"{name} line {number} splits on {sep!r} into {len(row)} cells, "
+                                 f"not {cells}")
+        return table
 
-    with open(os.path.join(out_dir, "meta"), "r", encoding="utf-8") as handle:
-        meta = dict(line.rstrip("\n").split(" = ", 1) for line in handle)
+    meta = dict(rows("meta", " = ", 2))
     if missing := [key for key in ("protocols", "runs", "confidence") if key not in meta]:
         raise ValueError(f"meta has no line for {', '.join(missing)}")
     protocols = meta["protocols"].split(",")

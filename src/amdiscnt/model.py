@@ -1,15 +1,17 @@
 """Domain types for the circular-field sensor network simulator, and the
 first-order radio model that prices each transmission from ``RadioParams``.
 
-All types are plain value objects. Range checking is centralised in
-:func:`validate_config` so that an invalid configuration can still be
-constructed, inspected, and reported on.
+All types are plain value objects. Each field a config file sets
+declares its default, its file key and its rule once, where it is
+defined; :func:`validate_config` walks those declarations, so that an
+invalid configuration can still be constructed, inspected, and reported on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 N_SECTORS = 8
@@ -23,6 +25,26 @@ DELAY_MODES = ("hops", "distance")
 
 class ConfigurationError(ValueError):
     """Raised when a simulation is started from an invalid configuration."""
+
+
+# A field's rule: what its value must be, and the test of it. Each test compares the
+# value exactly, so an int of any size is compared, never converted to a float.
+POSITIVE = ("must be finite and positive", lambda v: 0 < v <= sys.float_info.max)
+NON_NEGATIVE = ("must be finite and non-negative", lambda v: 0 <= v <= sys.float_info.max)
+NATURAL = ("must be non-negative", lambda v: v >= 0)
+UNIT = ("must lie in [0, 1]", lambda v: 0 <= v <= 1)
+OPEN_UNIT = ("must lie in (0, 1)", lambda v: 0 < v < 1)
+
+
+def one_of(modes: tuple[str, ...]) -> tuple:
+    """The rule that a value is one of ``modes``."""
+    return f"must be one of {modes}", lambda v: v in modes
+
+
+def keyed(default, key: str, rule: tuple | None = None):
+    """A field holding ``default``, set by the config file key ``key``, whose value
+    :func:`validate_config` checks by ``rule``."""
+    return dataclasses.field(default=default, metadata={"key": key, "rule": rule})
 
 
 def round_half_up(x: float) -> int:
@@ -65,8 +87,8 @@ INNER = RegionId()
 class Geometry:
     """Two concentric circles around the base station."""
 
-    r_inner: float = 20.0
-    r_outer: float = 35.0
+    r_inner: float = keyed(20.0, "network.r_inner", POSITIVE)
+    r_outer: float = keyed(35.0, "network.r_outer", POSITIVE)
 
     @property
     def annulus_width(self) -> float:
@@ -77,11 +99,11 @@ class Geometry:
 class RadioParams:
     """First-order radio constants plus the data packet size in bits."""
 
-    e_elec: float = 50e-9       # J/bit, transceiver electronics
-    e_fs: float = 10e-12        # J/bit/m^2, free-space amplifier
-    e_mp: float = 0.0013e-12    # J/bit/m^4, multipath amplifier
-    e_da: float = 5e-9          # J/bit/signal, aggregation
-    packet_bits: int = 4000
+    e_elec: float = keyed(50e-9, "radio.e_elec", POSITIVE)     # J/bit, transceiver electronics
+    e_fs: float = keyed(10e-12, "radio.e_fs", POSITIVE)        # J/bit/m^2, free-space amplifier
+    e_mp: float = keyed(0.0013e-12, "radio.e_mp", POSITIVE)    # J/bit/m^4, multipath amplifier
+    e_da: float = keyed(5e-9, "radio.e_da", POSITIVE)          # J/bit/signal, aggregation
+    packet_bits: int = keyed(4000, "radio.packet_bits", POSITIVE)
 
 
 def crossover_distance(radio: RadioParams) -> float:
@@ -118,13 +140,13 @@ class HeterogeneitySpec:
     ratio uniformly from (0, alpha_max].
     """
 
-    mode: str = "homogeneous"
-    e0: float = 0.5
-    m: float = 0.0
-    m0: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    alpha_max: float = 0.0
+    mode: str = keyed("homogeneous", "energy.mode", one_of(HETEROGENEITY_MODES))
+    e0: float = keyed(0.5, "energy.e0", POSITIVE)
+    m: float = keyed(0.0, "energy.m", UNIT)
+    m0: float = keyed(0.0, "energy.m0", UNIT)
+    alpha: float = keyed(0.0, "energy.alpha", NON_NEGATIVE)
+    beta: float = keyed(0.0, "energy.beta", NON_NEGATIVE)
+    alpha_max: float = keyed(0.0, "energy.alpha_max", NON_NEGATIVE)
 
     def tiers(self, n: int) -> tuple[int, int, float, float]:
         """A discrete mode's ``(n_upper, n_super, alpha, beta)`` for ``n`` nodes:
@@ -157,12 +179,13 @@ class DelayModel:
     """Per-hop latency model.
 
     ``hops`` counts one unit per hop. ``distance`` charges
-    ``per_hop + d / speed`` for a hop of length ``d``.
+    ``per_hop + d / speed`` for a hop of length ``d``, and only that mode
+    checks ``speed`` and ``per_hop``.
     """
 
-    mode: str = "hops"
-    speed: float = 1.0
-    per_hop: float = 0.0
+    mode: str = keyed("hops", "delay.mode", one_of(DELAY_MODES))
+    speed: float = keyed(1.0, "delay.speed")
+    per_hop: float = keyed(0.0, "delay.per_hop")
 
 
 @dataclass(frozen=True)
@@ -170,58 +193,71 @@ class NetworkConfig:
     """Everything a single simulation run needs; defaults give the standard
     benchmark scenario (100 two-level nodes on a 20 m / 35 m field)."""
 
-    n_nodes: int = 100
+    n_nodes: int = keyed(100, "network.n_nodes")
     geometry: Geometry = Geometry()
     radio: RadioParams = RadioParams()
     heterogeneity: HeterogeneitySpec = HeterogeneitySpec(
         mode="two_level", e0=0.5, m=0.2, alpha=1.0)
-    max_rounds: int = 5000
-    seed: int = 42
-    deployment_mode: str = "uniform_area"
-    inner_fraction: float = 1.0 / 9.0
-    link_drop_probability: float = 0.0
+    max_rounds: int = keyed(5000, "network.max_rounds", NATURAL)
+    seed: int = 42  # run seeds come from the experiment's seed list, not from a key
+    deployment_mode: str = keyed("uniform_area", "network.deployment", one_of(DEPLOYMENT_MODES))
+    inner_fraction: float = keyed(1.0 / 9.0, "network.inner_fraction", OPEN_UNIT)
+    link_drop_probability: float = keyed(0.0, "network.link_drop_probability", UNIT)
     delay: DelayModel = DelayModel()
-    p_opt: float = 0.1  # the baselines' head fraction; amdiscnt elects one head per wedge
+    # the baselines' head fraction; amdiscnt elects one head per wedge
+    p_opt: float = keyed(0.1, "experiment.p_opt", OPEN_UNIT)
 
 
-def _type_problems(obj, prefix: str = "") -> list[str]:
-    """Name every numeric field of ``obj`` whose value lacks its default's type.
-
-    A nested field must hold its default's class, and is then walked. An
-    ``int`` field takes an ``int``; a ``float`` field takes an ``int`` or
-    a ``float``. ``bool`` is an ``int`` subclass, but ``True`` nodes or
-    rounds is a mistake, so it is refused in both.
-    """
-    problems: list[str] = []
+def config_fields(obj, prefix: str = ""):
+    """Yield ``(dotted name, field, value)`` for each leaf field of dataclass ``obj``;
+    a field whose value is of its dataclass default's class is walked in its place."""
     for field in dataclasses.fields(obj):
-        name, value, default = prefix + field.name, getattr(obj, field.name), field.default
+        name, value = prefix + field.name, getattr(obj, field.name)
+        if dataclasses.is_dataclass(field.default) and isinstance(value, type(field.default)):
+            yield from config_fields(value, name + ".")
+        else:
+            yield name, field, value
+
+
+def _field_problems(config: NetworkConfig) -> tuple[list[str], dict[str, str]]:
+    """Name every field of ``config`` whose value lacks its default's type, and by
+    dotted name every other field whose value breaks its declared rule.
+
+    A nested field must hold its default's class. An ``int`` field takes an
+    ``int``; a ``float`` field takes an ``int`` or a ``float``. ``bool`` is an
+    ``int`` subclass, but ``True`` nodes or rounds is a mistake, so it is
+    refused in both.
+    """
+    types: list[str] = []
+    broken: dict[str, str] = {}
+    for name, field, value in config_fields(config):
+        default, rule = field.default, field.metadata.get("rule")
+        allowed = int if isinstance(default, int) else (int, float)
         if dataclasses.is_dataclass(default):
-            if isinstance(value, type(default)):
-                problems.extend(_type_problems(value, name + "."))
-            else:
-                problems.append(f"{name} must be a {type(default).__name__}, got {value!r}")
-        elif isinstance(default, (int, float)):
-            allowed = int if isinstance(default, int) else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                expected = "an integer" if allowed is int else "a number"
-                problems.append(f"{name} must be {expected}, got {value!r}")
-    return problems
+            types.append(f"{name} must be a {type(default).__name__}, got {value!r}")
+        elif isinstance(default, (int, float)) and (
+                isinstance(value, bool) or not isinstance(value, allowed)):
+            expected = "an integer" if allowed is int else "a number"
+            types.append(f"{name} must be {expected}, got {value!r}")
+        elif rule and not rule[1](value):
+            broken[name] = f"{name} {rule[0]}, got {value!r}"
+    return types, broken
 
 
 def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     """Return a description of every violated invariant; empty when valid.
 
-    A numeric field of the wrong type is reported alone, before any range
-    check compares it. ``runs`` is the number of seeds whose runs are
-    aggregated together: the energy and delay sums that aggregation takes
-    over them must be finite too.
+    A field of the wrong type is reported alone, before any rule tests it.
+    Each check across fields runs only when the rules of the fields it reads
+    hold. ``runs`` is the number of seeds whose runs are aggregated
+    together: the energy and delay sums that aggregation takes over them
+    must be finite too.
     """
-    problems = _type_problems(config)
-    if problems:
-        return problems
+    types, broken = _field_problems(config)
+    if types:
+        return types
+    problems = list(broken.values())
     geo = config.geometry
-    radio = config.radio
-    het = config.heterogeneity
 
     if config.n_nodes < N_SECTORS + 1:
         problems.append(
@@ -229,65 +265,25 @@ def validate_config(config: NetworkConfig, runs: int = 1) -> list[str]:
     elif config.n_nodes > MAX_NODES:
         problems.append(f"n_nodes must be at most {MAX_NODES}, so that node ids fit in 16 bits, "
                         f"got a {(config.n_nodes - 1).bit_length()}-bit largest id")
-    if not (math.isfinite(geo.r_inner) and math.isfinite(geo.r_outer)):
-        problems.append("geometry radii must be finite")
-    elif not 0 < geo.r_inner < geo.r_outer:
-        problems.append(
-            f"geometry requires 0 < r_inner < r_outer, got r_inner={geo.r_inner}, "
-            f"r_outer={geo.r_outer}")
-
-    for name in ("e_elec", "e_fs", "e_mp", "e_da"):
-        value = getattr(radio, name)
-        if not (math.isfinite(value) and value > 0):
-            problems.append(f"radio.{name} must be strictly positive, got {value}")
-    if radio.packet_bits <= 0:
-        problems.append(f"radio.packet_bits must be strictly positive, got {radio.packet_bits}")
-    if radio.e_fs > 0 and radio.e_mp > 0:
-        d0 = crossover_distance(radio)
-        if not (math.isfinite(d0) and d0 > 0):
-            problems.append("radio.e_fs and radio.e_mp must give a finite and positive "
-                            f"crossover distance sqrt(e_fs/e_mp), got {d0}")
-
-    if het.mode not in HETEROGENEITY_MODES:
-        problems.append(f"unknown heterogeneity mode {het.mode!r}")
-    if not (math.isfinite(het.e0) and het.e0 > 0):
-        problems.append(f"heterogeneity.e0 must be finite and positive, got {het.e0}")
-    for name in ("m", "m0"):
-        value = getattr(het, name)
-        if not 0 <= value <= 1:
-            problems.append(f"heterogeneity.{name} must lie in [0, 1], got {value}")
-    for name in ("alpha", "beta", "alpha_max"):
-        value = getattr(het, name)
-        if not (math.isfinite(value) and value >= 0):
-            problems.append(f"heterogeneity.{name} must be finite and non-negative, got {value}")
-
-    if config.max_rounds < 0:
-        problems.append(f"max_rounds must be non-negative, got {config.max_rounds}")
-    if config.deployment_mode not in DEPLOYMENT_MODES:
-        problems.append(f"unknown deployment_mode {config.deployment_mode!r}")
-    if not 0 < config.inner_fraction < 1:
-        problems.append(
-            f"inner_fraction must lie in (0, 1), got {config.inner_fraction}")
-    elif N_SECTORS + 1 <= config.n_nodes <= MAX_NODES:
+    elif "inner_fraction" not in broken:
         inner, sectors = region_node_counts(config.n_nodes, config.inner_fraction)
         if inner <= 0 or min(sectors) <= 0:
             problems.append(
                 f"n_nodes = {config.n_nodes} with inner_fraction = {config.inner_fraction} "
                 f"leaves a region empty (inner={inner}, sectors={sectors})")
-    if not 0 < config.p_opt < 1:
-        problems.append(f"p_opt must lie in (0, 1), got {config.p_opt}")
-    if not 0 <= config.link_drop_probability <= 1:
+    if not broken.keys() & {"geometry.r_inner", "geometry.r_outer"} and geo.r_inner >= geo.r_outer:
         problems.append(
-            f"link_drop_probability must lie in [0, 1], got {config.link_drop_probability}")
-
-    if config.delay.mode not in DELAY_MODES:
-        problems.append(f"unknown delay mode {config.delay.mode!r}")
-    elif config.delay.mode == "distance":
-        speed, per_hop = config.delay.speed, config.delay.per_hop
-        if not (math.isfinite(speed) and speed > 0):
-            problems.append(f"delay.speed must be finite and positive, got {speed}")
-        if not (math.isfinite(per_hop) and per_hop >= 0):
-            problems.append(f"delay.per_hop must be finite and non-negative, got {per_hop}")
+            f"geometry requires 0 < r_inner < r_outer, got r_inner={geo.r_inner}, "
+            f"r_outer={geo.r_outer}")
+    if not broken.keys() & {"radio.e_fs", "radio.e_mp"}:
+        d0 = crossover_distance(config.radio)
+        if not (math.isfinite(d0) and d0 > 0):
+            problems.append("radio.e_fs and radio.e_mp must give a finite and positive "
+                            f"crossover distance sqrt(e_fs/e_mp), got {d0}")
+    if config.delay.mode == "distance":
+        for name, (text, test) in (("speed", POSITIVE), ("per_hop", NON_NEGATIVE)):
+            if not test(value := getattr(config.delay, name)):
+                problems.append(f"delay.{name} {text}, got {value!r}")
 
     if not problems:
         problems.extend(_overflow_problems(config, runs))
@@ -319,9 +315,9 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     else:  # deploy's tier counts and batteries, one per node, correctly rounded by its fsum
         n_upper, n_super, alpha, beta = het.tiers(n)
         extra = ("alpha", "beta")[:(n_upper > 0) + (n_super > 0)]  # ratios of tiers with nodes
-        batteries = ([het.e0] * (n - n_upper) + [het.e0 * (1.0 + alpha)] * (n_upper - n_super)
-                     + [het.e0 * (1.0 + (alpha + beta))] * n_super)
-        energy = bound(lambda: math.fsum(batteries))
+        energy = bound(lambda: math.fsum(
+            [het.e0] * (n - n_upper) + [het.e0 * (1.0 + alpha)] * (n_upper - n_super)
+            + [het.e0 * (1.0 + (alpha + beta))] * n_super))
     terms = "".join(f" + heterogeneity.{f}" for f in extra)
     factor = f" * (1{terms})" if extra else ""
     energy_text = f"total initial energy of n_nodes batteries of at most heterogeneity.e0{factor}"
@@ -332,7 +328,7 @@ def _overflow_problems(config: NetworkConfig, runs: int) -> list[str]:
     if delay.mode == "distance":
         # a packet crosses at most 3 links of at most 2 * r_outer and a round delivers at
         # most n packets; a round's mean delay is at most one packet's
-        hop = delay.per_hop + 2 * r_outer / delay.speed
+        hop = bound(lambda: delay.per_hop + 2 * r_outer / delay.speed)
         delay_text = "3 * (delay.per_hop + 2 * geometry.r_outer / delay.speed)"
         if not math.isfinite(bound(lambda: n * 3 * hop)):
             problems.append(f"largest round delay n_nodes * {delay_text} must be finite")

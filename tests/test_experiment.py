@@ -106,6 +106,21 @@ def test_network_seed_is_not_a_file_key():
         read_settings("[network]\nseed = 7\n")
 
 
+def test_every_config_field_but_seed_declares_its_own_file_key():
+    def leaves(cls, prefix=""):
+        for field in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(field.default):
+                yield from leaves(type(field.default), f"{prefix}{field.name}.")
+            else:
+                yield prefix + field.name, field.metadata.get("key")
+
+    keys = dict(leaves(NetworkConfig))
+    assert keys.pop("seed") is None
+    assert None not in keys.values()
+    assert len(set(keys.values())) == len(keys)
+    assert NETWORK_KEYS == tuple((key, path) for path, key in keys.items())
+
+
 def test_unknown_section_rejected_by_name():
     with pytest.raises(ConfigurationError, match="antenna"):
         read_settings("[antenna]\ngain = 3\n")
@@ -375,6 +390,16 @@ def test_main_rejects_an_overflowing_seed_sum_before_any_run(monkeypatch, tmp_pa
         assert not (tmp_path / "o").exists()
 
 
+def test_spec_names_an_int_beyond_the_float_range(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "run_simulation", lambda *args: calls.append(args))
+    network = NetworkConfig(radio=RadioParams(e_da=10**400))
+    with pytest.raises(ConfigurationError,
+                       match=f"^radio.e_da must be finite and positive, got {10**400}$"):
+        ExperimentSpec(network, PROTOCOL_NAMES, (1, 2))
+    assert calls == []
+
+
 def test_run_experiment_rejects_empty_inputs():
     config = NetworkConfig()
     with pytest.raises(ValueError):
@@ -499,7 +524,29 @@ def test_read_tables_refuses_a_summary_row_with_an_extra_cell(tmp_path):
     header, _, rows = path.read_text().partition("\n")
     first, _, rest = rows.partition("\n")
     path.write_text(header + "\n" + first + ",0.0\n" + rest)
-    with pytest.raises(ValueError, match="longer than argument 1"):
+    with pytest.raises(ValueError, match="^summary.csv line 2 splits on ',' into 7 cells, not 6$"):
+        read_tables(str(tmp_path))
+
+
+def test_read_tables_names_the_series_line_with_an_extra_cell(tmp_path):
+    spec = small_battery()
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    path = tmp_path / "amdiscnt.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip("\n") + ",1.0\n"
+    path.write_text("".join(lines))
+    width = len(SERIES_HEADER)
+    message = f"^amdiscnt.csv line 3 splits on ',' into {width + 1} cells, not {width}$"
+    with pytest.raises(ValueError, match=message):
+        read_tables(str(tmp_path))
+
+
+def test_read_tables_names_the_meta_line_without_a_value(tmp_path):
+    spec = small_battery()
+    emit_tables(stream_experiment(spec), str(tmp_path), spec)
+    with open(tmp_path / "meta", "a", encoding="utf-8") as handle:
+        handle.write("note\n")
+    with pytest.raises(ValueError, match="^meta line 11 splits on ' = ' into 1 cells, not 2$"):
         read_tables(str(tmp_path))
 
 

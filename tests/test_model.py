@@ -14,6 +14,9 @@ from test_golden_histories import history_digest
 from amdiscnt.deployment import deploy
 from amdiscnt.engine import place, run_round, run_simulation
 from amdiscnt.model import (
+    DELAY_MODES,
+    DEPLOYMENT_MODES,
+    HETEROGENEITY_MODES,
     MAX_NODES,
     ConfigurationError,
     DelayModel,
@@ -23,6 +26,7 @@ from amdiscnt.model import (
     Node,
     RadioParams,
     RegionId,
+    config_fields,
     round_half_up,
     validate_config,
 )
@@ -131,6 +135,11 @@ def test_nan_radius_rejected():
      NetworkConfig(delay=DelayModel(mode="distance", per_hop=1e308))),
     (["delay.per_hop", "delay.speed"],
      NetworkConfig(delay=DelayModel(mode="distance", speed=5e-324))),
+    # alpha + beta, two ints within the float range, is not; 1.0 + it once raised OverflowError
+    (["heterogeneity.e0", "heterogeneity.alpha", "heterogeneity.beta"],
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=0.5,
+                                                   alpha=int(sys.float_info.max),
+                                                   beta=int(sys.float_info.max)))),
 ])
 def test_overflowing_value_rejected_by_name(fields, config):
     problems = validate_config(config)
@@ -139,6 +148,17 @@ def test_overflowing_value_rejected_by_name(fields, config):
     assert "must be finite" in problems[0]
     with pytest.raises(ConfigurationError):
         place(config)
+
+
+def test_int_hop_delay_beyond_the_float_range_rejected_by_name():
+    # 2 * r_outer / speed of two ints once raised OverflowError before it was bounded
+    config = NetworkConfig(geometry=Geometry(r_outer=int(sys.float_info.max)),
+                           delay=DelayModel(mode="distance", speed=1))
+    problems = validate_config(config)
+    assert len(problems) == 2
+    assert problems[0].startswith("worst link cost ")
+    assert problems[1] == ("largest round delay n_nodes * 3 * (delay.per_hop + 2 * "
+                           "geometry.r_outer / delay.speed) must be finite")
 
 
 _NEAR_LIMIT = dict(n_nodes=30, max_rounds=20, seed=11)
@@ -310,6 +330,18 @@ def test_empty_region_rejected_by_name(n_nodes, inner_fraction, counts):
     ("heterogeneity.m0",
      NetworkConfig(heterogeneity=HeterogeneitySpec(mode="three_level", e0=0.5, m=0.2, m0=-0.1,
                                                    alpha=1.0, beta=0.5))),
+    # ints beyond the float range, each of which once raised OverflowError in validation
+    ("radio.e_elec", NetworkConfig(radio=RadioParams(e_elec=10**400))),
+    ("radio.e_fs", NetworkConfig(radio=RadioParams(e_fs=10**400))),  # before the crossover
+    ("geometry.r_outer", NetworkConfig(geometry=Geometry(r_outer=10**400))),
+    ("heterogeneity.alpha",
+     NetworkConfig(heterogeneity=HeterogeneitySpec(mode="two_level", e0=0.5, m=0.2,
+                                                   alpha=-10**400))),
+    ("delay.speed", NetworkConfig(delay=DelayModel(mode="distance", speed=10**400))),
+    # a mode that is none of its field's modes
+    ("heterogeneity.mode", NetworkConfig(heterogeneity=HeterogeneitySpec(mode="x"))),
+    ("deployment_mode", NetworkConfig(deployment_mode="uniform")),
+    ("delay.mode", NetworkConfig(delay=DelayModel(mode=None))),
 ])
 def test_non_finite_value_rejected_by_name(field, config):
     problems = validate_config(config)
@@ -372,3 +404,75 @@ def test_int_in_float_field_is_valid():
 def test_nested_value_of_wrong_class_rejected_by_name(field, expected, value):
     config = NetworkConfig(**{field: value})
     assert validate_config(config) == [f"{field} must be a {expected}, got {value!r}"]
+
+
+# every field a config file sets, found by its declared key, and what a value must be to
+# keep each rule, judged exactly: a finite number as a Fraction, inf and nan never
+_DECLARED = [(name, field) for name, field, _ in config_fields(NetworkConfig())
+             if "key" in field.metadata]
+_KEEPS = {
+    "must be finite and positive": lambda x: 0 < x <= Fraction(DBL_MAX),
+    "must be finite and non-negative": lambda x: 0 <= x <= Fraction(DBL_MAX),
+    "must be non-negative": lambda x: x >= 0,
+    "must lie in [0, 1]": lambda x: 0 <= x <= 1,
+    "must lie in (0, 1)": lambda x: 0 < x < 1,
+    **{f"must be one of {modes}": modes.__contains__
+       for modes in (HETEROGENEITY_MODES, DEPLOYMENT_MODES, DELAY_MODES)},
+}
+# the checks across fields, by the start of their problem, with the fields each reads; the
+# overflow bounds read nearly every field
+_CROSS_FIELD = {"n_nodes must be at ": {"n_nodes"},
+                "n_nodes = ": {"n_nodes", "inner_fraction"},
+                "geometry requires ": {"geometry.r_inner", "geometry.r_outer"},
+                "radio.e_fs and radio.e_mp ": {"radio.e_fs", "radio.e_mp"}}
+_OVERFLOW = ("worst link cost ", "total initial energy ", "largest round delay ",
+             "largest packet delay ")
+_EXTREMES = (0, 0.0, -0.0, 5e-324, -5e-324, DBL_MAX, -DBL_MAX, math.inf, -math.inf, math.nan,
+             10**400, -10**400,
+             # just inside and outside each rule's bounds of 0, 1 and the float range
+             math.nextafter(1.0, 0.0), 1, 1.0, math.nextafter(1.0, 2.0), 2, -1,
+             math.nextafter(DBL_MAX, 0.0), int(DBL_MAX), int(DBL_MAX) + 1,
+             # and values of the wrong type
+             "1", None, True, *HETEROGENEITY_MODES, *DEPLOYMENT_MODES, *DELAY_MODES, "x")
+
+
+def keeps(field, value) -> bool:
+    """Whether ``value`` has the type of ``field``'s default and keeps its rule."""
+    default, rule = field.default, field.metadata["rule"]
+    if isinstance(default, str):
+        return _KEEPS[rule[0]](value)
+    if isinstance(value, bool) or not isinstance(
+            value, int if isinstance(default, int) else (int, float)):
+        return False
+    if rule is None:
+        return True
+    return (isinstance(value, int) or math.isfinite(value)) and _KEEPS[rule[0]](Fraction(value))
+
+
+def with_field(obj, path, value):
+    """A copy of dataclass ``obj`` with the dotted attribute ``path`` set to ``value``."""
+    name, _, rest = path.partition(".")
+    return dataclasses.replace(
+        obj, **{name: with_field(getattr(obj, name), rest, value) if rest else value})
+
+
+@settings(deadline=None, max_examples=1000)
+# the other mode of each two-mode field, which the draws rarely reach
+@example(declared=("delay.mode", dict(_DECLARED)["delay.mode"]), value="distance", runs=5)
+@example(declared=("deployment_mode", dict(_DECLARED)["deployment_mode"]),
+         value="uniform_radius", runs=1)
+@given(declared=st.sampled_from(_DECLARED),
+       value=st.sampled_from(_EXTREMES) | st.floats() | st.integers(-2**1100, 2**1100),
+       runs=st.sampled_from([1, 5]))
+def test_one_declared_field_is_refused_by_name_exactly_when_it_breaks_its_rule(
+        declared, value, runs):
+    name, field = declared
+    problems = validate_config(with_field(NetworkConfig(), name, value), runs)
+    if not keeps(field, value):
+        assert len(problems) == 1
+        assert problems[0].startswith(name + " ")
+    else:
+        for problem in problems:
+            assert problem.startswith(_OVERFLOW) or any(
+                problem.startswith(start) and name in fields
+                for start, fields in _CROSS_FIELD.items())
